@@ -1,7 +1,8 @@
 """Command-line front end: deterministic table/JSON writers over the library.
 
 Exit codes: 0 success, 2 configuration problems (always naming the offending
-field), 3 integration/accuracy failures.
+field), 3 integration/accuracy failures and non-finite results (naming the
+field).
 """
 from __future__ import annotations
 
@@ -159,7 +160,7 @@ def validate_config(cfg: dict) -> None:
 
     sec = _section(cfg, "oracle")
     _reject_unknown("oracle", sec, ("zeta", "r", "halfwidth_linewidths",
-                                    "dnu", "s_max", "ode_tol", "coupling",
+                                    "dnu", "s_max", "coupling",
                                     "compare_up_to"))
     zeta = _num("oracle.zeta", sec.get("zeta", 0.25))
     if zeta <= -1.0:
@@ -171,7 +172,6 @@ def validate_config(cfg: dict) -> None:
     if sec.get("dnu") is not None:
         _num("oracle.dnu", sec["dnu"], lo=0.0, hi=0.05, lo_open=True)
     _num("oracle.s_max", sec.get("s_max", 12.0), lo=0.0, lo_open=True)
-    _num("oracle.ode_tol", sec.get("ode_tol", 1e-10), lo=0.0, lo_open=True)
     _choice("oracle.coupling", sec.get("coupling", "flat"),
             ("flat", "tilted"))
     if sec.get("compare_up_to") is not None:
@@ -325,16 +325,17 @@ def cmd_oracle(env: _Env) -> int:
         zeta, r, halfwidth_linewidths=sec.get("halfwidth_linewidths"),
         dnu=sec.get("dnu"))
     report = numerics.validate_single_pole(
-        zeta, r, grid, sec.get("s_max", 12.0), sec.get("ode_tol", 1e-10),
+        zeta, r, grid, sec.get("s_max", 12.0),
         coupling=sec.get("coupling", "flat"),
         compare_up_to=sec.get("compare_up_to", 5.0))
     run = report.run
+    # the summary goes first: it is the file a run too short to fit fails on
+    serialize.dump_json(env.out / "oracle_summary.json",
+                        numerics.single_pole_summary(report))
     serialize.write_csv(env.out / "oracle_trajectory.csv", "s,alpha_sq",
                         [run.times, run.alpha_sq])
     serialize.write_csv(env.out / "oracle_modes.csv", "nu,beta_sq",
                         [run.grid.nus, run.beta_sq_final])
-    serialize.dump_json(env.out / "oracle_summary.json",
-                        numerics.single_pole_summary(report))
     note = " (comparison truncated at the comb recurrence)" \
         if report.truncated else ""
     print(f"fitted rate {report.fitted_rate:.6f} vs local rate "
@@ -464,7 +465,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (numerics.AccuracyError, numerics.IntegrationError,
-            numerics.ValidityError) as exc:
+            numerics.ValidityError, serialize.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

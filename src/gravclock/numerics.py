@@ -1,8 +1,10 @@
 """Quadrature engines and a discretized-mode emission oracle.
 
-The oracle integrates the one-excitation amplitude equations against a finite
-comb of field modes, with no pole approximation, so the closed-form
-exponential decay law can be checked against it rather than against itself.
+The oracle solves the one-excitation amplitude equations on a finite comb of
+field modes exactly, with no pole approximation: their generator is a real
+symmetric arrowhead matrix whose eigenvalues solve a secular equation with a
+closed-form sum on the uniform comb.  The closed-form exponential decay law
+is checked against that solution rather than against itself.
 """
 from __future__ import annotations
 
@@ -12,7 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import DOP853, quad
+from scipy.integrate import quad
+from scipy.special import digamma, polygamma
 
 from .model import ConfigurationError, HeightDensity, HorizonError, ROOT_PI
 
@@ -30,7 +33,7 @@ class AccuracyError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Mode-equation integration failed or lost unitarity."""
+    """A mode-comb solution failed or broke its sum rule or unitarity."""
 
 
 class ValidityError(RuntimeError):
@@ -136,6 +139,9 @@ def integrate_density(f, density: HeightDensity,
 
 _MAX_DNU = 0.05          # coarsest spacing that still resolves the line
 _MIN_MARGIN_LW = 25.0    # window margin around the shifted line, in linewidths
+_MAX_DEFECT = 1e-6       # largest sum-rule or unitarity defect of a run
+_MAX_BISECTIONS = 200    # cap; brackets reach adjacent floats well before
+_BLOCK = 32              # rows per block of time samples and of modes
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,7 @@ class ModeGrid:
 
 @dataclass(frozen=True)
 class OracleRun:
-    """Raw record of one mode-comb integration."""
+    """Raw record of one mode-comb run."""
 
     zeta: float
     r: float
@@ -225,28 +231,136 @@ class OracleRun:
     max_unitarity_defect: float
 
 
-def _coupling_sq(coupling: str, nus: np.ndarray, u: float, gam: float,
-                 dnu: float, r: float) -> np.ndarray:
+def _coupling_line(coupling: str, grid: ModeGrid, u: float, gam: float,
+                   r: float) -> tuple[float, float]:
+    """Squared couplings linear in the detuning: g_j^2 = p + q*(nu_j - u)."""
     # Golden-rule constraint at the line: 2*pi*g^2(u)/dnu = gam.
-    base = gam * dnu / TWO_PI
+    base = gam * grid.dnu / TWO_PI
     if coupling == "flat":
-        return np.full(nus.shape, base)
+        return base, 0.0
     if coupling == "tilted":
         # Couplings growing like the mode frequency; same value at the line.
-        scale = (r + nus) / (r + u)
-        if np.any(scale <= 0.0):
+        if r + grid.nu_min <= 0.0:
             raise ConfigurationError(
                 "tilted coupling needs all mode frequencies positive "
                 "(r + nu_min must stay > 0)")
-        return base * scale
+        return base, base / (r + u)
     raise ConfigurationError(f"coupling must be flat|tilted, got {coupling!r}")
 
 
+def _comb_sums(j: np.ndarray, d: np.ndarray, n: int, *,
+               squares: bool = False):
+    """S = sum_m 1/(x-m) (and T = sum_m 1/(x-m)^2) over the comb m < n.
+
+    A point is x = j + d: inside the gap (j, j+1) when 0 < d < 1, below the
+    comb when j = 0 and d < 0, above it when j = n-1 and d > 0.  The sums
+    come in closed form from digamma/trigamma and the cotangent reflection,
+    with the pole terms taken from d alone, so the distance to the nearest
+    mode keeps full precision however large j is.
+    """
+    below = d < 0.0
+    above = j == n - 1
+    edge = below | above
+    a = np.where(edge, np.abs(d), j + d + 1.0)
+    b = np.where(edge, n + np.abs(d), n - j - d)
+    psi = digamma(a) - digamma(b)
+    # cot and 1/sin^2 have period 1; d - 1 is exact for d in (1/2, 1)
+    e = np.pi * np.where(edge, 0.5, np.where(d > 0.5, d - 1.0, d))
+    s = np.where(edge, np.where(above, -psi, psi), psi + np.pi / np.tan(e))
+    if not squares:
+        return s
+    tri_a, tri_b = polygamma(1, a), polygamma(1, b)
+    t = np.where(edge, tri_a - tri_b, (np.pi / np.sin(e)) ** 2 - tri_a - tri_b)
+    return s, t
+
+
+def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
+    """Exact eigen-solution of the comb Hamiltonian [[0, g^T], [g, diag D]].
+
+    Its n+1 eigenvalues solve lam = sum_j g_j^2/(lam - D_j): one in each gap
+    between modes and one beyond each end.  With g_j^2 = p + q*D_j the sum is
+    (p + q*lam)*S/dnu - n*q.  Returns the roots as gap index j and offset d
+    (lam = D_0 + dnu*(j + d)), the eigenvalues, and the atomic weights
+    w = 1/(1 + sum_j g_j^2/(lam - D_j)^2), which sum to one.
+    """
+    n, dnu = grid.n_modes, grid.dnu
+    lam0 = grid.nu_min - u
+
+    def secular(j, d):
+        lam = lam0 + dnu * (j + d)
+        return (p + q * lam) * _comb_sums(j, d, n) / dnu - n * q - lam
+
+    # The secular function falls from +inf to -inf across every gap and
+    # beyond each end; bracket the two outer roots by doubling.
+    ends = np.array([0.0, n - 1.0])
+    for doublings in range(64):
+        reach = 2.0**doublings
+        f = secular(ends, np.array([-reach, reach]))
+        if f[0] > 0.0 and f[1] < 0.0:
+            break
+    else:
+        raise IntegrationError("cannot bracket the comb's outer eigenvalues")
+    j = np.arange(-1.0, n).clip(0.0, n - 1.0)
+    lo, hi = np.zeros(n + 1), np.ones(n + 1)
+    lo[0], hi[0], hi[-1] = -reach, 0.0, reach
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = secular(j, mid) > 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    d = 0.5 * (lo + hi)
+    lam = lam0 + dnu * (j + d)
+    s, t = _comb_sums(j, d, n, squares=True)
+    w = 1.0 / (1.0 + (p + q * lam) * t / dnu**2 - q * s / dnu)
+    return j, d, lam, w
+
+
+def _alpha_trajectory(lam: np.ndarray, w: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
+    """alpha(s) = sum_k w_k exp(-i lam_k s) on a uniform time grid.
+
+    Blocks of _BLOCK consecutive times share one phase table
+    exp(-i lam_k m h), so each block is one matrix-vector product.
+    """
+    h = times[1] - times[0]
+    table = np.multiply.outer(-1j * h * np.arange(min(_BLOCK, len(times))),
+                              lam)
+    np.exp(table, out=table)
+    alpha = np.empty(len(times), dtype=complex)
+    for start in range(0, len(times), _BLOCK):
+        rows = table[:len(times) - start]
+        alpha[start:start + len(rows)] = rows @ (
+            w * np.exp(-1j * times[start] * lam))
+    return alpha
+
+
+def _mode_amplitudes(j: np.ndarray, d: np.ndarray, z: np.ndarray,
+                     n: int) -> np.ndarray:
+    """Cauchy sums c_m = sum_k z_k / ((j_k - m) + d_k) for m < n.
+
+    The integer part of each distance is formed first so the offset d_k
+    keeps full precision next to the poles.  Rows go in blocks of _BLOCK
+    through one reused buffer.
+    """
+    coef = np.column_stack((z.real, z.imag))
+    out = np.empty((n, 2))
+    buf = np.empty((_BLOCK, len(j)))
+    for start in range(0, n, _BLOCK):
+        m = np.arange(start, min(start + _BLOCK, n), dtype=float)
+        block = buf[:len(m)]
+        np.subtract(j, m[:, None], out=block)
+        block += d
+        np.reciprocal(block, out=block)
+        np.matmul(block, coef, out=out[start:start + len(m)])
+    return out[:, 0] + 1j * out[:, 1]
+
+
 def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
-                ode_tol: float = 1e-10, coupling: str = "flat",
-                coupling_scale: float = 1.0,
-                max_step: float = 0.05) -> OracleRun:
-    """Integrate the one-excitation amplitude equations on a mode comb.
+                coupling: str = "flat",
+                coupling_scale: float = 1.0) -> OracleRun:
+    """Solve the one-excitation amplitude equations on a mode comb exactly.
 
     In the frame rotating at the shifted line u = r*zeta the equations are
 
@@ -255,8 +369,17 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
 
     with b_j the mode amplitude up to a phase (so |b_j|^2 = |beta_j|^2), and
     couplings normalized so sum_j 2*pi*g_j^2 * delta_dnu -> (1+zeta) at the
-    line.  The system is Hermitian: |alpha|^2 + sum|b|^2 is conserved, and
-    the run aborts if the integrator lets it drift past 1e-6.
+    line.  The generator is a real symmetric arrowhead matrix, diagonalized
+    in closed form (see ``_comb_eigen``), so
+
+        alpha(s) = sum_k w_k exp(-i lam_k s)
+        |b_j(s)| = g_j |sum_k w_k exp(-i lam_k s) / (lam_k - D_j)|
+
+    with D_j = nu_j - u: exact for the finite comb, with no pole
+    approximation and no time stepping.  |alpha|^2 is recorded on a uniform
+    grid with at least eight samples per period of the fastest mode
+    detuning.  The run aborts if the sum rule sum_k w_k = 1 or unitarity
+    |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.
     """
     if zeta <= -1.0:
         raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
@@ -264,52 +387,39 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
         raise ConfigurationError(f"r must be > 0, got {r!r}")
     if s_max <= 0.0:
         raise ConfigurationError(f"s_max must be > 0, got {s_max!r}")
-    if ode_tol <= 0.0:
-        raise ConfigurationError(f"ode_tol must be > 0, got {ode_tol!r}")
     if coupling_scale < 0.0:
         raise ConfigurationError("coupling_scale must be >= 0")
     grid.require_contains(zeta, r)
 
     gam = 1.0 + zeta
     u = r * zeta
-    nus = grid.nus
-    g_arr = coupling_scale * np.sqrt(
-        _coupling_sq(coupling, nus, u, gam, grid.dnu, r))
-    rot = -1j * (nus - u)
+    p, q = _coupling_line(coupling, grid, u, gam, r)
+    detuning = max(u - grid.nu_min, grid.nu_max - u)
+    n_steps = math.ceil(s_max * 4.0 * detuning / math.pi)
+    t_arr = np.linspace(0.0, s_max, n_steps + 1)
 
-    n = grid.n_modes
-    y0 = np.zeros(n + 1, dtype=complex)
-    y0[0] = 1.0
-
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        out[0] = -(g_arr @ y[1:])
-        out[1:] = rot * y[1:]
-        out[1:] += g_arr * y[0]
-        return out
-
-    solver = DOP853(rhs, 0.0, y0, s_max, max_step=max_step, rtol=ode_tol,
-                    atol=min(1e-12, ode_tol))
-    times = [0.0]
-    alpha_sq = [1.0]
-    defect_max = 0.0
-    while solver.status == "running":
-        solver.step()
-        if solver.status == "failed":
+    if coupling_scale == 0.0:
+        # decoupled atom: nothing moves
+        a_arr = np.ones_like(t_arr)
+        beta_sq = np.zeros(grid.n_modes)
+        defect = 0.0
+    else:
+        p, q = coupling_scale**2 * p, coupling_scale**2 * q
+        j, d, lam, w = _comb_eigen(grid, u, p, q)
+        alpha = _alpha_trajectory(lam, w, t_arr)
+        a_arr = alpha.real**2 + alpha.imag**2
+        a_arr[0] = 1.0  # the initial condition, exactly
+        c = _mode_amplitudes(j, d, w * np.exp(-1j * s_max * lam),
+                             grid.n_modes)
+        g_sq = p + q * (grid.nus - u)
+        beta_sq = g_sq / grid.dnu**2 * (c.real**2 + c.imag**2)
+        defect = max(abs(math.fsum(w) - 1.0),
+                     abs(a_arr[-1] + math.fsum(beta_sq) - 1.0))
+        if not defect <= _MAX_DEFECT:
             raise IntegrationError(
-                f"mode-equation stepper failed at s={solver.t:.4g}")
-        y = solver.y
-        a2 = float(abs(y[0]) ** 2)
-        norm = a2 + float(np.sum(np.abs(y[1:]) ** 2))
-        defect_max = max(defect_max, abs(norm - 1.0))
-        times.append(float(solver.t))
-        alpha_sq.append(a2)
-    if defect_max > 1e-6:
-        raise IntegrationError(
-            f"unitarity defect {defect_max:.3e} exceeds 1e-6; tighten ode_tol")
+                f"sum-rule/unitarity defect {defect:.3e} exceeds "
+                f"{_MAX_DEFECT:g}")
 
-    t_arr = np.asarray(times)
-    a_arr = np.asarray(alpha_sq)
     fit_hi = min(5.0, 0.8 * grid.recurrence_s, s_max)
     mask = (t_arr >= 0.5) & (t_arr <= fit_hi)
     if int(mask.sum()) >= 8:
@@ -323,10 +433,9 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
         residual = math.nan
 
     return OracleRun(zeta=zeta, r=r, grid=grid, coupling=coupling,
-                     times=t_arr, alpha_sq=a_arr,
-                     beta_sq_final=np.abs(solver.y[1:]) ** 2,
+                     times=t_arr, alpha_sq=a_arr, beta_sq_final=beta_sq,
                      fitted_rate=fitted, fit_residual=residual,
-                     max_unitarity_defect=defect_max)
+                     max_unitarity_defect=defect)
 
 
 def oracle_spectrum(run: OracleRun):
@@ -399,7 +508,7 @@ class SinglePoleReport:
 
 def validate_single_pole(zeta: float | None = None, r: float | None = None,
                          grid: ModeGrid | None = None, s_max: float = 12.0,
-                         ode_tol: float = 1e-10, *, coupling: str = "flat",
+                         *, coupling: str = "flat",
                          compare_up_to: float | None = None,
                          run: OracleRun | None = None) -> SinglePoleReport:
     """Compare |alpha|^2 against the exponential law.
@@ -413,8 +522,7 @@ def validate_single_pole(zeta: float | None = None, r: float | None = None,
             raise ConfigurationError("need either a run or (zeta, r)")
         if grid is None:
             grid = ModeGrid.for_line(zeta, r)
-        run = ww_simulate(zeta, r, grid, s_max, ode_tol=ode_tol,
-                          coupling=coupling)
+        run = ww_simulate(zeta, r, grid, s_max, coupling=coupling)
     horizon = float(run.times[-1])
     if compare_up_to is not None:
         if compare_up_to <= 0.0:

@@ -263,6 +263,27 @@ def test_oracle_writes_run_and_summary(tmp_path, capsys):
     assert summary["max_deviation_single_pole"] < 0.05
 
 
+def test_oracle_too_short_to_fit_exits_3(tmp_path, capsys):
+    """A run shorter than the fit window has no fitted rate: the command
+    fails naming the field instead of writing NaN into the JSON."""
+    cfg = write_cfg(tmp_path, {"oracle": {"zeta": 0, "r": 100,
+                                          "s_max": 0.4}})
+    code, out, err = run(capsys, ["oracle", "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: fitted_rate: non-finite")
+    assert not (tmp_path / "oracle_summary.json").exists()
+
+
+def test_oracle_rejects_removed_ode_tol(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"oracle": {"ode_tol": 1e-10}})
+    code, _, err = run(capsys, ["oracle", "--config", cfg,
+                                "--out", str(tmp_path)])
+    assert code == 2
+    assert "oracle.ode_tol: unknown config key" in err
+
+
 def test_sweep_single_panel(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"sweep": {"panel": "a", "n_grid": 9}})
     code, _, _ = run(capsys, ["sweep", "--config", cfg,

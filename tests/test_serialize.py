@@ -52,3 +52,15 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         serialize.write_csv(tmp_path / "bad.csv", "a,b",
                             [np.zeros(3), np.zeros(4)])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 np.float64("-inf")])
+def test_writers_refuse_non_finite_values(tmp_path, bad):
+    with pytest.raises(serialize.NonFiniteError, match=r"b\.c\[1\]"):
+        serialize.dump_json(tmp_path / "bad.json", {"a": 1.0,
+                                                    "b": {"c": [0.0, bad]}})
+    with pytest.raises(serialize.NonFiniteError, match="column p row 2"):
+        serialize.write_csv(tmp_path / "bad.csv", "s,p",
+                            [np.zeros(3), [0.0, 1.0, bad]])
+    assert not any(tmp_path.iterdir())
