@@ -4,20 +4,19 @@ checks the exponential decay law from the raw amplitude equations."""
 
 from .analytic import (KhandelwalParams, RateResult, SpectrumResult,
                        TcohResult, decay_rates, excited_amplitude_sq,
-                       khandelwal_tcoh_full, khandelwal_tcoh_reduced,
-                       local_rate, lorentzian_line, photon_amplitude_sq,
-                       quantum_correction, spectrum, survival_probability,
-                       total_rate)
+                       gammaq_closed_grid, khandelwal_tcoh_full,
+                       khandelwal_tcoh_reduced, local_rate, lorentzian_line,
+                       photon_amplitude_sq, quantum_correction, spectrum,
+                       survival_probability, total_rate)
 from .experiments import (LineCase, SweepSpec, figure1_default_panels,
                           figure1_sweep, figure2_default_cases, figure2_lines,
-                          gammaq_closed_grid, optimal_state_scan,
-                          term_magnitude_report)
+                          optimal_state_scan, term_magnitude_report)
 from .model import (ATOMIC_MASS, C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, MixtureSpec, PhysicalParams,
                     SuperpositionSpec, density_mix, density_sup,
-                    dipole_from_gamma0, gamma0_from_dipole, norm_constant,
-                    state_from_dict, state_to_dict)
+                    dipole_from_gamma0, gamma0_from_dipole, state_from_dict,
+                    state_to_dict)
 from .numerics import (AccuracyError, IntegrationError, ModeGrid, OracleRun,
                        QuadratureSpec, SinglePoleReport, ValidityError,
                        gauss_moment, integrate_density, line_fwhm, line_peak,
@@ -38,10 +37,9 @@ __all__ = [
     "figure2_default_cases", "figure2_lines", "gamma0_from_dipole",
     "gammaq_closed_grid", "gauss_moment", "integrate_density",
     "khandelwal_tcoh_full", "khandelwal_tcoh_reduced", "line_fwhm",
-    "line_peak", "local_rate", "lorentzian_line", "norm_constant",
-    "optimal_state_scan", "oracle_spectrum", "photon_amplitude_sq",
-    "quantum_correction", "single_pole_summary", "spectrum",
-    "state_from_dict", "state_to_dict", "survival_probability",
-    "term_magnitude_report", "total_rate", "validate_single_pole",
-    "ww_simulate",
+    "line_peak", "local_rate", "lorentzian_line", "optimal_state_scan",
+    "oracle_spectrum", "photon_amplitude_sq", "quantum_correction",
+    "single_pole_summary", "spectrum", "state_from_dict", "state_to_dict",
+    "survival_probability", "term_magnitude_report", "total_rate",
+    "validate_single_pole", "ww_simulate",
 ]

@@ -18,13 +18,12 @@ import numpy as np
 from scipy.integrate import quad as _scipy_quad
 from scipy.special import voigt_profile
 
-from .model import (C_LIGHT, HBAR, STANDARD_GRAVITY, ConfigurationError,
-                    DimensionlessScales, HeightDensity, HorizonError,
-                    MixtureSpec, SuperpositionSpec)
+from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
+                    ConfigurationError, DimensionlessScales, HeightDensity,
+                    HorizonError, MixtureSpec, SuperpositionSpec)
 from .numerics import (AccuracyError, QuadratureSpec, gauss_moment,
                        integrate_density)
 
-_NORM_FLOOR = 1e-12
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
@@ -60,32 +59,49 @@ def _check_matched(sup: SuperpositionSpec, mixture: MixtureSpec | None) -> None:
             "the rate difference is only defined for matched states")
 
 
+def gammaq_closed_grid(theta, phi, dz, delta_zeta):
+    """Closed-form rate excess, vectorized; heights in zeta units.
+
+    The interference component's share of the mean height,
+    (A/B) * dz * cos(2 theta) / 2, with A = cos(phi) sin(2 theta) * overlap,
+    overlap = exp(-dz^2 / 4 delta_zeta^2) and B = 1 + A.  Zero-norm corners
+    (complete destructive overlap, B -> 0) carry no probability and are
+    reported as exactly 0.0 rather than 0/0.
+    """
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    dz = np.asarray(dz, dtype=float)
+    e = np.exp(-(dz**2) / (4.0 * delta_zeta**2))
+    a = np.cos(phi) * np.sin(2.0 * theta) * e
+    b = 1.0 + a
+    degenerate = b < _NORM_FLOOR
+    val = 0.5 * dz * np.cos(2.0 * theta) * a / np.where(degenerate, 1.0, b)
+    return np.where(degenerate, 0.0, val)
+
+
 def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                        mixture: MixtureSpec | None = None,
                        method: str = "closed-form",
                        quad_spec: QuadratureSpec | None = None) -> float:
     """Rate excess of the coherent state over its matched mixture.
 
-    Closed form: the interference component's share of the mean height,
-    (A/B) * (zeta2 - zeta1) * cos(2 theta) / 2, with A = cos(phi) sin(2 theta)
-    * overlap and B = 1 + A.  The quadrature path integrates (1 + zeta)
+    The closed form is :func:`gammaq_closed_grid` at this one state.  The
+    quadrature path, an independent check on it, integrates (1 + zeta)
     against the density difference written in its exact component form --
     pointwise subtraction of the two densities cancels catastrophically at
     the precision this is compared to.
     """
     _check_matched(sup, mixture)
-    dz_zeta = float(scales.zeta(sup.z2 - sup.z1))
-    a = sup.interference_weight
-    b = sup.norm_bracket
+    width = float(scales.zeta(sup.delta))
     if method == "closed-form":
-        return 0.5 * dz_zeta * math.cos(2.0 * sup.theta) * a / b
+        dz = float(scales.zeta(sup.z2 - sup.z1))
+        return float(gammaq_closed_grid(sup.theta, sup.phi, dz, width))
     if method != "quadrature":
         raise ConfigurationError(
             f"method must be closed-form|quadrature, got {method!r}")
     qs = quad_spec if quad_spec is not None else QuadratureSpec()
     z1 = float(scales.zeta(sup.z1))
     z2 = float(scales.zeta(sup.z2))
-    width = float(scales.zeta(sup.delta))
     mid = 0.5 * (z1 + z2)
 
     def f(z):
@@ -94,7 +110,7 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     bracket = (gauss_moment(f, mid, width, qs)
                - math.cos(sup.theta) ** 2 * gauss_moment(f, z1, width, qs)
                - math.sin(sup.theta) ** 2 * gauss_moment(f, z2, width, qs))
-    return a / b * bracket
+    return sup.interference_weight / sup.norm_bracket * bracket
 
 
 def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
@@ -144,11 +160,9 @@ def total_rate(density: HeightDensity, *, at_time: float | None = None,
         raise ConfigurationError(f"at_time must be >= 0, got {at_time!r}")
     if density.is_analytic:
         w2 = density.width**2
-        total = 0.0
-        for wt, mu in zip(density.weights, density.centers):
-            total += wt * (1.0 + mu - 0.5 * w2 * s) * math.exp(
-                -(1.0 + mu) * s + 0.25 * w2 * s**2)
-        return total
+        return density.component_sum(
+            lambda mu: (1.0 + mu - 0.5 * w2 * s)
+            * math.exp(-(1.0 + mu) * s + 0.25 * w2 * s**2))
     qs = quad_spec if quad_spec is not None else QuadratureSpec(method="adaptive")
     return integrate_density(lambda z: (1.0 + z) * np.exp(-(1.0 + z) * s),
                              density, qs)
@@ -166,9 +180,8 @@ def survival_probability(density: HeightDensity, s, *,
         raise ConfigurationError("survival time s must be >= 0")
     if density.is_analytic:
         w2 = density.width**2
-        out = np.zeros_like(s_arr)
-        for wt, mu in zip(density.weights, density.centers):
-            out = out + wt * np.exp(-(1.0 + mu) * s_arr + 0.25 * w2 * s_arr**2)
+        out = density.component_sum(
+            lambda mu: np.exp(-(1.0 + mu) * s_arr + 0.25 * w2 * s_arr**2))
         return out if np.ndim(s) else float(out)
     qs = quad_spec if quad_spec is not None else QuadratureSpec(method="adaptive")
     flat = np.atleast_1d(s_arr)
@@ -258,9 +271,8 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
         if not density.is_analytic:
             raise ConfigurationError("voigt path needs an analytic density")
         sigma = r * density.width / math.sqrt(2.0)
-        p = np.zeros_like(nu)
-        for wt, mu in zip(density.weights, density.centers):
-            p += wt * voigt_profile(nu - r * mu, sigma, 0.5 * (1.0 + mu))
+        p = density.component_sum(
+            lambda mu: voigt_profile(nu - r * mu, sigma, 0.5 * (1.0 + mu)))
         floor = -1e-9 * float(p.max(initial=0.0))
         if np.any(p < floor):
             raise AccuracyError(

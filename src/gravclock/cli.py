@@ -11,12 +11,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analytic, experiments, numerics, serialize
-from .model import (ATOMIC_MASS, C_LIGHT, STANDARD_GRAVITY, ConfigurationError,
+from .model import (C_LIGHT, STANDARD_GRAVITY, ConfigurationError,
                     HeightDensity, HorizonError, MixtureSpec, PhysicalParams,
                     SuperpositionSpec, state_from_dict)
 
@@ -35,54 +36,144 @@ _DEFAULT_STATE = {"zeta1": 0.0, "zeta2": 0.02, "delta_zeta": 0.01,
                   "theta_rad": math.pi / 8, "phi_rad": 0.0,
                   "kind": "superposition"}
 
-_TOP_KEYS = ("preset", "params", "state", "seed", "out", "rate", "spectrum",
-             "survival", "oracle", "sweep", "figures", "tcoh")
+_REQUIRED = object()
 
 
 def _bad(path: str, message: str):
     raise ConfigurationError(f"{path}: {message}")
 
 
-def _num(path: str, value, *, integer: bool = False, lo=None, hi=None,
-         lo_open=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _bad(path, "must be a number")
-    if integer and not isinstance(value, int):
-        _bad(path, "must be an integer")
-    v = float(value)
-    if not math.isfinite(v):
-        _bad(path, "must be finite")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        _bad(path, f"must be {'>' if lo_open else '>='} {lo}")
-    if hi is not None and v > hi:
-        _bad(path, f"must be <= {hi}")
-    return v
+@dataclass(frozen=True)
+class _Key:
+    """One config key: its default and the values it accepts.
+
+    The default's type sets the kind: a string (or ``options``) takes a
+    string, an int an integer, anything else a finite number within the
+    bounds.  A default of None means "derive it from the rest of the run"
+    and admits an explicit null; ``nullable`` admits null beside a default.
+    """
+
+    default: object = None
+    lo: float | None = None
+    hi: float | None = None
+    lo_open: bool = False
+    options: tuple[str, ...] = ()
+    nullable: bool = False
+
+    def check(self, path: str, value):
+        """``value`` if this key accepts it; else ConfigurationError."""
+        lo, hi = self.lo, self.hi
+        if value is None and (self.default is None or self.nullable):
+            return None
+        if self.options:
+            if value not in self.options:
+                _bad(path, f"must be one of {'|'.join(self.options)}, "
+                           f"got {value!r}")
+        elif isinstance(self.default, str):
+            if not isinstance(value, str):
+                _bad(path, "must be a string")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            _bad(path, "must be a number")
+        elif isinstance(self.default, int) and not isinstance(value, int):
+            _bad(path, "must be an integer")
+        elif not math.isfinite(value):
+            _bad(path, "must be finite")
+        elif lo is not None and (value <= lo if self.lo_open else value < lo):
+            _bad(path, f"must be {'>' if self.lo_open else '>='} {lo}")
+        elif hi is not None and value > hi:
+            _bad(path, f"must be <= {hi}")
+        return value
 
 
-def _choice(path: str, value, options: tuple[str, ...]) -> str:
-    if value not in options:
-        _bad(path, f"must be one of {'|'.join(options)}, got {value!r}")
-    return value
+_POSITIVE = dict(lo=0.0, lo_open=True)
+
+# Every config key and its default.  Top-level entries are keys; nested
+# dicts are sections.  ``params`` and ``state`` are checked by their parsers.
+CONFIG_SCHEMA = {
+    "preset": _Key("earth-aluminium", options=tuple(PRESETS)),
+    "out": _Key("."),
+    "rate": {
+        "method": _Key("closed-form", options=("closed-form", "quadrature")),
+    },
+    "spectrum": {
+        # null bounds: a window centred on the line, see _line_window
+        "nu_min": _Key(None),
+        "nu_max": _Key(None),
+        "n_points": _Key(4001, lo=2),
+        "method": _Key("auto", options=("auto", "voigt", "quadrature")),
+    },
+    "survival": {
+        "s_max": _Key(5.0, **_POSITIVE),
+        "n_points": _Key(101, lo=2),
+    },
+    "oracle": {
+        "zeta": _Key(0.25, lo=-1.0, lo_open=True),   # above the horizon
+        "r": _Key(1e3, **_POSITIVE),
+        "halfwidth_linewidths": _Key(None, **_POSITIVE),
+        "dnu": _Key(None, hi=0.05, **_POSITIVE),
+        "s_max": _Key(12.0, **_POSITIVE),
+        "coupling": _Key("flat", options=("flat", "tilted")),
+        # null compares over the whole run
+        "compare_up_to": _Key(5.0, nullable=True, **_POSITIVE),
+    },
+    "sweep": {
+        "panel": _Key("b", options=("a", "b", "c")),
+        "n_grid": _Key(201, lo=2),
+        "delta_zeta": _Key(0.01, **_POSITIVE),
+    },
+    "figures": {
+        "n_grid": _Key(201, lo=2),
+        "n_nu": _Key(4001, lo=2),
+    },
+    "tcoh": {
+        # null spread, velocity spread and z2 follow from the reference
+        # separation zeta = 1e-18 and the minimum-uncertainty relation
+        "sigma_z_m": _Key(None, **_POSITIVE),
+        "sigma_v_m_s": _Key(None, **_POSITIVE),
+        "p_bar": _Key(0.0),
+        "alpha_w": _Key(math.cos(math.pi / 8) ** 2, lo=0.0, hi=1.0),
+        "phi_rad": _Key(0.0),
+        "t_s": _Key(1e-8, lo=0.0),
+        "mass_kg": _Key(1e-27, **_POSITIVE),
+        "z1_m": _Key(0.0),
+        "z2_m": _Key(None),
+    },
+}
+
+_ZETA_STATE = {
+    "zeta1": _Key(_REQUIRED),
+    "zeta2": _Key(_REQUIRED),
+    "delta_zeta": _Key(_REQUIRED, **_POSITIVE),
+    "theta_rad": _Key(0.0),
+    "phi_rad": _Key(0.0),
+    "kind": _Key("superposition", options=("superposition", "mixture")),
+}
 
 
-def _section(cfg: dict, name: str) -> dict:
-    sec = cfg.get(name, {})
+def _merge(path: str, sec, table: dict) -> dict:
+    """``sec`` checked against ``table`` and completed with its defaults."""
     if not isinstance(sec, dict):
-        _bad(name, "must be an object")
-    return sec
-
-
-def _reject_unknown(path: str, sec: dict, allowed: tuple[str, ...]) -> None:
+        _bad(path, "must be an object")
     for key in sec:
-        if key not in allowed:
+        if key not in table:
             _bad(f"{path}.{key}", "unknown config key")
+    out = {}
+    for key, spec in table.items():
+        if key in sec:
+            out[key] = spec.check(f"{path}.{key}", sec[key])
+        elif spec.default is _REQUIRED:
+            _bad(f"{path}.{key}", "is required")
+        else:
+            out[key] = spec.default
+    return out
 
 
-_ZETA_STATE_KEYS = ("zeta1", "zeta2", "delta_zeta", "theta_rad", "phi_rad",
-                    "kind")
+def _check_window(nu_min: float, nu_max: float) -> None:
+    if not nu_max > nu_min:
+        _bad("spectrum.nu_max", "must exceed spectrum.nu_min")
 
 
-def _validate_state(sec: dict) -> None:
+def _validate_state(sec: dict) -> dict:
     has_m = any(k in sec for k in ("z1_m", "z2_m", "delta_m"))
     has_z = any(k in sec for k in ("zeta1", "zeta2", "delta_zeta"))
     if has_m and has_z:
@@ -90,36 +181,29 @@ def _validate_state(sec: dict) -> None:
     if not has_m and not has_z:
         _bad("state", "needs z1_m/z2_m/delta_m or zeta1/zeta2/delta_zeta")
     if has_z:
-        _reject_unknown("state", sec, _ZETA_STATE_KEYS)
-        for key in ("zeta1", "zeta2", "delta_zeta"):
-            if key not in sec:
-                _bad(f"state.{key}", "is required")
-        _num("state.zeta1", sec["zeta1"])
-        _num("state.zeta2", sec["zeta2"])
-        _num("state.delta_zeta", sec["delta_zeta"], lo=0.0, lo_open=True)
-        kind = _choice("state.kind", sec.get("kind", "superposition"),
-                       ("superposition", "mixture"))
-        _num("state.theta_rad", sec.get("theta_rad", 0.0))
-        if kind == "superposition":
-            _num("state.phi_rad", sec.get("phi_rad", 0.0))
-        elif sec.get("phi_rad") is not None:
-            _bad("state.phi_rad", "mixture state takes no phi_rad")
-        return
+        if sec.get("kind") == "mixture":
+            if sec.get("phi_rad") is not None:
+                _bad("state.phi_rad", "mixture state takes no phi_rad")
+            sec = {k: v for k, v in sec.items() if k != "phi_rad"}
+        return _merge("state", sec, _ZETA_STATE)
     # meter form: its own parser does the detailed checks
     try:
         state_from_dict(sec)
     except ConfigurationError as exc:
         _bad("state", str(exc))
+    return sec
 
 
-def validate_config(cfg: dict) -> None:
+def validate_config(cfg: dict) -> dict:
+    """Check a config and return it completed with the defaults of
+    CONFIG_SCHEMA (and the reference state); raises ConfigurationError
+    naming the offending field."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
     for key in cfg:
-        if key not in _TOP_KEYS:
+        if key not in CONFIG_SCHEMA and key not in ("params", "state"):
             _bad(str(key), "unknown config key")
-    if "preset" in cfg:
-        _choice("preset", cfg["preset"], tuple(PRESETS))
+    merged = {}
     if "params" in cfg:
         if not isinstance(cfg["params"], dict):
             _bad("params", "must be an object")
@@ -127,90 +211,23 @@ def validate_config(cfg: dict) -> None:
             PhysicalParams.from_dict(cfg["params"])
         except ConfigurationError as exc:
             _bad("params", str(exc))
+        merged["params"] = cfg["params"]
     if "state" in cfg:
         if not isinstance(cfg["state"], dict):
             _bad("state", "must be an object")
-        _validate_state(cfg["state"])
-    if "seed" in cfg:
-        _num("seed", cfg["seed"], integer=True, lo=0)
-    if "out" in cfg and not isinstance(cfg["out"], str):
-        _bad("out", "must be a string path")
-
-    sec = _section(cfg, "rate")
-    _reject_unknown("rate", sec, ("method",))
-    if "method" in sec:
-        _choice("rate.method", sec["method"], ("closed-form", "quadrature"))
-
-    sec = _section(cfg, "spectrum")
-    _reject_unknown("spectrum", sec, ("nu_min", "nu_max", "n_points",
-                                      "method"))
-    nu_min = _num("spectrum.nu_min", sec.get("nu_min", -5.0))
-    nu_max = _num("spectrum.nu_max", sec.get("nu_max", 5.0))
-    if nu_max <= nu_min:
-        _bad("spectrum.nu_max", "must exceed spectrum.nu_min")
-    _num("spectrum.n_points", sec.get("n_points", 4001), integer=True, lo=2)
-    if "method" in sec:
-        _choice("spectrum.method", sec["method"],
-                ("auto", "voigt", "quadrature"))
-
-    sec = _section(cfg, "survival")
-    _reject_unknown("survival", sec, ("s_max", "n_points"))
-    _num("survival.s_max", sec.get("s_max", 5.0), lo=0.0, lo_open=True)
-    _num("survival.n_points", sec.get("n_points", 101), integer=True, lo=2)
-
-    sec = _section(cfg, "oracle")
-    _reject_unknown("oracle", sec, ("zeta", "r", "halfwidth_linewidths",
-                                    "dnu", "s_max", "coupling",
-                                    "compare_up_to"))
-    zeta = _num("oracle.zeta", sec.get("zeta", 0.25))
-    if zeta <= -1.0:
-        _bad("oracle.zeta", "must be > -1 (above the horizon)")
-    _num("oracle.r", sec.get("r", 1e3), lo=0.0, lo_open=True)
-    if sec.get("halfwidth_linewidths") is not None:
-        _num("oracle.halfwidth_linewidths", sec["halfwidth_linewidths"],
-             lo=0.0, lo_open=True)
-    if sec.get("dnu") is not None:
-        _num("oracle.dnu", sec["dnu"], lo=0.0, hi=0.05, lo_open=True)
-    _num("oracle.s_max", sec.get("s_max", 12.0), lo=0.0, lo_open=True)
-    _choice("oracle.coupling", sec.get("coupling", "flat"),
-            ("flat", "tilted"))
-    if sec.get("compare_up_to") is not None:
-        _num("oracle.compare_up_to", sec["compare_up_to"], lo=0.0,
-             lo_open=True)
-
-    sec = _section(cfg, "sweep")
-    _reject_unknown("sweep", sec, ("panel", "n_grid", "delta_zeta"))
-    _choice("sweep.panel", sec.get("panel", "b"), ("a", "b", "c"))
-    _num("sweep.n_grid", sec.get("n_grid", 201), integer=True, lo=2)
-    _num("sweep.delta_zeta", sec.get("delta_zeta", 0.01), lo=0.0,
-         lo_open=True)
-
-    sec = _section(cfg, "figures")
-    _reject_unknown("figures", sec, ("n_grid", "n_nu"))
-    _num("figures.n_grid", sec.get("n_grid", 201), integer=True, lo=2)
-    _num("figures.n_nu", sec.get("n_nu", 4001), integer=True, lo=2)
-
-    sec = _section(cfg, "tcoh")
-    _reject_unknown("tcoh", sec, ("sigma_z_m", "sigma_v_m_s", "p_bar",
-                                  "alpha_w", "phi_rad", "t_s", "mass_kg",
-                                  "z1_m", "z2_m"))
-    if "sigma_z_m" in sec:
-        _num("tcoh.sigma_z_m", sec["sigma_z_m"], lo=0.0, lo_open=True)
-    if "sigma_v_m_s" in sec:
-        _num("tcoh.sigma_v_m_s", sec["sigma_v_m_s"], lo=0.0, lo_open=True)
-    if "p_bar" in sec:
-        _num("tcoh.p_bar", sec["p_bar"])
-    if "alpha_w" in sec:
-        _num("tcoh.alpha_w", sec["alpha_w"], lo=0.0, hi=1.0)
-    if "phi_rad" in sec:
-        _num("tcoh.phi_rad", sec["phi_rad"])
-    if "t_s" in sec:
-        _num("tcoh.t_s", sec["t_s"], lo=0.0)
-    if "mass_kg" in sec:
-        _num("tcoh.mass_kg", sec["mass_kg"], lo=0.0, lo_open=True)
-    for key in ("z1_m", "z2_m"):
-        if key in sec:
-            _num(f"tcoh.{key}", sec[key])
+        merged["state"] = _validate_state(cfg["state"])
+    else:
+        merged["state"] = _DEFAULT_STATE
+    for name, spec in CONFIG_SCHEMA.items():
+        if isinstance(spec, _Key):
+            merged[name] = spec.check(name, cfg[name]) if name in cfg \
+                else spec.default
+        else:
+            merged[name] = _merge(name, cfg.get(name, {}), spec)
+    window = merged["spectrum"]["nu_min"], merged["spectrum"]["nu_max"]
+    if None not in window:
+        _check_window(*window)
+    return merged
 
 
 class _Env:
@@ -230,12 +247,12 @@ class _Env:
                 raise ConfigurationError(
                     "params: mutually exclusive with --preset")
             return PhysicalParams.from_dict(cfg["params"])
-        name = args.preset or cfg.get("preset", "earth-aluminium")
+        name = args.preset or cfg["preset"]
         return PhysicalParams(**PRESETS[name])
 
     @staticmethod
     def _resolve_out(cfg: dict, args) -> Path:
-        out = Path(args.out or cfg.get("out", "."))
+        out = Path(args.out or cfg["out"])
         if not out.is_dir():
             raise ConfigurationError(
                 f"out: output directory {str(out)!r} does not exist")
@@ -246,30 +263,24 @@ class _Env:
 
     @staticmethod
     def _resolve_quad(args) -> numerics.QuadratureSpec:
-        order = 80 if args.quad_order is None else args.quad_order
-        if order < 2:
+        if args.quad_order is None:
+            return numerics.QuadratureSpec()
+        if args.quad_order < 2:
             raise ConfigurationError("--quad-order: must be >= 2")
-        if args.tol is None:
-            return numerics.QuadratureSpec(order=order)
-        if args.tol <= 0.0:
-            raise ConfigurationError("--tol: must be > 0")
-        return numerics.QuadratureSpec(order=order, rel_tol=args.tol,
-                                       abs_tol=args.tol * 1e-2)
+        return numerics.QuadratureSpec(order=args.quad_order)
 
     def state(self) -> SuperpositionSpec | MixtureSpec:
-        sec = self.cfg.get("state")
-        if sec is None:
-            sec = _DEFAULT_STATE
-        if any(k in sec for k in ("zeta1", "zeta2", "delta_zeta")):
+        sec = self.cfg["state"]
+        if "zeta1" in sec:
             meters = {
                 "z1_m": float(self.scales.height_m(sec["zeta1"])),
                 "z2_m": float(self.scales.height_m(sec["zeta2"])),
                 "delta_m": float(self.scales.height_m(sec["delta_zeta"])),
-                "theta_rad": float(sec.get("theta_rad", 0.0)),
-                "kind": sec.get("kind", "superposition"),
+                "theta_rad": float(sec["theta_rad"]),
+                "kind": sec["kind"],
             }
             if meters["kind"] == "superposition":
-                meters["phi_rad"] = float(sec.get("phi_rad", 0.0))
+                meters["phi_rad"] = float(sec["phi_rad"])
             return state_from_dict(meters)
         return state_from_dict(sec)
 
@@ -286,20 +297,36 @@ def cmd_rate(env: _Env) -> int:
         raise ConfigurationError(
             "state.kind: rate needs a superposition state (the mixture is "
             "derived from it)")
-    method = env.cfg.get("rate", {}).get("method", "closed-form")
-    result = analytic.decay_rates(spec, env.scales, method=method,
+    result = analytic.decay_rates(spec, env.scales,
+                                  method=env.cfg["rate"]["method"],
                                   quad_spec=env.quad_spec)
     serialize.dump_json(env.out / "rate.json", result.to_dict())
     print(format(result.gammaQ_inv, ".11e"))
     return 0
 
 
+def _line_window(density: HeightDensity, r: float) -> tuple[float, float]:
+    """Window centred on the mean line shift r<zeta>, wide enough for six
+    packet widths and half the packet separation in line shift, plus 20
+    natural linewidths of tail."""
+    center = r * density.mean()
+    half = (6.0 * r * density.width
+            + 0.5 * r * (max(density.centers) - min(density.centers)) + 20.0)
+    return center - half, center + half
+
+
 def cmd_spectrum(env: _Env) -> int:
-    sec = env.cfg.get("spectrum", {})
-    grid = np.linspace(sec.get("nu_min", -5.0), sec.get("nu_max", 5.0),
-                       sec.get("n_points", 4001))
-    result = analytic.spectrum(env.density(), grid, env.scales.r,
-                               method=sec.get("method", "auto"))
+    sec = env.cfg["spectrum"]
+    density = env.density()
+    nu_min, nu_max = sec["nu_min"], sec["nu_max"]
+    if nu_min is None or nu_max is None:
+        lo, hi = _line_window(density, env.scales.r)
+        nu_min = lo if nu_min is None else nu_min
+        nu_max = hi if nu_max is None else nu_max
+        _check_window(nu_min, nu_max)
+    grid = np.linspace(nu_min, nu_max, sec["n_points"])
+    result = analytic.spectrum(density, grid, env.scales.r,
+                               method=sec["method"])
     serialize.write_csv(env.out / "spectrum.csv", "nu,p",
                         [result.nu_grid, result.p_values])
     if result.low_mass:
@@ -310,24 +337,22 @@ def cmd_spectrum(env: _Env) -> int:
 
 
 def cmd_survival(env: _Env) -> int:
-    sec = env.cfg.get("survival", {})
-    s = np.linspace(0.0, sec.get("s_max", 5.0), sec.get("n_points", 101))
+    sec = env.cfg["survival"]
+    s = np.linspace(0.0, sec["s_max"], sec["n_points"])
     p = analytic.survival_probability(env.density(), s)
     serialize.write_csv(env.out / "survival.csv", "s,p", [s, p])
     return 0
 
 
 def cmd_oracle(env: _Env) -> int:
-    sec = env.cfg.get("oracle", {})
-    zeta = sec.get("zeta", 0.25)
-    r = sec.get("r", 1e3)
+    sec = env.cfg["oracle"]
+    zeta = sec["zeta"]
     grid = numerics.ModeGrid.for_line(
-        zeta, r, halfwidth_linewidths=sec.get("halfwidth_linewidths"),
-        dnu=sec.get("dnu"))
+        zeta, sec["r"], halfwidth_linewidths=sec["halfwidth_linewidths"],
+        dnu=sec["dnu"])
     report = numerics.validate_single_pole(
-        zeta, r, grid, sec.get("s_max", 12.0),
-        coupling=sec.get("coupling", "flat"),
-        compare_up_to=sec.get("compare_up_to", 5.0))
+        zeta, sec["r"], grid, sec["s_max"], coupling=sec["coupling"],
+        compare_up_to=sec["compare_up_to"])
     run = report.run
     # the summary goes first: it is the file a run too short to fit fails on
     serialize.dump_json(env.out / "oracle_summary.json",
@@ -345,27 +370,26 @@ def cmd_oracle(env: _Env) -> int:
     return 0
 
 
-def cmd_sweep(env: _Env) -> int:
-    sec = env.cfg.get("sweep", {})
-    panels = experiments.figure1_default_panels(
-        n_grid=sec.get("n_grid", 201),
-        delta_zeta=sec.get("delta_zeta", 0.01))
-    spec = panels[sec.get("panel", "b")]
+def _write_sweep(path: Path, spec: experiments.SweepSpec) -> None:
     rows = experiments.figure1_sweep(spec)
-    serialize.write_csv(env.out / "sweep.csv", "theta,phi,dz,gammaQ_inv",
+    serialize.write_csv(path, "theta,phi,dz,gammaQ_inv",
                         [rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]])
+
+
+def cmd_sweep(env: _Env) -> int:
+    sec = env.cfg["sweep"]
+    panels = experiments.figure1_default_panels(
+        n_grid=sec["n_grid"], delta_zeta=sec["delta_zeta"])
+    _write_sweep(env.out / "sweep.csv", panels[sec["panel"]])
     return 0
 
 
 def cmd_figures(env: _Env) -> int:
-    sec = env.cfg.get("figures", {})
-    panels = experiments.figure1_default_panels(n_grid=sec.get("n_grid", 201))
+    sec = env.cfg["figures"]
+    panels = experiments.figure1_default_panels(n_grid=sec["n_grid"])
     for name, spec in panels.items():
-        rows = experiments.figure1_sweep(spec)
-        serialize.write_csv(env.out / f"figure1_{name}.csv",
-                            "theta,phi,dz,gammaQ_inv",
-                            [rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]])
-    cases = experiments.figure2_default_cases(n_points=sec.get("n_nu", 4001))
+        _write_sweep(env.out / f"figure1_{name}.csv", spec)
+    cases = experiments.figure2_default_cases(n_points=sec["n_nu"])
     for name, case in cases.items():
         res_sup, res_mix = experiments.figure2_lines(case)
         serialize.write_csv(env.out / f"figure2_{name}.csv", "nu,p_sup,p_cl",
@@ -375,20 +399,20 @@ def cmd_figures(env: _Env) -> int:
 
 
 def cmd_tcoh(env: _Env) -> int:
-    sec = env.cfg.get("tcoh", {})
+    sec = env.cfg["tcoh"]
     p = env.params
-    sigma_z = sec.get("sigma_z_m", 1e-18 * p.c**2 / p.g)
-    mass = sec.get("mass_kg", 1e-27)
+    sigma_z = sec["sigma_z_m"]
+    if sigma_z is None:
+        sigma_z = 1e-18 * p.c**2 / p.g
+    mass = sec["mass_kg"]
+    sigma_v = sec["sigma_v_m_s"]
+    if sigma_v is None:
+        sigma_v = p.hbar / (mass * sigma_z)
+    z1 = sec["z1_m"]
+    z2 = z1 + sigma_z if sec["z2_m"] is None else sec["z2_m"]
     kp = analytic.KhandelwalParams(
-        sigma_z=sigma_z,
-        sigma_v=sec.get("sigma_v_m_s", p.hbar / (mass * sigma_z)),
-        p_bar=sec.get("p_bar", 0.0),
-        alpha_w=sec.get("alpha_w", math.cos(math.pi / 8) ** 2),
-        phi=sec.get("phi_rad", 0.0),
-        t=sec.get("t_s", 1e-8),
-        m=mass)
-    z1 = sec.get("z1_m", 0.0)
-    z2 = sec.get("z2_m", z1 + sigma_z)
+        sigma_z=sigma_z, sigma_v=sigma_v, p_bar=sec["p_bar"],
+        alpha_w=sec["alpha_w"], phi=sec["phi_rad"], t=sec["t_s"], m=mass)
     full = analytic.khandelwal_tcoh_full(kp, z1, z2, g=p.g, c=p.c,
                                          hbar=p.hbar)
     reduced = analytic.khandelwal_tcoh_reduced(kp, z1, z2, g=p.g, c=p.c)
@@ -418,9 +442,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=tuple(PRESETS),
                         help="named physical-parameter preset")
     common.add_argument("--quad-order", type=int, dest="quad_order",
-                        metavar="N", help="Gauss-Hermite order (default 80)")
-    common.add_argument("--tol", type=float, metavar="X",
-                        help="quadrature relative tolerance")
+                        metavar="N", help="Gauss-Hermite order of "
+                        "rate.method quadrature (default 80)")
     parser = argparse.ArgumentParser(
         prog="gravclock",
         description="Spontaneous emission of two-packet clock states in "
@@ -443,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args: argparse.Namespace) -> dict:
     if args.config is None:
-        return {}
+        return validate_config({})
     path = Path(args.config)
     if not path.is_file():
         raise ConfigurationError(f"--config: file {str(path)!r} not found")
@@ -451,8 +474,7 @@ def _load_config(args: argparse.Namespace) -> dict:
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"--config: not valid JSON ({exc})") from exc
-    validate_config(cfg)
-    return cfg
+    return validate_config(cfg)
 
 
 def main(argv=None) -> int:

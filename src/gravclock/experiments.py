@@ -10,29 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SpectrumResult, spectrum
+from .analytic import SpectrumResult, gammaq_closed_grid, spectrum
 from .model import C_LIGHT, HBAR, STANDARD_GRAVITY, ConfigurationError, \
     HeightDensity
-from .numerics import gauss_hermite_nodes
-
-_NORM_FLOOR = 1e-12
-
-
-def gammaq_closed_grid(theta, phi, dz, delta_zeta):
-    """Vectorized closed-form rate excess; heights in zeta units.
-
-    Zero-norm corners (complete destructive overlap, B -> 0) carry no
-    probability and are reported as exactly 0.0 rather than 0/0.
-    """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    dz = np.asarray(dz, dtype=float)
-    e = np.exp(-(dz**2) / (4.0 * delta_zeta**2))
-    a = np.cos(phi) * np.sin(2.0 * theta) * e
-    b = 1.0 + a
-    degenerate = b < _NORM_FLOOR
-    val = 0.5 * dz * np.cos(2.0 * theta) * a / np.where(degenerate, 1.0, b)
-    return np.where(degenerate, 0.0, val)
 
 
 @dataclass(frozen=True)
@@ -63,51 +43,17 @@ class SweepSpec:
                 * len(self.dz_values))
 
 
-def figure1_sweep(spec: SweepSpec, *, method: str = "quadrature",
-                  order: int = 80) -> np.ndarray:
-    """Rate-excess table over the sweep grid.
+def figure1_sweep(spec: SweepSpec) -> np.ndarray:
+    """Closed-form rate-excess table over the sweep grid.
 
     Returns an (n_rows, 4) array with columns (theta, phi, dz, gammaQ_inv),
-    rows in C order over (theta, phi, dz).  The default path evaluates the
-    density-difference moment by Gauss-Hermite quadrature on every row;
-    ``method="closed-form"`` uses the algebraic expression instead.
+    rows in C order over (theta, phi, dz).
     """
     th, ph, dz = np.meshgrid(spec.theta_values, spec.phi_values,
                              spec.dz_values, indexing="ij")
     th, ph, dz = th.ravel(), ph.ravel(), dz.ravel()
-    if method == "closed-form":
-        gq = gammaq_closed_grid(th, ph, dz, spec.delta_zeta)
-    elif method == "quadrature":
-        gq = _gammaq_quadrature_rows(th, ph, dz, spec.delta_zeta, order)
-    else:
-        raise ConfigurationError(
-            f"method must be quadrature|closed-form, got {method!r}")
-    return np.column_stack([th, ph, dz, gq])
-
-
-def _gammaq_quadrature_rows(theta: np.ndarray, phi: np.ndarray,
-                            dz: np.ndarray, delta: float,
-                            order: int) -> np.ndarray:
-    """Gauss-Hermite difference moment of f = 1+zeta, vectorized over rows.
-
-    Components are centered so each row's packets sit at -dz/2 and +dz/2;
-    the rate excess depends on the separation only.
-    """
-    x, w = gauss_hermite_nodes(order)
-    e = np.exp(-(dz**2) / (4.0 * delta**2))
-    a = np.cos(phi) * np.sin(2.0 * theta) * e
-    b = 1.0 + a
-    degenerate = b < _NORM_FLOOR
-
-    def moment(centers: np.ndarray) -> np.ndarray:
-        nodes = 1.0 + centers[:, None] + delta * x[None, :]
-        return nodes @ w
-
-    bracket = (moment(np.zeros_like(dz))
-               - np.cos(theta) ** 2 * moment(-0.5 * dz)
-               - np.sin(theta) ** 2 * moment(0.5 * dz))
-    val = a / np.where(degenerate, 1.0, b) * bracket
-    return np.where(degenerate, 0.0, val)
+    return np.column_stack([th, ph, dz,
+                            gammaq_closed_grid(th, ph, dz, spec.delta_zeta)])
 
 
 def figure1_default_panels(*, n_grid: int = 201,

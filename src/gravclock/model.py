@@ -281,10 +281,6 @@ class MixtureSpec:
         _validate_angles(self.theta, None)
 
 
-def norm_constant(spec: SuperpositionSpec) -> float:
-    return spec.norm_constant
-
-
 def density_sup(spec: SuperpositionSpec, z_m):
     """Position density of the superposition state, in 1/m."""
     z = np.asarray(z_m, dtype=float)
@@ -429,13 +425,25 @@ class HeightDensity:
     def is_analytic(self) -> bool:
         return self.kind in _ANALYTIC_KINDS
 
+    def component_sum(self, f):
+        """Sum over the Gaussian components of weight * f(center), added up
+        in component order; ``f`` may return scalars or arrays.  Analytic
+        kinds only."""
+        if not self.is_analytic:
+            raise ConfigurationError(
+                "component sums are closed-form for analytic kinds; integrate "
+                "sampled densities with integrate_density")
+        total = 0.0
+        for w, mu in zip(self.weights, self.centers):
+            total = total + w * f(mu)
+        return total
+
     def __call__(self, zeta):
         z = np.asarray(zeta, dtype=float)
         if self.is_analytic:
-            acc = np.zeros_like(z)
-            for w, mu in zip(self.weights, self.centers):
-                acc += w * np.exp(-((z - mu) ** 2) / self.width**2)
-            acc /= ROOT_PI * self.width
+            acc = self.component_sum(
+                lambda mu: np.exp(-((z - mu) ** 2) / self.width**2)
+            ) / (ROOT_PI * self.width)
             # interference can round to ~-1e-25 where it cancels exactly
             out = np.maximum(acc, 0.0)
         else:
@@ -445,11 +453,7 @@ class HeightDensity:
 
     def mean(self) -> float:
         """First moment <zeta>; closed form, analytic kinds only."""
-        if not self.is_analytic:
-            raise ConfigurationError(
-                "mean() is closed-form for analytic kinds; integrate sampled "
-                "densities with integrate_density")
-        return float(sum(w * mu for w, mu in zip(self.weights, self.centers)))
+        return float(self.component_sum(lambda mu: mu))
 
 
 def _hint(centers: Iterable[float], width: float) -> tuple[float, float]:

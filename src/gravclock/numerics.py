@@ -115,16 +115,8 @@ def integrate_density(f, density: HeightDensity,
     only defined for the analytic kinds; ``adaptive`` works for everything.
     """
     if density.is_analytic:
-        if quad_spec.method == "gauss-hermite":
-            x, w = gauss_hermite_nodes(quad_spec.order)
-            total = 0.0
-            for wt, mu in zip(density.weights, density.centers):
-                vals = np.asarray(f(mu + density.width * x), dtype=float)
-                total += wt * float(w @ vals)
-            return total
-        return math.fsum(
-            wt * gauss_moment(f, mu, density.width, quad_spec)
-            for wt, mu in zip(density.weights, density.centers))
+        return density.component_sum(
+            lambda mu: gauss_moment(f, mu, density.width, quad_spec))
     if quad_spec.method == "gauss-hermite":
         raise ConfigurationError(
             "gauss-hermite quadrature needs an analytic density; use "

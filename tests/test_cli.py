@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ BAD_CONFIGS = [
     ({"oracle": {"zeta": -1.5}}, "oracle.zeta"),
     ({"oracle": {"coupling": "quadratic"}}, "oracle.coupling"),
     ({"sweep": {"panel": "d"}}, "sweep.panel"),
-    ({"seed": 1.5}, "seed"),
+    ({"seed": 7}, "seed"),
     ({"preset": "mars-caesium"}, "preset"),
     ({"params": {"g": 9.8}}, "params"),
     ({"tcoh": {"alpha_w": 1.5}}, "tcoh.alpha_w"),
@@ -164,10 +165,6 @@ def test_bad_global_flags(tmp_path, capsys):
                                 "--out", str(tmp_path)])
     assert code == 2
     assert "--quad-order" in err
-    code, _, err = run(capsys, ["rate", "--tol=-1e-6",
-                                "--out", str(tmp_path)])
-    assert code == 2
-    assert "--tol" in err
 
 
 def test_state_range_check_happens_in_meters_too(tmp_path, capsys):
@@ -192,7 +189,7 @@ def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_spectrum_writes_table(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"params": UNIT_PARAMS, "seed": 7})
+    cfg = write_cfg(tmp_path, {"params": UNIT_PARAMS})
     code, out, err = run(capsys, ["spectrum", "--config", cfg,
                                   "--out", str(tmp_path)])
     assert code == 0
@@ -202,17 +199,38 @@ def test_spectrum_writes_table(tmp_path, capsys):
     data = np.loadtxt(lines[1:], delimiter=",")
     assert data.shape == (4001, 2)
     assert np.all(data[:, 1] >= 0.0)
-    # with r = 2 both line components sit well inside the +-5 window
+    # with r = 2 the derived window spans ~20 linewidths either side
     assert np.trapezoid(data[:, 1], data[:, 0]) > 0.9
 
 
 def test_spectrum_low_mass_warns_but_exits_0(tmp_path, capsys):
-    # under the physical preset the line sits ~3e15 linewidths away from
-    # nu = 0, so the default window catches essentially none of the mass
-    code, _, err = run(capsys, ["spectrum", "--out", str(tmp_path)])
+    # under the physical preset the line sits ~2e15 linewidths away from
+    # nu = 0, so a +-5 window catches essentially none of the mass
+    cfg = write_cfg(tmp_path, {"spectrum": {"nu_min": -5.0, "nu_max": 5.0}})
+    code, _, err = run(capsys, ["spectrum", "--config", cfg,
+                                "--out", str(tmp_path)])
     assert code == 0
     assert "widen nu_min/nu_max" in err
     assert (tmp_path / "spectrum.csv").is_file()
+
+
+def test_spectrum_empty_config_window_holds_the_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {})
+    code, _, err = run(capsys, ["spectrum", "--config", cfg,
+                                "--out", str(tmp_path)])
+    assert code == 0
+    assert err == ""
+    data = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
+    assert np.trapezoid(data[:, 1], data[:, 0]) >= 0.9
+
+
+def test_spectrum_derived_window_must_increase(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"spectrum": {"nu_min": 1e30}})
+    code, _, err = run(capsys, ["spectrum", "--config", cfg,
+                                "--out", str(tmp_path)])
+    assert code == 2
+    assert "spectrum.nu_max" in err
+    assert not (tmp_path / "spectrum.csv").exists()
 
 
 def test_survival_table_and_determinism(tmp_path, capsys):
@@ -356,3 +374,26 @@ def test_empty_config_means_defaults(tmp_path, capsys):
                         "--out", str(out_b)])[0] == 0
     assert (out_a / "rate.json").read_bytes() == \
         (out_b / "rate.json").read_bytes()
+
+
+def test_readme_config_block_is_the_defaults():
+    """The README's config block validates and states every default."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"### Config file.*?```json\n(.*?)```", readme,
+                      re.DOTALL).group(1)
+    merged = cli.validate_config(json.loads(block))
+
+    def same(got, want):
+        # README rounds alpha_w and theta_rad to six digits
+        if isinstance(want, float):
+            return got == pytest.approx(want, rel=1e-6)
+        return got == want
+
+    for name, spec in cli.CONFIG_SCHEMA.items():
+        if isinstance(spec, cli._Key):
+            assert same(merged[name], spec.default), name
+            continue
+        for key, entry in spec.items():
+            assert same(merged[name][key], entry.default), f"{name}.{key}"
+    for key, want in cli._DEFAULT_STATE.items():
+        assert same(merged["state"][key], want), f"state.{key}"

@@ -64,15 +64,20 @@ def test_figure1_sweep_rows_and_methods_agree():
                         dz_values=tuple(np.linspace(0.0, 0.05, 7)))
     rows = gc.figure1_sweep(spec)
     assert rows.shape == (spec.n_rows, 4)
-    closed = gc.figure1_sweep(spec, method="closed-form")
-    assert np.array_equal(rows[:, :3], closed[:, :3])
-    scale = np.abs(closed[:, 3]).max()
-    assert np.all(np.abs(rows[:, 3] - closed[:, 3]) <= 1e-10 * scale)
     # first axis is theta, last is dz (C order)
     assert rows[0, 0] == rows[1, 0] == 0.0
     assert rows[0, 2] == 0.0 and rows[1, 2] == pytest.approx(0.05 / 6)
-    with pytest.raises(gc.ConfigurationError):
-        gc.figure1_sweep(spec, method="exact")
+    # column 3 is the closed-form kernel, bit for bit, on every default panel
+    panels = gc.figure1_default_panels()
+    for spec in panels.values():
+        rows = gc.figure1_sweep(spec)
+        assert np.array_equal(rows[:, 3], gc.gammaq_closed_grid(
+            rows[:, 0], rows[:, 1], rows[:, 2], spec.delta_zeta))
+    # including the zero-norm corner of panel c: theta = pi/4, phi = pi, dz = 0
+    rows = gc.figure1_sweep(panels["c"])
+    corner = rows[100 * 201]
+    assert corner[:3] == pytest.approx([math.pi / 4, math.pi, 0.0])
+    assert corner[3] == 0.0
 
 
 def test_figure1_default_panels_layout():

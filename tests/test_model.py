@@ -110,7 +110,6 @@ def test_norm_constant_closed_form():
     assert spec.overlap == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert spec.norm_constant == pytest.approx(want, rel=1e-15)
     assert spec.norm_constant == pytest.approx(0.6422270899193502, rel=1e-15)
-    assert gc.norm_constant(spec) == spec.norm_constant
 
 
 def test_density_sup_unit_mass_adaptive():
@@ -277,6 +276,8 @@ def test_sampled_density_mean_not_defined():
         (-0.2, 0.2))
     with pytest.raises(gc.ConfigurationError):
         dens.mean()
+    with pytest.raises(gc.ConfigurationError):
+        dens.component_sum(lambda mu: mu)
 
 
 # ---------------------------------------------------------------------------
