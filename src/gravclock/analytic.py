@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad as _scipy_quad
 from scipy.special import voigt_profile
 
 from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, MixtureSpec, SuperpositionSpec)
-from .numerics import (AccuracyError, QuadratureSpec, gauss_moment,
-                       integrate_density)
+from .numerics import (AccuracyError, QuadratureSpec, block_rows,
+                       gauss_moment, integrate_density, panel_quadrature)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -168,12 +167,13 @@ def total_rate(density: HeightDensity, *, at_time: float | None = None,
                              density, qs)
 
 
-def survival_probability(density: HeightDensity, s, *,
-                         quad_spec: QuadratureSpec | None = None):
+def survival_probability(density: HeightDensity, s):
     """P(still excited at s): each height strip decays at its local rate.
 
     For a Gaussian component centered at mu the strip integral is exact:
-    exp(-(1+mu) s + width^2 s^2 / 4).
+    exp(-(1+mu) s + width^2 s^2 / 4).  Sampled densities are integrated by
+    :func:`~gravclock.numerics.panel_quadrature` on one node set shared by
+    every time of a block.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0):
@@ -183,11 +183,21 @@ def survival_probability(density: HeightDensity, s, *,
         out = density.component_sum(
             lambda mu: np.exp(-(1.0 + mu) * s_arr + 0.25 * w2 * s_arr**2))
         return out if np.ndim(s) else float(out)
-    qs = quad_spec if quad_spec is not None else QuadratureSpec(method="adaptive")
-    flat = np.atleast_1d(s_arr)
-    vals = [integrate_density(lambda z: np.exp(-(1.0 + z) * si), density, qs)
-            for si in flat]
-    out = np.asarray(vals).reshape(s_arr.shape)
+    breaks = _support_breaks(density)
+    flat = np.ravel(s_arr)
+    out = np.empty(len(flat))
+    step = block_rows(len(breaks) - 1)
+    for start in range(0, len(flat), step):
+        times = flat[start:start + step]
+
+        def strips(z, row, times=times):
+            rho = density(z.ravel()).reshape(z.shape)
+            return rho[..., None] * np.exp(-(1.0 + z)[..., None] * times)
+
+        out[start:start + step] = panel_quadrature(
+            strips, breaks[:-1], breaks[1:], np.zeros(len(breaks) - 1, int),
+            1)[0]
+    out = out.reshape(s_arr.shape)
     return out if np.ndim(s) else float(out)
 
 
@@ -249,8 +259,7 @@ class SpectrumResult:
 
 
 def spectrum(density: HeightDensity, nu_grid, r: float, *,
-             method: str = "auto",
-             quad_spec: QuadratureSpec | None = None) -> SpectrumResult:
+             method: str = "auto") -> SpectrumResult:
     """Emission line shape P(nu) = integral rho(zeta) L(nu; zeta) dzeta.
 
     For analytic densities each Gaussian component convolved with the natural
@@ -258,7 +267,8 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
     Lorentzian HWHM (1+mu)/2 -- exact except for freezing the slowly varying
     linewidth across one packet (relative error ~width: ~1e-17 at physical r,
     ~1e-2 in desk-scale checks).  ``method="quadrature"`` integrates the
-    kernel pointwise instead and works for any density.
+    exact kernel instead and works for any density: see
+    :func:`_line_quadrature`.
     """
     if r <= 0.0:
         raise ConfigurationError(f"r must be > 0, got {r!r}")
@@ -280,7 +290,7 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
                 "method='quadrature' for this state")
         p = np.maximum(p, 0.0)
     elif method == "quadrature":
-        p = _spectrum_pointwise(density, nu, r, quad_spec)
+        p = _line_quadrature(density, nu, r)
     else:
         raise ConfigurationError(
             f"method must be auto|voigt|quadrature, got {method!r}")
@@ -289,32 +299,55 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
                           low_mass=bool(mass < 0.9))
 
 
-def _spectrum_pointwise(density: HeightDensity, nu: np.ndarray, r: float,
-                        quad_spec: QuadratureSpec | None) -> np.ndarray:
-    qs = quad_spec if quad_spec is not None else \
-        QuadratureSpec(method="adaptive", rel_tol=1e-10, abs_tol=1e-13)
+_SUPPORT_PANELS = 32   # equal panels across a density's support
+
+
+def _support_breaks(density: HeightDensity) -> np.ndarray:
+    """Panel ends in zeta: equal panels across the support, split at the
+    analytic centers inside it."""
     lo, hi = density.support
-    # quadpack needs to be told about narrow features: the Lorentzian pole
-    # (per grid point, below) and any density spikes much narrower than the
-    # support interval.
-    centers = [mu for mu in density.centers if lo < mu < hi] \
-        if density.is_analytic else []
+    centers = [mu for mu in density.centers if lo < mu < hi]
+    return np.unique(np.r_[np.linspace(lo, hi, _SUPPORT_PANELS + 1), centers])
+
+
+def _line_quadrature(density: HeightDensity, nu: np.ndarray,
+                     r: float) -> np.ndarray:
+    """P(nu) by panel quadrature in the detuning x = r*zeta - nu of each point.
+
+    The Lorentzian pole sits at x = 0 with half-width (1+zeta)/2 in x at any
+    r, even where it is narrower than the float spacing of zeta itself (Earth
+    scale).  Each point's panels grade geometrically away from the pole,
+    doubling from half the narrowest half-width up to the width of one equal
+    support panel; the support breaks of :func:`_support_breaks` split them
+    too.  Points go in blocks of :func:`~gravclock.numerics.block_rows`.
+    """
+    lo, hi = density.support
+    zeta_breaks = _support_breaks(density)
+    h0 = 0.25 * (1.0 + lo)
+    levels = max(1, math.ceil(math.log2(r * (hi - lo) / _SUPPORT_PANELS / h0)))
+    steps = h0 * 2.0 ** np.arange(levels + 1)
+    graded = np.r_[-steps[::-1], 0.0, steps]
+    step = block_rows(zeta_breaks.size + graded.size - 1)
     p = np.empty_like(nu)
-    for i, nu_i in enumerate(nu):
-        pole = nu_i / r
-        points = centers + ([pole] if lo < pole < hi else [])
-        points = points or None
+    for start in range(0, len(nu), step):
+        nus = nu[start:start + step]
+        x = r * zeta_breaks - nus[:, None]
+        x = np.concatenate(
+            (x, np.clip(graded, x[:, :1], x[:, -1:])), axis=1)
+        x.sort(axis=1)
+        a, b = x[:, :-1], x[:, 1:]
+        keep = b > a
+        row = np.broadcast_to(np.arange(len(nus))[:, None], a.shape)[keep]
 
-        def f(z, nu_i=nu_i):
-            gam = 1.0 + z
-            detune = r * z - nu_i
-            return density(z) * gam / (2.0 * math.pi) / (
-                0.25 * gam**2 + detune**2)
+        def line(x, row, nus=nus):
+            zeta = (nus[row][:, None] + x) / r
+            gam = 1.0 + zeta
+            rho = density(zeta.ravel()).reshape(zeta.shape)
+            return (rho * gam / (2.0 * math.pi * r)
+                    / (0.25 * gam**2 + x**2))[..., None]
 
-        val, err = _scipy_quad(f, lo, hi, points=points,
-                               epsabs=qs.abs_tol, epsrel=qs.rel_tol,
-                               limit=qs.max_subdivisions)
-        p[i] = val
+        p[start:start + step] = panel_quadrature(line, a[keep], b[keep], row,
+                                                 len(nus))[:, 0]
     return np.maximum(p, 0.0)
 
 

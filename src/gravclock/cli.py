@@ -76,8 +76,9 @@ class _Key:
             _bad(path, "must be a number")
         elif isinstance(self.default, int) and not isinstance(value, int):
             _bad(path, "must be an integer")
-        elif not math.isfinite(value):
-            _bad(path, "must be finite")
+        elif not -sys.float_info.max <= value <= sys.float_info.max:
+            # exact for any int, false for nan
+            _bad(path, "must be finite and within float range")
         elif lo is not None and (value <= lo if self.lo_open else value < lo):
             _bad(path, f"must be {'>' if self.lo_open else '>='} {lo}")
         elif hi is not None and value > hi:

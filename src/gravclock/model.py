@@ -401,8 +401,12 @@ class HeightDensity:
                       *, check: bool = True) -> "HeightDensity":
         """Wrap an arbitrary normalized pdf(zeta).
 
-        With ``check`` (default), verifies nonnegativity on a scan grid and
-        unit mass within 1e-12 by adaptive quadrature.
+        ``pdf`` must be vectorized: line shapes and survival curves call it
+        on 1-D float arrays of heights, thousands of quadrature nodes at a
+        time, and it must return an array of the same shape.  With ``check``
+        (default), verifies nonnegativity on a 2001-point scan grid and unit
+        mass within 1e-12 by adaptive quadrature, which calls it on single
+        floats.
         """
         dens = cls(kind="sampled", support=(float(support[0]), float(support[1])),
                    pdf=pdf)

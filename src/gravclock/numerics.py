@@ -125,6 +125,113 @@ def integrate_density(f, density: HeightDensity,
     return _adaptive(lambda z: f(z) * density(z), lo, hi, quad_spec)
 
 
+# 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1]
+# (QUADPACK's qk15); the Gauss weights are zero on the Kronrod-only nodes.
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649)
+_WK0 = 0.209482141084727828012999174891714
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975)
+_WG0 = 0.417959183673469387755102040816327
+_GK_NODES = np.array([-x for x in _XK] + [0.0] + list(reversed(_XK)))
+_GK_KRONROD = np.array(_WK + (_WK0,) + tuple(reversed(_WK)))
+_GAUSS_ODD = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
+_GK_GAUSS = np.array(_GAUSS_ODD + (_WG0,) + tuple(reversed(_GAUSS_ODD)))
+
+_PANEL_REL_TOL = 1e-10   # per integral: max(abs, rel * |value|)
+_PANEL_ABS_TOL = 1e-13
+_MAX_ROUNDS = 40         # bisection rounds before AccuracyError
+# Panels bisected per integral and round, at most: bounds the work on an
+# integrand that no panel width resolves.
+_MAX_SPLITS = 64
+_NODE_BLOCK = 1 << 16    # integrand values of one block of rows
+
+
+def block_rows(n_panels: int) -> int:
+    """Rows per block when each row has n_panels panels: about _NODE_BLOCK
+    integrand values, so scratch stays a few MB however many rows."""
+    return max(1, _NODE_BLOCK // (len(_GK_NODES) * n_panels))
+
+
+def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, row: np.ndarray):
+    """K15 value and |K15 - G7| of each panel [a, b] of integral ``row``."""
+    half = 0.5 * (b - a)
+    x = 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
+    y = f(x, row)
+    kronrod = np.einsum("pnm,n->pm", y, _GK_KRONROD) * half[:, None]
+    gauss = np.einsum("pnm,n->pm", y, _GK_GAUSS) * half[:, None]
+    return kronrod, np.abs(kronrod - gauss)
+
+
+def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
+    """Error-controlled composite Gauss-Kronrod integrals over panels.
+
+    Integral ``i`` is the sum over the panels [a[j], b[j]] with row[j] = i
+    (``row`` nondecreasing; an integral without panels is 0).
+    ``f(x, row)`` gets the nodes x of shape (panels, 15) with the row of each
+    panel and returns shape (panels, 15, m): m integrands sharing the nodes.
+    Returns shape (n_rows, m).
+
+    Each panel's error bound is |K15 - G7|.  While an integral's bounds sum
+    past max(_PANEL_ABS_TOL, _PANEL_REL_TOL * |value|) for any of its m
+    components, its largest-error panels (at most _MAX_SPLITS per round)
+    are bisected until the rest would fit in half that tolerance.  After
+    _MAX_ROUNDS rounds the worst integral raises AccuracyError with its
+    estimate and bound.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    row = np.asarray(row)
+    val, err = _gauss_kronrod(f, a, b, row)
+    out = np.zeros((n_rows, val.shape[1]))
+    for rounds in range(_MAX_ROUNDS + 1):
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        counts = np.diff(np.r_[starts, len(row)])
+        total = np.add.reduceat(val, starts)
+        bound = np.add.reduceat(err, starts)
+        tol = np.maximum(_PANEL_ABS_TOL, _PANEL_REL_TOL * np.abs(total))
+        done = np.all(bound <= tol, axis=1)
+        out[row[starts[done]]] = total[done]
+        if done.all():
+            return out
+        if rounds == _MAX_ROUNDS:
+            worst = np.unravel_index(np.argmax(bound / tol), bound.shape)
+            raise AccuracyError(
+                f"panel quadrature error bound {bound[worst]:.3e} exceeds the "
+                f"tolerance {tol[worst]:.3e} after {_MAX_ROUNDS} bisection "
+                "rounds", estimate=float(total[worst]),
+                bound=float(bound[worst]))
+        live = np.repeat(~done, counts)
+        a, b, row, val, err = a[live], b[live], row[live], val[live], err[live]
+        counts = counts[~done]
+        # Panels sorted by score within each integral; splitting those whose
+        # score, added to every smaller one, exceeds 1/2 leaves the rest
+        # within half the tolerance.  Scores clip at 1 without changing
+        # that choice, which keeps the running sums exact enough.
+        score = np.max(err / np.repeat(tol[~done], counts, axis=0), axis=1)
+        order = np.lexsort((score, row))
+        run = np.cumsum(np.minimum(score[order], 1.0))
+        ends = np.cumsum(counts)
+        before = np.repeat(np.r_[0.0, run[ends[:-1] - 1]], counts)
+        rank_from_top = np.repeat(ends, counts) - 1 - np.arange(len(order))
+        split = np.empty(len(order), dtype=bool)
+        split[order] = (run - before > 0.5) & (rank_from_top < _MAX_SPLITS)
+        reps = 1 + split
+        first = (np.cumsum(reps) - reps)[split]
+        mid = 0.5 * (a + b)[split]
+        a, b, row = np.repeat(a, reps), np.repeat(b, reps), np.repeat(row, reps)
+        val, err = np.repeat(val, reps, axis=0), np.repeat(err, reps, axis=0)
+        b[first], a[first + 1] = mid, mid
+        child = np.stack((first, first + 1), axis=1).ravel()
+        val[child], err[child] = _gauss_kronrod(f, a[child], b[child],
+                                                row[child])
+
+
 # ---------------------------------------------------------------------------
 # mode grid and oracle
 # ---------------------------------------------------------------------------

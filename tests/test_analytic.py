@@ -303,6 +303,77 @@ def test_spectrum_sampled_density_uses_quadrature():
         gc.spectrum(sampled, nu, 1e3, method="voigt")
 
 
+def test_spectrum_quadrature_holds_the_earth_scale_line():
+    """The CLI default state at r = 1.5e17: the Lorentzian is ~3e-18 wide in
+    zeta, below the float spacing of zeta, yet the panels in detuning
+    coordinates resolve it."""
+    from gravclock.cli import _PRESET_R, _line_window
+    dens = gc.HeightDensity.superposition_zeta(0.0, 0.02, 0.01, math.pi / 8,
+                                               0.0)
+    nu = np.linspace(*_line_window(dens, _PRESET_R), 4001)
+    q = gc.spectrum(dens, nu, _PRESET_R, method="quadrature")
+    v = gc.spectrum(dens, nu, _PRESET_R, method="voigt")
+    assert q.total_mass >= 0.999
+    assert np.max(np.abs(q.p_values - v.p_values)) <= 1e-9 * v.p_values.max()
+
+
+def top_hat(a, b):
+    return gc.HeightDensity.from_callable(
+        lambda z: np.full(np.shape(z), 1.0 / (b - a)), (a, b))
+
+
+def test_top_hat_survival_and_line():
+    a, b = -0.003, 0.004
+    dens = top_hat(a, b)
+    s = np.linspace(0.05, 6.0, 31)
+    want = -np.exp(-(1.0 + a) * s) * np.expm1(-(b - a) * s) / (s * (b - a))
+    got = gc.survival_probability(dens, s)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-10
+    r = 1e3
+    nu = np.linspace(-10.0, 10.0, 41)
+
+    def ref(n):
+        def f(z):
+            return (1.0 + z) / (2.0 * math.pi) / (
+                0.25 * (1.0 + z) ** 2 + (r * z - n) ** 2) / (b - a)
+        pole = [n / r] if a < n / r < b else None
+        return quad(f, a, b, points=pole, epsabs=1e-15, epsrel=1e-13,
+                    limit=500)[0]
+
+    # never silently off: a line either matches or raises AccuracyError
+    try:
+        line = gc.spectrum(dens, nu, r).p_values
+    except gc.AccuracyError as exc:
+        assert exc.bound > 0.0
+    else:
+        assert np.allclose(line, [ref(n) for n in nu], rtol=1e-9, atol=0.0)
+
+
+def test_quadrature_raises_when_refinement_runs_out():
+    """A density that no panel size resolves exhausts the bisection rounds."""
+    a, b = -0.003, 0.004
+    noisy = gc.HeightDensity.from_callable(
+        lambda z: (1.0 + 1e-3 * np.sin(1e13 * z)) / (b - a), (a, b),
+        check=False)
+    with pytest.raises(gc.AccuracyError) as info:
+        gc.survival_probability(noisy, np.linspace(0.0, 5.0, 11))
+    assert 0.0 < info.value.estimate <= 1.0
+    assert info.value.bound > 1e-10 * info.value.estimate
+
+
+def test_sampled_quadrature_repeats_bit_for_bit():
+    closed = gc.HeightDensity.superposition_zeta(0.0, 2e-3, 1e-3, 0.5, 2.0)
+    sampled = gc.HeightDensity.from_callable(closed, closed.support)
+    nu = np.linspace(-8.0, 10.0, 61)
+    s = np.linspace(0.0, 5.0, 31)
+    first = (gc.spectrum(sampled, nu, 1e3).p_values,
+             gc.survival_probability(sampled, s))
+    second = (gc.spectrum(sampled, nu, 1e3).p_values,
+              gc.survival_probability(sampled, s))
+    for x, y in zip(first, second):
+        assert x.tobytes() == y.tobytes()
+
+
 def test_spectrum_validation():
     dens = gc.HeightDensity.mixture_zeta(0.0, 2e-3, 1e-3, 0.5)
     nu = np.linspace(-3.0, 3.0, 11)

@@ -112,6 +112,8 @@ BAD_CONFIGS = [
     ({"preset": "mars-caesium"}, "preset"),
     ({"params": {"g": 9.8}}, "params"),
     ({"tcoh": {"alpha_w": 1.5}}, "tcoh.alpha_w"),
+    # an integer too large for a float
+    ({"survival": {"n_points": 10**400}}, "survival.n_points"),
 ]
 
 
@@ -222,6 +224,23 @@ def test_spectrum_empty_config_window_holds_the_line(tmp_path, capsys):
     assert err == ""
     data = np.loadtxt(tmp_path / "spectrum.csv", delimiter=",", skiprows=1)
     assert np.trapezoid(data[:, 1], data[:, 0]) >= 0.9
+
+
+def test_spectrum_quadrature_default_state_holds_the_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"spectrum": {"method": "quadrature"}})
+    blobs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        out.mkdir()
+        code, _, err = run(capsys, ["spectrum", "--config", cfg,
+                                    "--out", str(out)])
+        assert code == 0
+        assert err == ""
+        blobs.append((out / "spectrum.csv").read_bytes())
+    assert blobs[0] == blobs[1]
+    data = np.loadtxt(tmp_path / "a" / "spectrum.csv", delimiter=",",
+                      skiprows=1)
+    assert np.trapezoid(data[:, 1], data[:, 0]) >= 0.999
 
 
 def test_spectrum_derived_window_must_increase(tmp_path, capsys):

@@ -56,6 +56,22 @@ def test_integrate_density_gh_vs_adaptive():
         assert b == pytest.approx(a, rel=1e-11)
 
 
+def test_panel_quadrature_rows_components_and_refinement():
+    """Two integrals of two components each; one panel per integral to
+    start, so the peaks at 0 force bisection."""
+    from gravclock.numerics import panel_quadrature
+    eps = np.array([1e-3, 0.3])
+
+    def f(x, row):
+        return 1.0 / (eps[row][:, None, None] ** 2
+                      + x[..., None] ** 2 * np.array([1.0, 4.0]))
+
+    got = panel_quadrature(f, [-1.0, -1.0], [1.0, 1.0], [0, 1], 2)
+    want = 2.0 * np.arctan(np.multiply.outer(1.0 / eps, [1.0, 2.0])) \
+        / (eps[:, None] * [1.0, 2.0])
+    assert np.allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 def test_integrate_density_sampled_needs_adaptive():
     dens = gc.HeightDensity.from_callable(
         lambda z: np.full_like(np.asarray(z, dtype=float), 2.5),
