@@ -18,10 +18,9 @@ from .model import (ATOMIC_MASS, C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
                     dipole_from_gamma0, gamma0_from_dipole, state_from_dict,
                     state_to_dict)
 from .numerics import (AccuracyError, IntegrationError, ModeGrid, OracleRun,
-                       QuadratureSpec, SinglePoleReport, ValidityError,
-                       gauss_moment, integrate_density, line_fwhm, line_peak,
-                       oracle_spectrum, single_pole_summary,
-                       validate_single_pole, ww_simulate)
+                       SinglePoleReport, ValidityError, gauss_moment,
+                       line_fwhm, line_peak, oracle_spectrum,
+                       single_pole_summary, validate_single_pole, ww_simulate)
 
 __version__ = "0.1.0"
 
@@ -30,16 +29,16 @@ __all__ = [
     "AccuracyError", "ConfigurationError", "DimensionlessScales",
     "HeightDensity", "HorizonError", "IntegrationError", "KhandelwalParams",
     "LineCase", "MixtureSpec", "ModeGrid", "OracleRun", "PhysicalParams",
-    "QuadratureSpec", "RateResult", "SinglePoleReport", "SpectrumResult",
-    "SuperpositionSpec", "SweepSpec", "TcohResult", "ValidityError",
-    "decay_rates", "density_mix", "density_sup", "dipole_from_gamma0",
-    "excited_amplitude_sq", "figure1_default_panels", "figure1_sweep",
-    "figure2_default_cases", "figure2_lines", "gamma0_from_dipole",
-    "gammaq_closed_grid", "gauss_moment", "integrate_density",
-    "khandelwal_tcoh_full", "khandelwal_tcoh_reduced", "line_fwhm",
-    "line_peak", "local_rate", "lorentzian_line", "optimal_state_scan",
-    "oracle_spectrum", "photon_amplitude_sq", "quantum_correction",
-    "single_pole_summary", "spectrum", "state_from_dict", "state_to_dict",
-    "survival_probability", "term_magnitude_report", "total_rate",
-    "validate_single_pole", "ww_simulate",
+    "RateResult", "SinglePoleReport", "SpectrumResult", "SuperpositionSpec",
+    "SweepSpec", "TcohResult", "ValidityError", "decay_rates", "density_mix",
+    "density_sup", "dipole_from_gamma0", "excited_amplitude_sq",
+    "figure1_default_panels", "figure1_sweep", "figure2_default_cases",
+    "figure2_lines", "gamma0_from_dipole", "gammaq_closed_grid",
+    "gauss_moment", "khandelwal_tcoh_full", "khandelwal_tcoh_reduced",
+    "line_fwhm", "line_peak", "local_rate", "lorentzian_line",
+    "optimal_state_scan", "oracle_spectrum", "photon_amplitude_sq",
+    "quantum_correction", "single_pole_summary", "spectrum",
+    "state_from_dict", "state_to_dict", "survival_probability",
+    "term_magnitude_report", "total_rate", "validate_single_pole",
+    "ww_simulate",
 ]

@@ -19,9 +19,10 @@ from scipy.special import voigt_profile
 
 from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
-                    HorizonError, MixtureSpec, SuperpositionSpec)
-from .numerics import (AccuracyError, QuadratureSpec, block_rows,
-                       gauss_moment, integrate_density, panel_quadrature)
+                    HorizonError, MixtureSpec, SuperpositionSpec,
+                    _SUPPORT_PANELS, _support_breaks, _support_integrals)
+from .numerics import (_GH_ORDER, AccuracyError, block_rows, gauss_moment,
+                       panel_quadrature)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -81,14 +82,15 @@ def gammaq_closed_grid(theta, phi, dz, delta_zeta):
 def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                        mixture: MixtureSpec | None = None,
                        method: str = "closed-form",
-                       quad_spec: QuadratureSpec | None = None) -> float:
+                       order: int = _GH_ORDER) -> float:
     """Rate excess of the coherent state over its matched mixture.
 
     The closed form is :func:`gammaq_closed_grid` at this one state.  The
     quadrature path, an independent check on it, integrates (1 + zeta)
     against the density difference written in its exact component form --
     pointwise subtraction of the two densities cancels catastrophically at
-    the precision this is compared to.
+    the precision this is compared to.  ``order`` is the Gauss-Hermite
+    order of that path.
     """
     _check_matched(sup, mixture)
     width = float(scales.zeta(sup.delta))
@@ -98,7 +100,6 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     if method != "quadrature":
         raise ConfigurationError(
             f"method must be closed-form|quadrature, got {method!r}")
-    qs = quad_spec if quad_spec is not None else QuadratureSpec()
     z1 = float(scales.zeta(sup.z1))
     z2 = float(scales.zeta(sup.z2))
     mid = 0.5 * (z1 + z2)
@@ -106,16 +107,16 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     def f(z):
         return 1.0 + z
 
-    bracket = (gauss_moment(f, mid, width, qs)
-               - math.cos(sup.theta) ** 2 * gauss_moment(f, z1, width, qs)
-               - math.sin(sup.theta) ** 2 * gauss_moment(f, z2, width, qs))
+    bracket = (gauss_moment(f, mid, width, order)
+               - math.cos(sup.theta) ** 2 * gauss_moment(f, z1, width, order)
+               - math.sin(sup.theta) ** 2 * gauss_moment(f, z2, width, order))
     return sup.interference_weight / sup.norm_bracket * bracket
 
 
 def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                 mixture: MixtureSpec | None = None,
                 method: str = "closed-form",
-                quad_spec: QuadratureSpec | None = None) -> RateResult:
+                order: int = _GH_ORDER) -> RateResult:
     """Both states' rates plus their difference.
 
     gammaQ_inv goes through the difference path of :func:`quantum_correction`,
@@ -129,42 +130,40 @@ def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
         gamma_sup = 1.0 + dens_sup.mean()
         gamma_cl = 1.0 + dens_mix.mean()
     elif method == "quadrature":
-        qs = quad_spec if quad_spec is not None else QuadratureSpec()
-        gamma_sup = integrate_density(lambda z: 1.0 + z, dens_sup, qs)
-        gamma_cl = integrate_density(lambda z: 1.0 + z, dens_mix, qs)
+        gamma_sup, gamma_cl = (d.component_sum(
+            lambda mu: gauss_moment(lambda z: 1.0 + z, mu, d.width, order))
+            for d in (dens_sup, dens_mix))
     else:
         raise ConfigurationError(
             f"method must be closed-form|quadrature, got {method!r}")
-    gq = quantum_correction(sup, scales, method=method, quad_spec=quad_spec)
+    gq = quantum_correction(sup, scales, method=method, order=order)
     return RateResult(gamma_sup=float(gamma_sup), gamma_cl=float(gamma_cl),
                       gammaQ_inv=float(gq), method=method)
 
 
-def total_rate(density: HeightDensity, *, at_time: float | None = None,
-               quad_spec: QuadratureSpec | None = None) -> float:
+def total_rate(density: HeightDensity, *,
+               at_time: float | None = None) -> float:
     """Mean decay rate of a height density: <1 + zeta>.
 
     With ``at_time`` set, returns instead the exact instantaneous emission
     rate integral rho(zeta) (1+zeta) exp(-(1+zeta) s) dzeta at s = at_time,
-    i.e. the negative time derivative of the survival probability.
+    i.e. the negative time derivative of the survival probability.  Sampled
+    densities are integrated by
+    :func:`~gravclock.numerics.panel_quadrature` on their support panels.
     """
-    if at_time is None:
-        if density.is_analytic:
-            return 1.0 + density.mean()
-        qs = quad_spec if quad_spec is not None else \
-            QuadratureSpec(method="adaptive")
-        return integrate_density(lambda z: 1.0 + z, density, qs)
-    s = float(at_time)
+    s = 0.0 if at_time is None else float(at_time)
     if s < 0.0:
         raise ConfigurationError(f"at_time must be >= 0, got {at_time!r}")
     if density.is_analytic:
+        if at_time is None:
+            return 1.0 + density.mean()
         w2 = density.width**2
         return density.component_sum(
             lambda mu: (1.0 + mu - 0.5 * w2 * s)
             * math.exp(-(1.0 + mu) * s + 0.25 * w2 * s**2))
-    qs = quad_spec if quad_spec is not None else QuadratureSpec(method="adaptive")
-    return integrate_density(lambda z: (1.0 + z) * np.exp(-(1.0 + z) * s),
-                             density, qs)
+    # exp(-0 * x) is exactly 1, so s = 0 also gives the plain mean
+    return float(_support_integrals(
+        density, lambda z: ((1.0 + z) * np.exp(-(1.0 + z) * s))[..., None])[0])
 
 
 def survival_probability(density: HeightDensity, s):
@@ -183,20 +182,13 @@ def survival_probability(density: HeightDensity, s):
         out = density.component_sum(
             lambda mu: np.exp(-(1.0 + mu) * s_arr + 0.25 * w2 * s_arr**2))
         return out if np.ndim(s) else float(out)
-    breaks = _support_breaks(density)
     flat = np.ravel(s_arr)
     out = np.empty(len(flat))
-    step = block_rows(len(breaks) - 1)
+    step = block_rows(len(_support_breaks(density)) - 1)
     for start in range(0, len(flat), step):
         times = flat[start:start + step]
-
-        def strips(z, row, times=times):
-            rho = density(z.ravel()).reshape(z.shape)
-            return rho[..., None] * np.exp(-(1.0 + z)[..., None] * times)
-
-        out[start:start + step] = panel_quadrature(
-            strips, breaks[:-1], breaks[1:], np.zeros(len(breaks) - 1, int),
-            1)[0]
+        out[start:start + step] = _support_integrals(
+            density, lambda z: np.exp(-(1.0 + z)[..., None] * times))
     out = out.reshape(s_arr.shape)
     return out if np.ndim(s) else float(out)
 
@@ -297,17 +289,6 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
     mass = float(_trapz(p, nu))
     return SpectrumResult(nu_grid=nu, p_values=p, total_mass=mass,
                           low_mass=bool(mass < 0.9))
-
-
-_SUPPORT_PANELS = 32   # equal panels across a density's support
-
-
-def _support_breaks(density: HeightDensity) -> np.ndarray:
-    """Panel ends in zeta: equal panels across the support, split at the
-    analytic centers inside it."""
-    lo, hi = density.support
-    centers = [mu for mu in density.centers if lo < mu < hi]
-    return np.unique(np.r_[np.linspace(lo, hi, _SUPPORT_PANELS + 1), centers])
 
 
 def _line_quadrature(density: HeightDensity, nu: np.ndarray,

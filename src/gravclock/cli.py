@@ -239,7 +239,7 @@ class _Env:
         self.params = self._resolve_params(cfg, args)
         self.scales = self.params.scales()
         self.out = self._resolve_out(cfg, args)
-        self.quad_spec = self._resolve_quad(args)
+        self.quad_order = self._resolve_quad_order(args)
 
     @staticmethod
     def _resolve_params(cfg: dict, args) -> PhysicalParams:
@@ -263,12 +263,13 @@ class _Env:
         return out
 
     @staticmethod
-    def _resolve_quad(args) -> numerics.QuadratureSpec:
+    def _resolve_quad_order(args) -> int:
         if args.quad_order is None:
-            return numerics.QuadratureSpec()
-        if args.quad_order < 2:
-            raise ConfigurationError("--quad-order: must be >= 2")
-        return numerics.QuadratureSpec(order=args.quad_order)
+            return numerics._GH_ORDER
+        if not 2 <= args.quad_order <= numerics._GH_MAX_ORDER:
+            raise ConfigurationError(
+                f"--quad-order: must be in [2, {numerics._GH_MAX_ORDER}]")
+        return args.quad_order
 
     def state(self) -> SuperpositionSpec | MixtureSpec:
         sec = self.cfg["state"]
@@ -300,7 +301,7 @@ def cmd_rate(env: _Env) -> int:
             "derived from it)")
     result = analytic.decay_rates(spec, env.scales,
                                   method=env.cfg["rate"]["method"],
-                                  quad_spec=env.quad_spec)
+                                  order=env.quad_order)
     serialize.dump_json(env.out / "rate.json", result.to_dict())
     print(format(result.gammaQ_inv, ".11e"))
     return 0
@@ -444,7 +445,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="named physical-parameter preset")
     common.add_argument("--quad-order", type=int, dest="quad_order",
                         metavar="N", help="Gauss-Hermite order of "
-                        "rate.method quadrature (default 80)")
+                        "rate.method quadrature, 2 to "
+                        f"{numerics._GH_MAX_ORDER} (default "
+                        f"{numerics._GH_ORDER})")
     parser = argparse.ArgumentParser(
         prog="gravclock",
         description="Spontaneous emission of two-packet clock states in "

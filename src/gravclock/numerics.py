@@ -14,10 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.integrate import quad
 from scipy.special import digamma, polygamma
 
-from .model import ConfigurationError, HeightDensity, HorizonError, ROOT_PI
+from .model import ConfigurationError, HorizonError, ROOT_PI
 
 TWO_PI = 2.0 * math.pi
 
@@ -40,28 +39,9 @@ class ValidityError(RuntimeError):
     """A result was requested outside the regime where it means anything."""
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """How to integrate against a height density."""
-
-    method: str = "gauss-hermite"
-    order: int = 80
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-14
-    max_subdivisions: int = 200
-
-    def __post_init__(self) -> None:
-        if self.method not in ("gauss-hermite", "adaptive"):
-            raise ConfigurationError(
-                f"quadrature method must be gauss-hermite|adaptive, "
-                f"got {self.method!r}")
-        if not isinstance(self.order, int) or self.order < 2:
-            raise ConfigurationError(f"order must be an int >= 2, "
-                                     f"got {self.order!r}")
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ConfigurationError("tolerances must be > 0")
-        if self.max_subdivisions < 10:
-            raise ConfigurationError("max_subdivisions must be >= 10")
+_GH_ORDER = 80           # default Gauss-Hermite order
+# numpy's hermgauss returns NaN weights from order 372 and costs O(order^2).
+_GH_MAX_ORDER = 200
 
 
 @lru_cache(maxsize=64)
@@ -73,56 +53,18 @@ def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gauss_moment(f, center: float, width: float,
-                 quad_spec: QuadratureSpec = QuadratureSpec()) -> float:
+                 order: int = _GH_ORDER) -> float:
     """Integral of f against one normalized Gaussian component
-    exp(-(zeta-center)^2/width^2) / (sqrt(pi) width)."""
+    exp(-(zeta-center)^2/width^2) / (sqrt(pi) width), by Gauss-Hermite
+    quadrature of the given order (an int in [2, 200])."""
     if width <= 0.0:
         raise ConfigurationError(f"width must be > 0, got {width!r}")
-    if quad_spec.method == "gauss-hermite":
-        x, w = gauss_hermite_nodes(quad_spec.order)
-        vals = np.asarray(f(center + width * x), dtype=float)
-        return float(w @ vals)
-    lo, hi = center - 12.0 * width, center + 12.0 * width
-    norm = 1.0 / (ROOT_PI * width)
-
-    def integrand(z: float) -> float:
-        return float(f(z)) * norm * math.exp(-((z - center) / width) ** 2)
-
-    return _adaptive(integrand, lo, hi, quad_spec)
-
-
-def _adaptive(integrand, lo: float, hi: float, quad_spec: QuadratureSpec,
-              points=None) -> float:
-    result = quad(integrand, lo, hi, epsabs=quad_spec.abs_tol,
-                  epsrel=quad_spec.rel_tol, limit=quad_spec.max_subdivisions,
-                  points=points, full_output=1)
-    val, err = result[0], result[1]
-    if len(result) > 3:  # quadpack appended a warning message
-        raise AccuracyError(f"adaptive quadrature did not converge: "
-                            f"{result[3]}", estimate=val, bound=err)
-    if err > 10.0 * max(quad_spec.abs_tol, quad_spec.rel_tol * abs(val)):
-        raise AccuracyError(
-            f"adaptive quadrature error bound {err:.3e} exceeds the requested "
-            f"tolerance", estimate=val, bound=err)
-    return val
-
-
-def integrate_density(f, density: HeightDensity,
-                      quad_spec: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of f(zeta) against a height density.
-
-    Gauss-Hermite integrates each Gaussian component on its own nodes and is
-    only defined for the analytic kinds; ``adaptive`` works for everything.
-    """
-    if density.is_analytic:
-        return density.component_sum(
-            lambda mu: gauss_moment(f, mu, density.width, quad_spec))
-    if quad_spec.method == "gauss-hermite":
-        raise ConfigurationError(
-            "gauss-hermite quadrature needs an analytic density; use "
-            "method='adaptive' for sampled kinds")
-    lo, hi = density.support
-    return _adaptive(lambda z: f(z) * density(z), lo, hi, quad_spec)
+    if not (isinstance(order, int) and 2 <= order <= _GH_MAX_ORDER):
+        raise ConfigurationError(f"order must be an int in "
+                                 f"[2, {_GH_MAX_ORDER}], got {order!r}")
+    x, w = gauss_hermite_nodes(order)
+    vals = np.asarray(f(center + width * x), dtype=float)
+    return float(w @ vals)
 
 
 # 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1]
@@ -144,8 +86,7 @@ _GK_KRONROD = np.array(_WK + (_WK0,) + tuple(reversed(_WK)))
 _GAUSS_ODD = (0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0)
 _GK_GAUSS = np.array(_GAUSS_ODD + (_WG0,) + tuple(reversed(_GAUSS_ODD)))
 
-_PANEL_REL_TOL = 1e-10   # per integral: max(abs, rel * |value|)
-_PANEL_ABS_TOL = 1e-13
+_PANEL_REL_TOL = 1e-13   # see panel_quadrature for its floor
 _MAX_ROUNDS = 40         # bisection rounds before AccuracyError
 # Panels bisected per integral and round, at most: bounds the work on an
 # integrand that no panel width resolves.
@@ -178,12 +119,15 @@ def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
     panel and returns shape (panels, 15, m): m integrands sharing the nodes.
     Returns shape (n_rows, m).
 
-    Each panel's error bound is |K15 - G7|.  While an integral's bounds sum
-    past max(_PANEL_ABS_TOL, _PANEL_REL_TOL * |value|) for any of its m
-    components, its largest-error panels (at most _MAX_SPLITS per round)
-    are bisected until the rest would fit in half that tolerance.  After
-    _MAX_ROUNDS rounds the worst integral raises AccuracyError with its
-    estimate and bound.
+    Each panel's error bound is |K15 - G7|.  The tolerance of a component
+    is _PANEL_REL_TOL times its |value|, floored at _PANEL_REL_TOL times
+    the largest |value| of that component over the call's integrals at
+    round 0 (the floor is what lets tails and near-zero rows pass).  While
+    an integral's bounds sum past the tolerance of any of its m components,
+    its largest-error panels (at most _MAX_SPLITS per round) are bisected
+    until the rest would fit in half that tolerance.  After _MAX_ROUNDS
+    rounds the worst integral raises AccuracyError with its estimate and
+    bound.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     row = np.asarray(row)
@@ -194,7 +138,11 @@ def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
         counts = np.diff(np.r_[starts, len(row)])
         total = np.add.reduceat(val, starts)
         bound = np.add.reduceat(err, starts)
-        tol = np.maximum(_PANEL_ABS_TOL, _PANEL_REL_TOL * np.abs(total))
+        if rounds == 0:
+            # tiny keeps a call whose values are all 0 from dividing by 0
+            floor = np.maximum(np.abs(total).max(axis=0),
+                               np.finfo(float).tiny)
+        tol = _PANEL_REL_TOL * np.maximum(np.abs(total), floor)
         done = np.all(bound <= tol, axis=1)
         out[row[starts[done]]] = total[done]
         if done.all():

@@ -52,12 +52,22 @@ def test_quantum_correction_quadrature_matches_closed():
 
 
 def test_quantum_correction_gh_and_adaptive_agree():
+    """Order-80 Gauss-Hermite against adaptive quadpack moments of the same
+    component form."""
     spec = make_spec(theta=0.6, phi=2.8)
     gh = gc.quantum_correction(spec, UNIT_SCALES, method="quadrature",
-                               quad_spec=gc.QuadratureSpec(order=80))
-    ad = gc.quantum_correction(
-        spec, UNIT_SCALES, method="quadrature",
-        quad_spec=gc.QuadratureSpec(method="adaptive"))
+                               order=80)
+    w = spec.delta
+
+    def moment(mu):
+        return quad(lambda z: (1.0 + z) * math.exp(-((z - mu) / w) ** 2)
+                    / (math.sqrt(math.pi) * w), mu - 12.0 * w, mu + 12.0 * w,
+                    epsabs=1e-14, epsrel=1e-12, limit=200)[0]
+
+    ad = spec.interference_weight / spec.norm_bracket * (
+        moment(0.5 * (spec.z1 + spec.z2))
+        - math.cos(spec.theta) ** 2 * moment(spec.z1)
+        - math.sin(spec.theta) ** 2 * moment(spec.z2))
     assert ad == pytest.approx(gh, rel=1e-11)
 
 
@@ -166,6 +176,19 @@ def test_total_rate_is_minus_survival_slope():
     assert gc.total_rate(dens, at_time=s0) == pytest.approx(slope, rel=1e-8)
     with pytest.raises(gc.ConfigurationError):
         gc.total_rate(dens, at_time=-0.1)
+
+
+def test_total_rate_sampled_matches_closed():
+    closed = gc.HeightDensity.mixture_zeta(-0.01, 0.015, 0.004, 0.6)
+    sampled = gc.HeightDensity.from_callable(closed, closed.support)
+    assert gc.total_rate(sampled) == pytest.approx(gc.total_rate(closed),
+                                                   rel=1e-12)
+    for s in (0.0, 0.8, 3.0):
+        assert gc.total_rate(sampled, at_time=s) == pytest.approx(
+            gc.total_rate(closed, at_time=s), rel=1e-12)
+    flat = gc.HeightDensity.from_callable(
+        lambda z: np.full(np.shape(z), 2.5), (-0.2, 0.2))
+    assert gc.total_rate(flat) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_survival_closed_form_symmetric_mixture():

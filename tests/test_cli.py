@@ -163,10 +163,12 @@ def test_params_and_preset_flag_conflict(tmp_path, capsys):
 
 
 def test_bad_global_flags(tmp_path, capsys):
-    code, _, err = run(capsys, ["rate", "--quad-order", "1",
-                                "--out", str(tmp_path)])
-    assert code == 2
-    assert "--quad-order" in err
+    cfg = write_cfg(tmp_path, {"rate": {"method": "quadrature"}})
+    for order in ("1", "400"):
+        code, _, err = run(capsys, ["rate", "--quad-order", order,
+                                    "--config", cfg, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--quad-order" in err
 
 
 def test_state_range_check_happens_in_meters_too(tmp_path, capsys):

@@ -126,16 +126,19 @@ def test_density_mix_unit_mass_adaptive():
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
+def gh_mass(dens, order):
+    """Mass of an analytic density, component by component, by
+    Gauss-Hermite of the given order."""
+    return dens.component_sum(lambda mu: gc.gauss_moment(
+        lambda z: np.ones_like(z), mu, dens.width, order))
+
+
 def test_density_normalization_gauss_hermite_order_40():
     """Unit mass to 1e-12 under Gauss-Hermite of order >= 40."""
-    qs = gc.QuadratureSpec(order=40)
     for spec in random_specs(20):
-        dens = gc.HeightDensity.superposition(spec, UNIT_SCALES)
-        assert gc.integrate_density(lambda z: np.ones_like(z), dens, qs) \
-            == pytest.approx(1.0, abs=1e-12)
-        mix = gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)
-        assert gc.integrate_density(lambda z: np.ones_like(z), mix, qs) \
-            == pytest.approx(1.0, abs=1e-12)
+        for dens in (gc.HeightDensity.superposition(spec, UNIT_SCALES),
+                     gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)):
+            assert gh_mass(dens, 40) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_phi_half_pi_superposition_equals_mixture():
@@ -263,6 +266,19 @@ def test_from_callable_checks():
     assert dens(0.3) == 0.0  # outside the declared support
     with pytest.raises(gc.ConfigurationError, match="mass"):
         gc.HeightDensity.from_callable(lambda z: 2.0 * pdf(z), (-0.2, 0.2))
+    # the mass check holds 1e-12: its own error bound is ~1e-13
+    with pytest.raises(gc.ConfigurationError, match="mass"):
+        gc.HeightDensity.from_callable(lambda z: (1.0 + 1e-11) * pdf(z),
+                                       (-0.2, 0.2))
+    gc.HeightDensity.from_callable(lambda z: (1.0 + 1e-14) * pdf(z),
+                                   (-0.2, 0.2))
+
+    def arrays_only(z):
+        if np.ndim(z) != 1:
+            raise TypeError("called on a scalar")
+        return pdf(z)
+
+    gc.HeightDensity.from_callable(arrays_only, (-0.2, 0.2))
     with pytest.raises(gc.ConfigurationError, match="negative"):
         gc.HeightDensity.from_callable(lambda z: -pdf(z), (-0.2, 0.2))
     # unchecked wrapping is allowed
@@ -341,6 +357,4 @@ def test_density_unit_mass_property(theta, phi, ratio, delta):
     spec = gc.SuperpositionSpec(z1=-0.5 * dz, z2=0.5 * dz, delta=delta,
                                 theta=theta, phi=phi)
     dens = gc.HeightDensity.superposition(spec, UNIT_SCALES)
-    total = gc.integrate_density(lambda z: np.ones_like(z), dens,
-                                 gc.QuadratureSpec(order=60))
-    assert total == pytest.approx(1.0, abs=1e-11)
+    assert gh_mass(dens, 60) == pytest.approx(1.0, abs=1e-11)

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 
 import gravclock as gc
 from conftest import UNIT_SCALES, random_specs
@@ -15,45 +19,57 @@ from conftest import UNIT_SCALES, random_specs
 # ---------------------------------------------------------------------------
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(gc.ConfigurationError):
-        gc.QuadratureSpec(method="simpson")
-    with pytest.raises(gc.ConfigurationError):
-        gc.QuadratureSpec(order=1)
-    with pytest.raises(gc.ConfigurationError):
-        gc.QuadratureSpec(order=40.0)  # must be a real int
-    with pytest.raises(gc.ConfigurationError):
-        gc.QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(gc.ConfigurationError):
-        gc.QuadratureSpec(max_subdivisions=5)
+def test_gauss_moment_order_validation():
+    def one(z):
+        return np.ones_like(z)
+
+    # 40.0 must be a real int; numpy's nodes turn NaN from order 372
+    for bad in (1, 40.0, 201, 400):
+        with pytest.raises(gc.ConfigurationError, match="order"):
+            gc.gauss_moment(one, 0.0, 1.0, bad)
+    assert gc.gauss_moment(one, 0.0, 1.0, 200) == pytest.approx(1.0,
+                                                                rel=1e-14)
 
 
 def test_gauss_moment_polynomial_exactness():
     """Gauss-Hermite of order n is exact for polynomials below degree 2n."""
     mu, w = 0.7, 0.3
-    spec = gc.QuadratureSpec(order=6)
-    got = gc.gauss_moment(lambda z: (z - mu) ** 4, mu, w, spec)
+    got = gc.gauss_moment(lambda z: (z - mu) ** 4, mu, w, 6)
     assert got == pytest.approx(0.75 * w**4, rel=1e-14)
-    assert gc.gauss_moment(lambda z: np.ones_like(z), mu, w, spec) \
+    assert gc.gauss_moment(lambda z: np.ones_like(z), mu, w, 6) \
         == pytest.approx(1.0, rel=1e-15)
 
 
+def adaptive(f, lo, hi, points=None):
+    """Adaptive quadpack reference at the tolerances the library once used."""
+    return quad(f, lo, hi, points=points, epsabs=1e-14, epsrel=1e-12,
+                limit=200)[0]
+
+
 def test_gauss_moment_adaptive_path():
-    spec = gc.QuadratureSpec(method="adaptive")
-    got = gc.gauss_moment(lambda z: z * z, 0.0, 0.5, spec)
+    """Gauss-Hermite against an adaptive reference and the exact 0.125."""
+    w = 0.5
+    got = gc.gauss_moment(lambda z: z * z, 0.0, w)
+    ref = adaptive(lambda z: z * z * math.exp(-(z / w) ** 2)
+                   / (math.sqrt(math.pi) * w), -12.0 * w, 12.0 * w)
+    assert got == pytest.approx(ref, rel=1e-11)
     assert got == pytest.approx(0.125, rel=1e-11)
     with pytest.raises(gc.ConfigurationError):
         gc.gauss_moment(lambda z: z, 0.0, -1.0)
 
 
-def test_integrate_density_gh_vs_adaptive():
-    gh = gc.QuadratureSpec(order=80)
-    ad = gc.QuadratureSpec(method="adaptive")
+def test_decay_rates_gh_vs_adaptive():
+    """Both rates of the quadrature path against adaptive integrals of
+    (1 + zeta) over each density."""
     for spec in random_specs(10):
-        dens = gc.HeightDensity.superposition(spec, UNIT_SCALES)
-        a = gc.integrate_density(lambda z: 1.0 + z, dens, gh)
-        b = gc.integrate_density(lambda z: 1.0 + z, dens, ad)
-        assert b == pytest.approx(a, rel=1e-11)
+        got = gc.decay_rates(spec, UNIT_SCALES, method="quadrature")
+        for dens, rate in (
+                (gc.HeightDensity.superposition(spec, UNIT_SCALES),
+                 got.gamma_sup),
+                (gc.HeightDensity.mixture(spec, UNIT_SCALES), got.gamma_cl)):
+            ref = adaptive(lambda z: (1.0 + z) * dens(z), *dens.support,
+                           points=dens.centers)
+            assert rate == pytest.approx(ref, rel=1e-11)
 
 
 def test_panel_quadrature_rows_components_and_refinement():
@@ -70,25 +86,33 @@ def test_panel_quadrature_rows_components_and_refinement():
     want = 2.0 * np.arctan(np.multiply.outer(1.0 / eps, [1.0, 2.0])) \
         / (eps[:, None] * [1.0, 2.0])
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
-
-
-def test_integrate_density_sampled_needs_adaptive():
-    dens = gc.HeightDensity.from_callable(
-        lambda z: np.full_like(np.asarray(z, dtype=float), 2.5),
-        (-0.2, 0.2))
-    with pytest.raises(gc.ConfigurationError, match="adaptive"):
-        gc.integrate_density(lambda z: z, dens)
-    got = gc.integrate_density(lambda z: z + 1.0, dens,
-                               gc.QuadratureSpec(method="adaptive"))
-    assert got == pytest.approx(1.0, rel=1e-12)
+    # The tolerance scales with the integrand: no absolute floor lets a
+    # tiny copy through unrefined.
+    tiny = panel_quadrature(lambda x, row: 1e-20 * f(x, row), [-1.0, -1.0],
+                            [1.0, 1.0], [0, 1], 2)
+    assert np.allclose(tiny, 1e-20 * got, rtol=1e-12, atol=0.0)
 
 
 def test_accuracy_error_carries_estimate_and_bound():
-    spec = gc.QuadratureSpec(method="adaptive", max_subdivisions=10)
+    """cos(1e6 z^2) on [0, 12] needs far more panels than 40 rounds of
+    bisection can make."""
+    from gravclock.numerics import panel_quadrature
     with pytest.raises(gc.AccuracyError) as err:
-        gc.gauss_moment(lambda z: math.cos(1e6 * z * z), 0.0, 1.0, spec)
+        panel_quadrature(lambda x, row: np.cos(1e6 * x * x)[..., None],
+                         [0.0], [12.0], [0], 1)
     assert math.isfinite(err.value.estimate)
     assert err.value.bound > 0.0
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    """The library integrates with its own engine; scipy.integrate would
+    add ~0.3 s to every import."""
+    src = str(Path(gc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-c", "import gravclock, sys; "
+                    "assert 'scipy.integrate' not in sys.modules"],
+                   env=env, check=True)
 
 
 # ---------------------------------------------------------------------------
