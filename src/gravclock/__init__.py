@@ -15,8 +15,7 @@ from .model import (ATOMIC_MASS, C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, MixtureSpec, PhysicalParams,
                     SuperpositionSpec, density_mix, density_sup,
-                    dipole_from_gamma0, gamma0_from_dipole, state_from_dict,
-                    state_to_dict)
+                    dipole_from_gamma0, gamma0_from_dipole)
 from .numerics import (AccuracyError, IntegrationError, ModeGrid, OracleRun,
                        SinglePoleReport, ValidityError, gauss_moment,
                        line_fwhm, line_peak, oracle_spectrum,
@@ -38,7 +37,7 @@ __all__ = [
     "line_fwhm", "line_peak", "local_rate", "lorentzian_line",
     "optimal_state_scan", "oracle_spectrum", "photon_amplitude_sq",
     "quantum_correction", "single_pole_summary", "spectrum",
-    "state_from_dict", "state_to_dict", "survival_probability",
+    "survival_probability",
     "term_magnitude_report", "total_rate", "validate_single_pole",
     "ww_simulate",
 ]

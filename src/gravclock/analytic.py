@@ -20,8 +20,9 @@ from scipy.special import voigt_profile
 from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, MixtureSpec, SuperpositionSpec,
-                    _SUPPORT_PANELS, _support_breaks, _support_integrals)
-from .numerics import (_GH_ORDER, AccuracyError, block_rows, gauss_moment,
+                    _SUPPORT_PANELS, _require_finite, _require_positive,
+                    _support_breaks, _support_integrals)
+from .numerics import (AccuracyError, block_rows, gauss_moment,
                        panel_quadrature)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -81,16 +82,14 @@ def gammaq_closed_grid(theta, phi, dz, delta_zeta):
 
 def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                        mixture: MixtureSpec | None = None,
-                       method: str = "closed-form",
-                       order: int = _GH_ORDER) -> float:
+                       method: str = "closed-form") -> float:
     """Rate excess of the coherent state over its matched mixture.
 
     The closed form is :func:`gammaq_closed_grid` at this one state.  The
     quadrature path, an independent check on it, integrates (1 + zeta)
     against the density difference written in its exact component form --
     pointwise subtraction of the two densities cancels catastrophically at
-    the precision this is compared to.  ``order`` is the Gauss-Hermite
-    order of that path.
+    the precision this is compared to.
     """
     _check_matched(sup, mixture)
     width = float(scales.zeta(sup.delta))
@@ -107,16 +106,15 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     def f(z):
         return 1.0 + z
 
-    bracket = (gauss_moment(f, mid, width, order)
-               - math.cos(sup.theta) ** 2 * gauss_moment(f, z1, width, order)
-               - math.sin(sup.theta) ** 2 * gauss_moment(f, z2, width, order))
+    bracket = (gauss_moment(f, mid, width)
+               - math.cos(sup.theta) ** 2 * gauss_moment(f, z1, width)
+               - math.sin(sup.theta) ** 2 * gauss_moment(f, z2, width))
     return sup.interference_weight / sup.norm_bracket * bracket
 
 
 def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                 mixture: MixtureSpec | None = None,
-                method: str = "closed-form",
-                order: int = _GH_ORDER) -> RateResult:
+                method: str = "closed-form") -> RateResult:
     """Both states' rates plus their difference.
 
     gammaQ_inv goes through the difference path of :func:`quantum_correction`,
@@ -131,12 +129,12 @@ def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
         gamma_cl = 1.0 + dens_mix.mean()
     elif method == "quadrature":
         gamma_sup, gamma_cl = (d.component_sum(
-            lambda mu: gauss_moment(lambda z: 1.0 + z, mu, d.width, order))
+            lambda mu: gauss_moment(lambda z: 1.0 + z, mu, d.width))
             for d in (dens_sup, dens_mix))
     else:
         raise ConfigurationError(
             f"method must be closed-form|quadrature, got {method!r}")
-    gq = quantum_correction(sup, scales, method=method, order=order)
+    gq = quantum_correction(sup, scales, method=method)
     return RateResult(gamma_sup=float(gamma_sup), gamma_cl=float(gamma_cl),
                       gammaQ_inv=float(gq), method=method)
 
@@ -355,17 +353,15 @@ class KhandelwalParams:
     m: float             # kg
 
     def __post_init__(self) -> None:
-        if not (self.sigma_z > 0.0 and self.sigma_v > 0.0):
-            raise ConfigurationError("sigma_z and sigma_v must be > 0")
+        for name in ("sigma_z", "sigma_v", "m"):
+            _require_positive(name, getattr(self, name))
+        for name in ("p_bar", "phi"):
+            _require_finite(name, getattr(self, name))
+        if _require_finite("t", self.t) < 0.0:
+            raise ConfigurationError(f"t must be >= 0, got {self.t!r}")
         if not 0.0 <= self.alpha_w <= 1.0:
             raise ConfigurationError(
                 f"alpha_w must lie in [0, 1], got {self.alpha_w!r}")
-        if self.m <= 0.0:
-            raise ConfigurationError("m must be > 0")
-        if self.t < 0.0:
-            raise ConfigurationError("t must be >= 0")
-        if not math.isfinite(self.phi):
-            raise ConfigurationError("phi must be finite")
 
 
 @dataclass(frozen=True)
@@ -418,10 +414,6 @@ def khandelwal_tcoh_reduced(kp: KhandelwalParams, z1: float, z2: float, *,
     With alpha_w = cos^2(theta) and sigma_z = Delta this is identically the
     closed-form quantum_correction.
     """
-    dz = float(z2) - float(z1)
-    x = dz / (2.0 * kp.sigma_z)
-    root = math.sqrt(kp.alpha_w * (1.0 - kp.alpha_w))
-    n = 1.0 + 2.0 * math.cos(kp.phi) * root * math.exp(-x * x)
-    if n < _NORM_FLOOR:
-        raise ConfigurationError("state norm N vanishes for these parameters")
-    return (n - 1.0) / (2.0 * n) * (-g * dz * (1.0 - 2.0 * kp.alpha_w) / c**2)
+    full = khandelwal_tcoh_full(kp, z1, z2, g=g, c=c)
+    n = full.n_factor
+    return (n - 1.0) / (2.0 * n) * full.term2

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, experiments, numerics, serialize
-from .model import (C_LIGHT, STANDARD_GRAVITY, ConfigurationError,
-                    HeightDensity, HorizonError, MixtureSpec, PhysicalParams,
-                    SuperpositionSpec, state_from_dict)
+from .model import (ATOMIC_MASS, C_LIGHT, STANDARD_GRAVITY,
+                    ConfigurationError, HeightDensity, HorizonError,
+                    MixtureSpec, PhysicalParams, SuperpositionSpec)
 
 _PRESET_R = 1.5e17
 # 267.4 nm intercombination line of the aluminium ion; the decay rate follows
@@ -89,7 +89,8 @@ class _Key:
 _POSITIVE = dict(lo=0.0, lo_open=True)
 
 # Every config key and its default.  Top-level entries are keys; nested
-# dicts are sections.  ``params`` and ``state`` are checked by their parsers.
+# dicts are sections.  ``params`` and ``state`` have no defaults section of
+# their own (a preset and _DEFAULT_STATE stand in); their tables follow.
 CONFIG_SCHEMA = {
     "preset": _Key("earth-aluminium", options=tuple(PRESETS)),
     "out": _Key("."),
@@ -141,13 +142,40 @@ CONFIG_SCHEMA = {
     },
 }
 
+_PARAMS = {
+    "g": _Key(STANDARD_GRAVITY, **_POSITIVE),
+    "c": _Key(C_LIGHT, **_POSITIVE),
+    "omega_rad_s": _Key(_REQUIRED, **_POSITIVE),
+    # exactly one of these two; the other is derived
+    "gamma0_s": _Key(None, **_POSITIVE),
+    "dipole_Cm": _Key(None, **_POSITIVE),
+    "mass_kg": _Key(ATOMIC_MASS, **_POSITIVE),
+}
+
+_THETA = dict(lo=0.0, hi=math.pi / 2)
+# phi in [0, 2 pi): the largest float below 2 pi is the last one admitted
+_PHI = dict(lo=0.0, hi=math.nextafter(2.0 * math.pi, 0.0))
+_KIND = _Key("superposition", options=("superposition", "mixture"))
+
+_ZETA_PACKET = ("zeta1", "zeta2", "delta_zeta")
+_METER_PACKET = ("z1_m", "z2_m", "delta_m")
+
 _ZETA_STATE = {
     "zeta1": _Key(_REQUIRED),
     "zeta2": _Key(_REQUIRED),
     "delta_zeta": _Key(_REQUIRED, **_POSITIVE),
-    "theta_rad": _Key(0.0),
-    "phi_rad": _Key(0.0),
-    "kind": _Key("superposition", options=("superposition", "mixture")),
+    "theta_rad": _Key(0.0, **_THETA),
+    "phi_rad": _Key(0.0, **_PHI),
+    "kind": _KIND,
+}
+
+_METER_STATE = {
+    "z1_m": _Key(_REQUIRED),
+    "z2_m": _Key(_REQUIRED),
+    "delta_m": _Key(_REQUIRED, **_POSITIVE),
+    "theta_rad": _Key(_REQUIRED, **_THETA),
+    "phi_rad": _Key(_REQUIRED, **_PHI),
+    "kind": _KIND,
 }
 
 
@@ -174,31 +202,61 @@ def _check_window(nu_min: float, nu_max: float) -> None:
         _bad("spectrum.nu_max", "must exceed spectrum.nu_min")
 
 
-def _validate_state(sec: dict) -> dict:
-    has_m = any(k in sec for k in ("z1_m", "z2_m", "delta_m"))
-    has_z = any(k in sec for k in ("zeta1", "zeta2", "delta_zeta"))
+def _merge_state(sec) -> dict:
+    """A state section, zeta or meter form, checked and completed; a
+    mixture drops ``phi_rad``."""
+    if not isinstance(sec, dict):
+        _bad("state", "must be an object")
+    has_m = any(k in sec for k in _METER_PACKET)
+    has_z = any(k in sec for k in _ZETA_PACKET)
     if has_m and has_z:
         _bad("state", "mixes meter and zeta coordinate keys")
     if not has_m and not has_z:
         _bad("state", "needs z1_m/z2_m/delta_m or zeta1/zeta2/delta_zeta")
-    if has_z:
-        if sec.get("kind") == "mixture":
-            if sec.get("phi_rad") is not None:
-                _bad("state.phi_rad", "mixture state takes no phi_rad")
-            sec = {k: v for k, v in sec.items() if k != "phi_rad"}
-        return _merge("state", sec, _ZETA_STATE)
-    # meter form: its own parser does the detailed checks
+    table = _ZETA_STATE if has_z else _METER_STATE
+    if sec.get("kind") == "mixture":
+        if sec.get("phi_rad") is not None:
+            _bad("state.phi_rad", "mixture state takes no phi_rad")
+        sec = {k: v for k, v in sec.items() if k != "phi_rad"}
+        table = {k: v for k, v in table.items() if k != "phi_rad"}
+    return _merge("state", sec, table)
+
+
+def _packet(sec: dict) -> list:
+    """Both heights and the spread of a checked state section, in its own
+    unit."""
+    return [sec[k] for k in (_ZETA_PACKET if "zeta1" in sec
+                             else _METER_PACKET)]
+
+
+def _physical_params(sec: dict) -> PhysicalParams:
+    """The parameters of a checked ``params`` section."""
     try:
-        state_from_dict(sec)
+        return PhysicalParams(g=float(sec["g"]), c=float(sec["c"]),
+                              omega=float(sec["omega_rad_s"]),
+                              gamma0=sec["gamma0_s"], dipole=sec["dipole_Cm"],
+                              mass=float(sec["mass_kg"]))
+    except ConfigurationError as exc:
+        _bad("params", str(exc))
+
+
+def _state_spec(sec: dict, packet) -> SuperpositionSpec | MixtureSpec:
+    """The spec of a checked state section whose heights and spread are
+    ``packet``, in whichever unit the caller gives them."""
+    z1, z2, delta, theta = (float(x) for x in (*packet, sec["theta_rad"]))
+    try:
+        if sec["kind"] == "mixture":
+            return MixtureSpec(z1=z1, z2=z2, delta=delta, theta=theta)
+        return SuperpositionSpec(z1=z1, z2=z2, delta=delta, theta=theta,
+                                 phi=float(sec["phi_rad"]))
     except ConfigurationError as exc:
         _bad("state", str(exc))
-    return sec
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check a config and return it completed with the defaults of
-    CONFIG_SCHEMA (and the reference state); raises ConfigurationError
-    naming the offending field."""
+    """Check a config against CONFIG_SCHEMA and the params and state tables
+    and return it completed with their defaults (and the reference state);
+    raises ConfigurationError naming the offending field."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
     for key in cfg:
@@ -206,19 +264,12 @@ def validate_config(cfg: dict) -> dict:
             _bad(str(key), "unknown config key")
     merged = {}
     if "params" in cfg:
-        if not isinstance(cfg["params"], dict):
-            _bad("params", "must be an object")
-        try:
-            PhysicalParams.from_dict(cfg["params"])
-        except ConfigurationError as exc:
-            _bad("params", str(exc))
-        merged["params"] = cfg["params"]
-    if "state" in cfg:
-        if not isinstance(cfg["state"], dict):
-            _bad("state", "must be an object")
-        merged["state"] = _validate_state(cfg["state"])
-    else:
-        merged["state"] = _DEFAULT_STATE
+        merged["params"] = _merge("params", cfg["params"], _PARAMS)
+        _physical_params(merged["params"])
+    state = merged["state"] = _merge_state(cfg.get("state", _DEFAULT_STATE))
+    # a zeta-form spec in zeta units: the norm and the angle ranges do not
+    # depend on the height unit
+    _state_spec(state, _packet(state))
     for name, spec in CONFIG_SCHEMA.items():
         if isinstance(spec, _Key):
             merged[name] = spec.check(name, cfg[name]) if name in cfg \
@@ -239,7 +290,6 @@ class _Env:
         self.params = self._resolve_params(cfg, args)
         self.scales = self.params.scales()
         self.out = self._resolve_out(cfg, args)
-        self.quad_order = self._resolve_quad_order(args)
 
     @staticmethod
     def _resolve_params(cfg: dict, args) -> PhysicalParams:
@@ -247,7 +297,7 @@ class _Env:
             if args.preset is not None:
                 raise ConfigurationError(
                     "params: mutually exclusive with --preset")
-            return PhysicalParams.from_dict(cfg["params"])
+            return _physical_params(cfg["params"])
         name = args.preset or cfg["preset"]
         return PhysicalParams(**PRESETS[name])
 
@@ -262,29 +312,12 @@ class _Env:
                 f"out: output directory {str(out)!r} is not writable")
         return out
 
-    @staticmethod
-    def _resolve_quad_order(args) -> int:
-        if args.quad_order is None:
-            return numerics._GH_ORDER
-        if not 2 <= args.quad_order <= numerics._GH_MAX_ORDER:
-            raise ConfigurationError(
-                f"--quad-order: must be in [2, {numerics._GH_MAX_ORDER}]")
-        return args.quad_order
-
     def state(self) -> SuperpositionSpec | MixtureSpec:
         sec = self.cfg["state"]
+        packet = _packet(sec)
         if "zeta1" in sec:
-            meters = {
-                "z1_m": float(self.scales.height_m(sec["zeta1"])),
-                "z2_m": float(self.scales.height_m(sec["zeta2"])),
-                "delta_m": float(self.scales.height_m(sec["delta_zeta"])),
-                "theta_rad": float(sec["theta_rad"]),
-                "kind": sec["kind"],
-            }
-            if meters["kind"] == "superposition":
-                meters["phi_rad"] = float(sec["phi_rad"])
-            return state_from_dict(meters)
-        return state_from_dict(sec)
+            packet = [float(self.scales.height_m(x)) for x in packet]
+        return _state_spec(sec, packet)
 
     def density(self) -> HeightDensity:
         spec = self.state()
@@ -300,8 +333,7 @@ def cmd_rate(env: _Env) -> int:
             "state.kind: rate needs a superposition state (the mixture is "
             "derived from it)")
     result = analytic.decay_rates(spec, env.scales,
-                                  method=env.cfg["rate"]["method"],
-                                  order=env.quad_order)
+                                  method=env.cfg["rate"]["method"])
     serialize.dump_json(env.out / "rate.json", result.to_dict())
     print(format(result.gammaQ_inv, ".11e"))
     return 0
@@ -443,11 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (must exist; default '.')")
     common.add_argument("--preset", choices=tuple(PRESETS),
                         help="named physical-parameter preset")
-    common.add_argument("--quad-order", type=int, dest="quad_order",
-                        metavar="N", help="Gauss-Hermite order of "
-                        "rate.method quadrature, 2 to "
-                        f"{numerics._GH_MAX_ORDER} (default "
-                        f"{numerics._GH_ORDER})")
     parser = argparse.ArgumentParser(
         prog="gravclock",
         description="Spontaneous emission of two-packet clock states in "

@@ -126,28 +126,6 @@ class PhysicalParams:
         return DimensionlessScales(g=self.g, c=self.c, omega=self.omega,
                                    gamma0=self.gamma0)
 
-    def to_dict(self) -> dict:
-        return {"g": self.g, "c": self.c, "omega_rad_s": self.omega,
-                "gamma0_s": self.gamma0, "mass_kg": self.mass}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhysicalParams":
-        allowed = {"g", "c", "omega_rad_s", "gamma0_s", "dipole_Cm", "mass_kg"}
-        for key in data:
-            if key not in allowed:
-                raise ConfigurationError(f"unknown params key: {key!r}")
-        for key, value in data.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigurationError(f"params.{key} must be a number")
-        if "omega_rad_s" not in data:
-            raise ConfigurationError("params.omega_rad_s is required")
-        return cls(g=float(data.get("g", STANDARD_GRAVITY)),
-                   c=float(data.get("c", C_LIGHT)),
-                   omega=float(data["omega_rad_s"]),
-                   gamma0=data.get("gamma0_s"),
-                   dipole=data.get("dipole_Cm"),
-                   mass=float(data.get("mass_kg", ATOMIC_MASS)))
-
 
 @dataclass(frozen=True)
 class DimensionlessScales:
@@ -161,10 +139,6 @@ class DimensionlessScales:
     def __post_init__(self) -> None:
         for name in ("g", "c", "omega", "gamma0"):
             _require_positive(name, getattr(self, name))
-
-    @classmethod
-    def from_params(cls, params: PhysicalParams) -> "DimensionlessScales":
-        return params.scales()
 
     @property
     def r(self) -> float:
@@ -227,7 +201,7 @@ class SuperpositionSpec:
         _validate_angles(self.theta, self.phi)
         if self.norm_bracket < _NORM_FLOOR:
             raise ConfigurationError(
-                "state norm vanishes: destructive interference of overlapping "
+                "norm vanishes: destructive interference of overlapping "
                 f"packets leaves 1 + cos(phi) sin(2 theta) exp(-dz^2/4 delta^2)"
                 f" = {self.norm_bracket:.3e}")
 
@@ -489,43 +463,3 @@ def _support_integrals(density: HeightDensity, f) -> np.ndarray:
 
     return panel_quadrature(integrand, breaks[:-1], breaks[1:],
                             np.zeros(len(breaks) - 1, int), 1)[0]
-
-
-def state_to_dict(spec: SuperpositionSpec | MixtureSpec) -> dict:
-    out = {"z1_m": spec.z1, "z2_m": spec.z2, "delta_m": spec.delta,
-           "theta_rad": spec.theta}
-    if isinstance(spec, SuperpositionSpec):
-        out["phi_rad"] = spec.phi
-        out["kind"] = "superposition"
-    else:
-        out["kind"] = "mixture"
-    return out
-
-
-def state_from_dict(data: dict) -> SuperpositionSpec | MixtureSpec:
-    allowed = {"z1_m", "z2_m", "delta_m", "theta_rad", "phi_rad", "kind"}
-    for key in data:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown state key: {key!r}")
-    kind = data.get("kind", "superposition")
-    if kind not in ("superposition", "mixture"):
-        raise ConfigurationError(f"state kind must be superposition|mixture, "
-                                 f"got {kind!r}")
-    for key in ("z1_m", "z2_m", "delta_m", "theta_rad"):
-        if key not in data:
-            raise ConfigurationError(f"state is missing required key {key!r}")
-        if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-            raise ConfigurationError(f"state.{key} must be a number")
-    if kind == "mixture":
-        if data.get("phi_rad") is not None:
-            raise ConfigurationError("mixture state takes no phi_rad")
-        return MixtureSpec(z1=float(data["z1_m"]), z2=float(data["z2_m"]),
-                           delta=float(data["delta_m"]),
-                           theta=float(data["theta_rad"]))
-    if "phi_rad" not in data or not isinstance(data["phi_rad"], (int, float)) \
-            or isinstance(data["phi_rad"], bool):
-        raise ConfigurationError("superposition state needs numeric phi_rad")
-    return SuperpositionSpec(z1=float(data["z1_m"]), z2=float(data["z2_m"]),
-                             delta=float(data["delta_m"]),
-                             theta=float(data["theta_rad"]),
-                             phi=float(data["phi_rad"]))

@@ -55,8 +55,7 @@ def test_quantum_correction_gh_and_adaptive_agree():
     """Order-80 Gauss-Hermite against adaptive quadpack moments of the same
     component form."""
     spec = make_spec(theta=0.6, phi=2.8)
-    gh = gc.quantum_correction(spec, UNIT_SCALES, method="quadrature",
-                               order=80)
+    gh = gc.quantum_correction(spec, UNIT_SCALES, method="quadrature")
     w = spec.delta
 
     def moment(mu):
@@ -490,6 +489,13 @@ def test_tcoh_validation():
     with pytest.raises(gc.ConfigurationError):
         gc.KhandelwalParams(sigma_z=1.0, sigma_v=1.0, p_bar=0.0, alpha_w=0.5,
                             phi=math.nan, t=1.0, m=1.0)
+    # non-finite inputs would give tcoh = nan
+    good = dict(sigma_z=1.0, sigma_v=1.0, p_bar=0.0, alpha_w=0.5, phi=0.0,
+                t=1.0, m=1.0)
+    for name, bad in (("t", math.nan), ("m", math.nan), ("p_bar", math.inf),
+                      ("sigma_v", math.inf), ("t", -1.0)):
+        with pytest.raises(gc.ConfigurationError, match=f"^{name} must"):
+            gc.KhandelwalParams(**{**good, name: bad})
     # destructive overlap: N = 0 exactly
     kp = gc.KhandelwalParams(sigma_z=1.0, sigma_v=1.0, p_bar=0.0,
                              alpha_w=0.5, phi=math.pi, t=1.0, m=1.0)

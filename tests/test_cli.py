@@ -1,6 +1,7 @@
 """In-process checks of the command-line front end."""
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import re
@@ -13,6 +14,8 @@ import gravclock as gc
 from gravclock import cli
 
 UNIT_PARAMS = {"g": 1.0, "c": 1.0, "omega_rad_s": 2.0, "gamma0_s": 1.0}
+METER_STATE = {"z1_m": 0.0, "z2_m": 2.0, "delta_m": 1.0,
+               "theta_rad": math.pi / 4, "phi_rad": 0.0}
 
 # gammaQ_inv of the built-in default state under any parameter set:
 # separation 0.02, packet width 0.01, theta = pi/8, phi = 0.
@@ -111,6 +114,19 @@ BAD_CONFIGS = [
     ({"seed": 7}, "seed"),
     ({"preset": "mars-caesium"}, "preset"),
     ({"params": {"g": 9.8}}, "params"),
+    ({"params": {"omega_rad_s": 1e15, "gamma0_s": 1.0, "omega_hz": 1e15}},
+     "params.omega_hz"),
+    ({"params": {"gamma0_s": 1.0}}, "params.omega_rad_s"),
+    ({"params": {"omega_rad_s": 1e15, "gamma0_s": 1.0, "g": True}},
+     "params.g"),
+    ({"state": {**METER_STATE, "z3_m": 1.0}}, "state.z3_m"),
+    ({"state": {k: v for k, v in METER_STATE.items() if k != "delta_m"}},
+     "state.delta_m"),
+    ({"state": {**METER_STATE, "kind": "mixture"}},
+     "mixture state takes no phi_rad"),
+    ({"state": {**METER_STATE, "z1_m": "zero"}}, "state.z1_m"),
+    ({"state": {k: v for k, v in METER_STATE.items() if k != "phi_rad"}},
+     "state.phi_rad: is required"),
     ({"tcoh": {"alpha_w": 1.5}}, "tcoh.alpha_w"),
     # an integer too large for a float
     ({"survival": {"n_points": 10**400}}, "survival.n_points"),
@@ -128,6 +144,46 @@ def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, cfg,
     assert out == ""
     assert err.startswith("error: ")
     assert needle in err
+
+
+SECTION_ERRORS = [cfg for cfg, _ in BAD_CONFIGS
+                  if set(cfg) <= {"params", "state"}] + [
+    {"params": {"omega_rad_s": 1e15, "gamma0_s": None}},
+    {"params": {"omega_rad_s": 1.0, "gamma0_s": 2.0}},
+    # zero norm
+    {"state": {"zeta1": 0.0, "zeta2": 0.0, "delta_zeta": 0.01,
+               "theta_rad": math.pi / 4, "phi_rad": math.pi}},
+]
+
+
+def test_error_messages_name_their_section_once(tmp_path, capsys):
+    """``params``/``state`` errors carry one path prefix, not the path
+    followed by the section name again."""
+    path = write_cfg(tmp_path, {})
+    for cfg in SECTION_ERRORS:
+        Path(path).write_text(json.dumps(cfg))
+        code, _, err = run(capsys, ["rate", "--config", path,
+                                    "--out", str(tmp_path)])
+        assert code == 2
+        where, _, detail = err.removeprefix("error: ").partition(": ")
+        section = where.split(".")[0]
+        assert section in cfg, err
+        assert not detail.startswith(section), err
+        assert f"{section}." not in detail, err
+
+
+@pytest.mark.parametrize("command", ["sweep", "rate"])
+def test_zeta_state_range_checked_on_every_command(tmp_path, capsys,
+                                                   command):
+    cfg = write_cfg(tmp_path, {"state": {"zeta1": 0.0, "zeta2": 0.02,
+                                         "delta_zeta": 0.01,
+                                         "theta_rad": 2.0}})
+    code, out, err = run(capsys, [command, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state.theta_rad: ")
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_config_file_missing(tmp_path, capsys):
@@ -163,12 +219,27 @@ def test_params_and_preset_flag_conflict(tmp_path, capsys):
 
 
 def test_bad_global_flags(tmp_path, capsys):
+    # no --quad-order: the Gauss-Hermite order of rate quadrature is fixed
     cfg = write_cfg(tmp_path, {"rate": {"method": "quadrature"}})
-    for order in ("1", "400"):
-        code, _, err = run(capsys, ["rate", "--quad-order", order,
-                                    "--config", cfg, "--out", str(tmp_path)])
-        assert code == 2
-        assert "--quad-order" in err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["rate", "--quad-order", "80", "--config", cfg,
+                  "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--quad-order" in capsys.readouterr().err
+    assert not (tmp_path / "rate.json").exists()
+
+
+def test_every_subcommand_takes_only_the_common_flags():
+    """A flag that some command ignores cannot be added to them all."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._COMMANDS)
+    for name, command in sub.choices.items():
+        flags = {flag for action in command._actions
+                 for flag in action.option_strings}
+        assert flags == {"--config", "--out", "--preset", "-h", "--help"}, \
+            name
 
 
 def test_state_range_check_happens_in_meters_too(tmp_path, capsys):

@@ -62,23 +62,6 @@ def test_params_reject_nonpositive_constants():
             gc.PhysicalParams(**kwargs)
 
 
-def test_params_dict_roundtrip():
-    p = gc.PhysicalParams(g=9.80665, c=gc.C_LIGHT, omega=7.045e15,
-                          gamma0=7.045e15 / 1.5e17)
-    q = gc.PhysicalParams.from_dict(p.to_dict())
-    assert q == p
-
-
-def test_params_from_dict_rejections():
-    base = {"omega_rad_s": 1e15, "gamma0_s": 1.0}
-    with pytest.raises(gc.ConfigurationError, match="unknown params key"):
-        gc.PhysicalParams.from_dict({**base, "omega": 1e15})
-    with pytest.raises(gc.ConfigurationError, match="omega_rad_s"):
-        gc.PhysicalParams.from_dict({"gamma0_s": 1.0})
-    with pytest.raises(gc.ConfigurationError, match="must be a number"):
-        gc.PhysicalParams.from_dict({**base, "g": True})
-
-
 def test_scales_conversions():
     sc = gc.DimensionlessScales(g=9.80665, c=gc.C_LIGHT, omega=7.045e15,
                                 gamma0=7.045e15 / 1.5e17)
@@ -294,38 +277,6 @@ def test_sampled_density_mean_not_defined():
         dens.mean()
     with pytest.raises(gc.ConfigurationError):
         dens.component_sum(lambda mu: mu)
-
-
-# ---------------------------------------------------------------------------
-# state dictionaries
-# ---------------------------------------------------------------------------
-
-
-def test_state_dict_roundtrip_superposition():
-    spec = make_spec(z1=0.1, z2=0.9, theta=0.4, phi=3.0)
-    again = gc.state_from_dict(gc.state_to_dict(spec))
-    assert again == spec
-
-
-def test_state_dict_roundtrip_mixture():
-    mix = gc.MixtureSpec(z1=0.1, z2=0.9, delta=0.5, theta=0.4)
-    again = gc.state_from_dict(gc.state_to_dict(mix))
-    assert again == mix
-
-
-def test_state_from_dict_rejections():
-    base = gc.state_to_dict(make_spec())
-    with pytest.raises(gc.ConfigurationError, match="unknown state key"):
-        gc.state_from_dict({**base, "z3_m": 1.0})
-    with pytest.raises(gc.ConfigurationError, match="missing required"):
-        gc.state_from_dict({k: v for k, v in base.items() if k != "delta_m"})
-    with pytest.raises(gc.ConfigurationError, match="phi_rad"):
-        gc.state_from_dict({**base, "kind": "mixture"})
-    with pytest.raises(gc.ConfigurationError, match="must be a number"):
-        gc.state_from_dict({**base, "z1_m": "zero"})
-    nosup = {k: v for k, v in base.items() if k != "phi_rad"}
-    with pytest.raises(gc.ConfigurationError, match="phi_rad"):
-        gc.state_from_dict(nosup)
 
 
 # ---------------------------------------------------------------------------
