@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,6 +143,12 @@ CONFIG_SCHEMA = {
     },
 }
 
+# The config key of each PhysicalParams field.
+_PARAM_FIELDS = {"g": "g", "c": "c", "omega": "omega_rad_s",
+                 "gamma0": "gamma0_s", "dipole": "dipole_Cm",
+                 "mass": "mass_kg"}
+_FIELD_NAME = re.compile(r"\b(?:%s)\b" % "|".join(_PARAM_FIELDS))
+
 _PARAMS = {
     "g": _Key(STANDARD_GRAVITY, **_POSITIVE),
     "c": _Key(C_LIGHT, **_POSITIVE),
@@ -230,14 +237,15 @@ def _packet(sec: dict) -> list:
 
 
 def _physical_params(sec: dict) -> PhysicalParams:
-    """The parameters of a checked ``params`` section."""
+    """The parameters of a checked ``params`` section; their cross-key
+    errors name the config keys."""
     try:
-        return PhysicalParams(g=float(sec["g"]), c=float(sec["c"]),
-                              omega=float(sec["omega_rad_s"]),
-                              gamma0=sec["gamma0_s"], dipole=sec["dipole_Cm"],
-                              mass=float(sec["mass_kg"]))
+        return PhysicalParams(**{
+            field: None if sec[key] is None else float(sec[key])
+            for field, key in _PARAM_FIELDS.items()})
     except ConfigurationError as exc:
-        _bad("params", str(exc))
+        _bad("params", _FIELD_NAME.sub(lambda m: _PARAM_FIELDS[m[0]],
+                                       str(exc)))
 
 
 def _state_spec(sec: dict, packet) -> SuperpositionSpec | MixtureSpec:
@@ -289,6 +297,21 @@ class _Env:
         self.cfg = cfg
         self.params = self._resolve_params(cfg, args)
         self.scales = self.params.scales()
+        sec = cfg["state"]
+        packet = _packet(sec)
+        if "zeta1" in sec:
+            packet = [float(self.scales.height_m(x)) for x in packet]
+        self.spec = _state_spec(sec, packet)
+        # The horizon rule lives in HeightDensity.  Building the density
+        # here, once params or the preset have set the scales, applies it to
+        # both state forms on every command.
+        build = (HeightDensity.superposition
+                 if isinstance(self.spec, SuperpositionSpec)
+                 else HeightDensity.mixture)
+        try:
+            self.density = build(self.spec, self.scales)
+        except HorizonError as exc:
+            _bad("state", str(exc))
         self.out = self._resolve_out(cfg, args)
 
     @staticmethod
@@ -312,22 +335,9 @@ class _Env:
                 f"out: output directory {str(out)!r} is not writable")
         return out
 
-    def state(self) -> SuperpositionSpec | MixtureSpec:
-        sec = self.cfg["state"]
-        packet = _packet(sec)
-        if "zeta1" in sec:
-            packet = [float(self.scales.height_m(x)) for x in packet]
-        return _state_spec(sec, packet)
-
-    def density(self) -> HeightDensity:
-        spec = self.state()
-        if isinstance(spec, SuperpositionSpec):
-            return HeightDensity.superposition(spec, self.scales)
-        return HeightDensity.mixture(spec, self.scales)
-
 
 def cmd_rate(env: _Env) -> int:
-    spec = env.state()
+    spec = env.spec
     if not isinstance(spec, SuperpositionSpec):
         raise ConfigurationError(
             "state.kind: rate needs a superposition state (the mixture is "
@@ -351,7 +361,7 @@ def _line_window(density: HeightDensity, r: float) -> tuple[float, float]:
 
 def cmd_spectrum(env: _Env) -> int:
     sec = env.cfg["spectrum"]
-    density = env.density()
+    density = env.density
     nu_min, nu_max = sec["nu_min"], sec["nu_max"]
     if nu_min is None or nu_max is None:
         lo, hi = _line_window(density, env.scales.r)
@@ -373,7 +383,7 @@ def cmd_spectrum(env: _Env) -> int:
 def cmd_survival(env: _Env) -> int:
     sec = env.cfg["survival"]
     s = np.linspace(0.0, sec["s_max"], sec["n_points"])
-    p = analytic.survival_probability(env.density(), s)
+    p = analytic.survival_probability(env.density, s)
     serialize.write_csv(env.out / "survival.csv", "s,p", [s, p])
     return 0
 

@@ -128,6 +128,13 @@ BAD_CONFIGS = [
     ({"state": {k: v for k, v in METER_STATE.items() if k != "phi_rad"}},
      "state.phi_rad: is required"),
     ({"tcoh": {"alpha_w": 1.5}}, "tcoh.alpha_w"),
+    # cross-key params rules, named by their config keys
+    ({"params": {"omega_rad_s": 1e15}},
+     "params: one of gamma0_s or dipole_Cm is required"),
+    ({"params": {"omega_rad_s": 1e15, "gamma0_s": 1.0, "dipole_Cm": 1e-29}},
+     "params: gamma0_s and dipole_Cm are mutually exclusive"),
+    ({"params": {"omega_rad_s": 1.0, "gamma0_s": 2.0}},
+     "params: omega_rad_s/gamma0_s = 0.5 < 1"),
     # an integer too large for a float
     ({"survival": {"n_points": 10**400}}, "survival.n_points"),
 ]
@@ -184,6 +191,39 @@ def test_zeta_state_range_checked_on_every_command(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: state.theta_rad: ")
     assert not any(tmp_path.glob("*.csv"))
+
+
+NEAR_HORIZON = {"zeta1": -0.9, "zeta2": 0.0, "delta_zeta": 0.01}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_state_reaching_the_horizon_exits_2_on_every_command(
+        tmp_path, capsys, command):
+    """A packet support at zeta <= -0.5 is refused by every command, with
+    the state named, before any file is written."""
+    cfg = write_cfg(tmp_path, {"state": NEAR_HORIZON})
+    code, out, err = run(capsys, [command, "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: state: density support reaches zeta")
+    assert not any(tmp_path.glob("*.csv")) and not any(
+        tmp_path.glob("*_*.json"))
+
+
+def test_meter_state_horizon_check_follows_the_params(tmp_path, capsys):
+    """The same meter heights sit at zeta ~ -1e-16 under the preset and at
+    zeta = -0.9 with g = c = 1."""
+    meter = {"z1_m": -0.9, "z2_m": 0.0, "delta_m": 0.01,
+             "theta_rad": math.pi / 8, "phi_rad": 0.0}
+    cfg = write_cfg(tmp_path, {"state": meter})
+    assert run(capsys, ["tcoh", "--config", cfg,
+                        "--out", str(tmp_path)])[0] == 0
+    cfg = write_cfg(tmp_path, {"params": UNIT_PARAMS, "state": meter})
+    code, _, err = run(capsys, ["tcoh", "--config", cfg,
+                                "--out", str(tmp_path)])
+    assert code == 2
+    assert err.startswith("error: state: density support reaches zeta")
 
 
 def test_config_file_missing(tmp_path, capsys):

@@ -255,6 +255,80 @@ def test_ww_simulate_trajectory_grid():
     assert run.max_unitarity_defect < 1e-12
 
 
+def dense_alpha_trajectory(lam, w, times, block=32):
+    """Reference for the FFT trajectory: blocks of consecutive times share
+    one phase table exp(-i lam_k m h), one matrix-vector product each."""
+    h = times[1] - times[0]
+    table = np.exp(np.multiply.outer(
+        -1j * h * np.arange(min(block, len(times))), lam))
+    alpha = np.empty(len(times), dtype=complex)
+    for start in range(0, len(times), block):
+        rows = table[:len(times) - start]
+        alpha[start:start + len(rows)] = rows @ (
+            w * np.exp(-1j * times[start] * lam))
+    return alpha
+
+
+def dense_mode_amplitudes(j, d, z, n, block=32):
+    """Reference for the FFT Cauchy sums: every (mode, root) pair, with the
+    integer part of each distance formed first."""
+    out = np.empty(n, dtype=complex)
+    for start in range(0, n, block):
+        m = np.arange(start, min(start + block, n), dtype=float)
+        out[start:start + len(m)] = (
+            1.0 / (np.subtract.outer(-m, -j) + d)) @ z
+    return out
+
+
+def comb_solution(zeta, r, s_max, coupling, grid=None):
+    """Eigen-solution and time grid of one ww_simulate run."""
+    from gravclock.numerics import _comb_eigen, _coupling_line
+    grid = grid or gc.ModeGrid.for_line(zeta, r)
+    u = r * zeta
+    p, q = _coupling_line(coupling, grid, u, 1.0 + zeta, r)
+    j, d, lam, w = _comb_eigen(grid, u, p, q)
+    detuning = max(u - grid.nu_min, grid.nu_max - u)
+    times = np.linspace(0.0, s_max, math.ceil(s_max * 4.0 * detuning
+                                              / math.pi) + 1)
+    return grid, u, j, d, lam, w, times
+
+
+def assert_fft_sums_match_dense(grid, u, j, d, lam, w, times):
+    from gravclock.numerics import _alpha_trajectory, _mode_amplitudes
+    z = w * np.exp(-1j * times[-1] * lam)
+    c = np.abs(_mode_amplitudes(d, z)) ** 2
+    ref = np.abs(dense_mode_amplitudes(j, d, z, grid.n_modes)) ** 2
+    assert np.max(np.abs(c - ref) / ref) <= 1e-12
+    alpha = _alpha_trajectory(d, lam, w, times, grid.nu_min - u, grid.dnu)
+    assert np.max(np.abs(alpha - dense_alpha_trajectory(lam, w, times))) \
+        <= 1e-12
+
+
+@pytest.mark.parametrize("zeta,r", [(0.0, 100.0), (0.3, 100.0),
+                                    (0.5, 100.0), (0.5, 1e3)])
+@pytest.mark.parametrize("coupling", ["flat", "tilted"])
+def test_fft_sums_match_dense_reference(zeta, r, coupling):
+    """Far-field Cauchy sums and the chirp-z trajectory against every
+    (mode, root) and (time, root) pair, on default combs of 2401-12001
+    modes."""
+    assert_fft_sums_match_dense(*comb_solution(zeta, r, 12.0, coupling))
+
+
+def test_fft_sums_on_a_comb_narrower_than_the_near_field():
+    """Five modes: every root is within the directly summed gaps."""
+    grid = gc.ModeGrid(nu_min=199.9, nu_max=200.1, n_modes=5)
+    assert_fft_sums_match_dense(*comb_solution(0.2, 1e3, 12.0, "flat",
+                                               grid))
+
+
+def test_fft_trajectory_over_several_chunks():
+    """s_max = 6/dnu: the time axis splits into three Taylor chunks of at
+    most 2/dnu, each with its own folded phase."""
+    grid = gc.ModeGrid.for_line(0.3, 100.0)
+    assert_fft_sums_match_dense(*comb_solution(0.3, 100.0, 6.0 / grid.dnu,
+                                               "tilted"))
+
+
 def test_ww_simulate_refuses_defect_past_bound(monkeypatch):
     monkeypatch.setattr(gc.numerics, "_MAX_DEFECT", -1.0)
     with pytest.raises(gc.IntegrationError, match="defect"):
