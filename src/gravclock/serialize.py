@@ -3,11 +3,20 @@
 Every float is written as %.16e (17 significant digits) so files round-trip
 exactly and repeated runs are byte-identical.  Non-finite floats are refused
 before anything is written: JSON has no spelling for them.
+
+``write_csv`` fills one ``%`` template for the whole file, with one
+conversion per column.  A column that repeats its values (a sweep grid of
+40401 rows has 201 distinct angles) has each distinct value formatted once
+beforehand and goes in as ``%s``; the others go in as floats under
+``%.16e``.  Distinct values are found on the bit pattern, not compared as
+floats: 0.0 == -0.0, yet the two print differently, and value columns of
+the figure-1 sweep hold both.
 """
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +26,11 @@ class NonFiniteError(ValueError):
     """A value to be written is NaN or infinite; names the field."""
 
 
+_FMT = "%.16e"
+
+
 def fmt17(x) -> str:
-    return format(float(x), ".16e")
+    return _FMT % float(x)
 
 
 def _render(value, depth: int, path: str) -> str:
@@ -55,17 +67,44 @@ def dump_json(path, obj: dict) -> None:
     Path(path).write_text(_render(obj, 0, "") + "\n")
 
 
+def _column_spec(col: np.ndarray) -> tuple[str, list]:
+    """The conversion spec of ``col`` in a row template and its arguments.
+
+    A column with more distinct values than repeats stays float and is
+    formatted by the file's one substitution; otherwise each distinct bit
+    pattern is formatted once and its text repeated.
+    """
+    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(col):
+        return _FMT, col.tolist()
+    distinct = bits.view(float).tolist()
+    text = ((_FMT + "\n") * len(distinct) % tuple(distinct)).split("\n")
+    return "%s", np.array(text[:-1], dtype=object)[inverse].tolist()
+
+
 def write_csv(path, header: str, columns) -> None:
-    """Write equal-length columns under a comma-separated header line."""
-    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
-    n = len(cols[0])
-    if any(len(c) != n for c in cols):
+    """Write equal-length 1-D columns under a comma-separated header line.
+
+    Raises ``ValueError`` when the header does not name one column each or
+    a column is not 1-D or the lengths differ, and ``NonFiniteError`` naming
+    the column and row of the first NaN or infinity; nothing is written
+    then.
+    """
+    names = header.split(",")
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    if len(names) != len(cols):
+        raise ValueError(f"header names {len(names)} columns, "
+                         f"got {len(cols)}")
+    if any(c.ndim != 1 for c in cols):
+        raise ValueError("columns must be 1-D")
+    if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("columns differ in length")
-    for name, c in zip(header.split(","), cols):
+    for name, c in zip(names, cols):
         bad = np.flatnonzero(~np.isfinite(c))
         if len(bad):
             raise NonFiniteError(f"{Path(path).name} column {name} row "
                                  f"{bad[0]}: non-finite value {c[bad[0]]}")
-    lines = [header]
-    lines.extend(",".join(fmt17(c[i]) for c in cols) for i in range(n))
-    Path(path).write_text("\n".join(lines) + "\n")
+    specs, args = zip(*map(_column_spec, cols))
+    row = ",".join(specs) + "\n"
+    body = row * len(cols[0]) % tuple(chain.from_iterable(zip(*args)))
+    Path(path).write_text(header + "\n" + body)
