@@ -13,6 +13,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -477,7 +478,10 @@ _COMMANDS = {"rate": cmd_rate, "spectrum": cmd_spectrum,
              "sweep": cmd_sweep, "figures": cmd_figures, "tcoh": cmd_tcoh}
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
                         help="JSON config file")

@@ -3,14 +3,18 @@
 The oracle solves the one-excitation amplitude equations on a finite comb of
 field modes exactly, with no pole approximation: their generator is a real
 symmetric arrowhead matrix whose eigenvalues solve a secular equation with a
-closed-form sum on the uniform comb.  The trajectory and the final mode
-amplitudes are sums over all eigenvalues; FFTs evaluate both in
-O(n log n) (a chirp-z transform and far-field Cauchy sums).  The
+closed-form sum on the uniform comb.  Inside each gap between modes that
+equation is a fixed point d = arccot(y(d))/pi with a smooth y, so a few
+vectorized Newton passes find all the roots; bisection keeps the two roots
+outside the comb and any root Newton leaves unsettled.  The trajectory and
+the final mode amplitudes are sums over all eigenvalues; FFTs evaluate both
+in O(n log n) (a chirp-z transform and far-field Cauchy sums).  The
 closed-form exponential decay law is checked against that solution rather
 than against itself.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -22,6 +26,9 @@ from scipy.special import digamma, polygamma
 from .model import ConfigurationError, HorizonError, ROOT_PI
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(float).eps)
+
+_log = logging.getLogger(__name__)
 
 
 class AccuracyError(RuntimeError):
@@ -190,7 +197,12 @@ def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
 _MAX_DNU = 0.05          # coarsest spacing that still resolves the line
 _MIN_MARGIN_LW = 25.0    # window margin around the shifted line, in linewidths
 _MAX_DEFECT = 1e-6       # largest sum-rule or unitarity defect of a run
-_MAX_BISECTIONS = 200    # cap; brackets reach adjacent floats well before
+# Newton passes before a gap root falls back to bisection; default combs
+# settle in four.
+_MAX_NEWTON = 8
+# Bisection passes for the outer roots and the fallback; brackets reach
+# adjacent floats within ~64.
+_MAX_BISECTIONS = 200
 _NEAR = 16               # gaps on each side of a mode summed directly
 # The far-field and Taylor series stop where a term falls below this share
 # of the leading one: an eighth of the unit roundoff.
@@ -329,14 +341,94 @@ def _comb_sums(j: np.ndarray, d: np.ndarray, n: int, *,
     return s, t
 
 
+def _split(x: float) -> tuple[float, float]:
+    """x as hi + lo with hi in 26 bits (Dekker): hi * k is exact for any
+    integer |k| < 2^26."""
+    scaled = 134217729.0 * x
+    hi = scaled - (scaled - x)
+    return hi, x - hi
+
+
+def _trigamma_estimate(x: np.ndarray) -> np.ndarray:
+    """psi'(x) within 0.2% for x >= 1, without polygamma: one step of
+    psi'(x) = 1/x^2 + psi'(x+1), then 1/h - 1/(12 h^3) with h = x + 1/2."""
+    inv = 1.0 / (x + 0.5)
+    return 1.0 / (x * x) + inv * (1.0 - inv * inv / 12.0)
+
+
+def _newton_gap_roots(j, d, lo, hi, n, lam0, dnu, p, q):
+    """Newton passes for the gap roots 1..n-1 of ``_comb_eigen``, in place.
+
+    In gap j the secular equation reads pi*cot(pi*d) = R - sigma with
+    R = dnu*(lam + n*q)/(p + q*lam) and sigma = psi(j+d+1) - psi(n-j-d),
+    both smooth in the gap, so each root is the fixed point of
+    d = arccot(y)/pi, y = (R - sigma)/pi.  Newton runs on
+    F(d) = d - arccot(y(d))/pi, whose sign says on which side of d the
+    root lies; that keeps a [lo, hi] bracket, and a step leaving it is
+    replaced by bisection.  sigma' comes from ``_trigamma_estimate``: the
+    step needs it only roughly.  A root settles once its step falls to
+    the rounding floor or stops shrinking; its last update is one Newton
+    step on the secular equation itself, whose rounding matches bisection.
+    Returns the passes made and the indices of the roots left unsettled
+    after _MAX_NEWTON passes.
+    """
+    # lam = lam0 + dnu*(j + d) cancels near the line; with dnu split,
+    # lam0 + dnu_hi*j is one rounding of nearly equal terms and keeps lam
+    # to full relative precision.
+    dnu_hi, dnu_lo = _split(dnu)
+    slope = dnu * dnu * (p - n * q * q)  # dR/dd times (p + q*lam)^2
+    live = np.arange(1, n)
+    prev = np.full(n - 1, np.nan)        # last Newton step of each live root
+    passes = 0
+    while live.size and passes < _MAX_NEWTON:
+        passes += 1
+        jl, dl = j[live], d[live]
+        a = (jl + 1.0) + dl
+        b = (n - jl) - dl
+        lam = (lam0 + dnu_hi * jl) + (dnu_lo * jl + dnu * dl)
+        g = p + q * lam
+        y = (dnu * (lam + n * q) / g - (digamma(a) - digamma(b))) / np.pi
+        dy = (slope / (g * g) - _trigamma_estimate(a)
+              - _trigamma_estimate(b)) / np.pi
+        f = dl - np.arctan2(1.0, y) / np.pi
+        step = f / (1.0 + dy / (np.pi * (1.0 + y * y)))
+        below = f < 0.0                  # the root lies above dl
+        lo_l, hi_l = lo[live], hi[live]
+        lo_l[below] = dl[below]
+        hi_l[~below] = dl[~below]
+        lo[live], hi[live] = lo_l, hi_l
+        new = dl - step
+        out = (new < lo_l) | (new > hi_l)
+        new[out] = 0.5 * (lo_l[out] + hi_l[out])
+        size = np.abs(step)
+        settled = ~out & ((size <= 4.0 * _EPS * dl) | (size >= prev))
+        # d = 0 or 1 has no secular step; _comb_eigen refuses it
+        fin = np.flatnonzero(settled & (dl > 0.0) & (dl < 1.0))
+        df = dl[fin]
+        cot = 1.0 / np.tan(np.pi * (df - (df > 0.5)))
+        new[fin] = df + (cot - y[fin]) / (np.pi * (1.0 + cot * cot) + dy[fin])
+        d[live] = new
+        size[out] = np.nan
+        prev = size[~settled]
+        live = live[~settled]
+    return passes, live
+
+
 def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
     """Exact eigen-solution of the comb Hamiltonian [[0, g^T], [g, diag D]].
 
     Its n+1 eigenvalues solve lam = sum_j g_j^2/(lam - D_j): one in each gap
     between modes and one beyond each end.  With g_j^2 = p + q*D_j the sum is
-    (p + q*lam)*S/dnu - n*q.  Returns the roots as gap index j and offset d
-    (lam = D_0 + dnu*(j + d)), the eigenvalues, and the atomic weights
-    w = 1/(1 + sum_j g_j^2/(lam - D_j)^2), which sum to one.
+    (p + q*lam)*S/dnu - n*q.  The gap roots come from vectorized Newton
+    passes on the arccot fixed point of each gap (``_newton_gap_roots``);
+    bisection finds the two outer roots and any gap root Newton has not
+    settled within _MAX_NEWTON passes.  Returns the roots as gap index j and
+    offset d (lam = D_0 + dnu*(j + d)), the eigenvalues, the atomic weights
+    w = 1/(1 + sum_j g_j^2/(lam - D_j)^2), which sum to one, the Newton
+    passes made and the number of gap roots that fell back to bisection.
+
+    Raises IntegrationError when a root is left unsettled or lies within
+    rounding of a mode (d = 0 or 1), where the gap-offset form breaks down.
     """
     n, dnu = grid.n_modes, grid.dnu
     lam0 = grid.nu_min - u
@@ -356,20 +448,35 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
     else:
         raise IntegrationError("cannot bracket the comb's outer eigenvalues")
     j = np.arange(-1.0, n).clip(0.0, n - 1.0)
+    d = np.full(n + 1, 0.5)
     lo, hi = np.zeros(n + 1), np.ones(n + 1)
     lo[0], hi[0], hi[-1] = -reach, 0.0, reach
+    passes, left = _newton_gap_roots(j, d, lo, hi, n, lam0, dnu, p, q)
+    rest = np.r_[0, left, n]
+    j_r, lo_r, hi_r = j[rest], lo[rest], hi[rest]
     for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if np.all((mid == lo) | (mid == hi)):
+        mid = 0.5 * (lo_r + hi_r)
+        if np.all((mid == lo_r) | (mid == hi_r)):
             break
-        up = secular(j, mid) > 0.0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    d = 0.5 * (lo + hi)
+        up = secular(j_r, mid) > 0.0
+        lo_r = np.where(up, mid, lo_r)
+        hi_r = np.where(up, hi_r, mid)
+    else:
+        mid = 0.5 * (lo_r + hi_r)
+        open_ = int(np.count_nonzero((mid != lo_r) & (mid != hi_r)))
+        raise IntegrationError(
+            f"{open_} comb eigenvalues unsettled after {_MAX_BISECTIONS} "
+            "bisection passes")
+    d[rest] = 0.5 * (lo_r + hi_r)
+    gap = d[1:-1]
+    if not np.all((gap > 0.0) & (gap < 1.0)):
+        raise IntegrationError(
+            "coupling too weak for the gap-offset form: a comb eigenvalue "
+            "lies within rounding of a mode")
     lam = lam0 + dnu * (j + d)
     s, t = _comb_sums(j, d, n, squares=True)
     w = 1.0 / (1.0 + (p + q * lam) * t / dnu**2 - q * s / dnu)
-    return j, d, lam, w
+    return j, d, lam, w, passes, len(left)
 
 
 def _fft_len(n: int) -> int:
@@ -472,9 +579,8 @@ def _alpha_trajectory(d: np.ndarray, lam: np.ndarray, w: np.ndarray,
     # half-integer is exact, so nu_c keeps full precision although its
     # terms nearly cancel.  Its rounding would shift every phase alike.
     mid = 0.5 - gap[0]
-    split = 134217729.0 * dnu
-    dnu_hi = split - (split - dnu)
-    nu_c = (lam0 + dnu_hi * mid) + (dnu - dnu_hi) * mid
+    dnu_hi, dnu_lo = _split(dnu)
+    nu_c = (lam0 + dnu_hi * mid) + dnu_lo * mid
     chirp_in = np.exp(-0.5j * theta * gap * gap)
     chirp_out = np.exp(-1j * nu_c * tau - 0.5j * theta * steps * steps)
     lags = np.arange(-half - gap[-1], half - gap[0] + 1)
@@ -530,7 +636,10 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     directly next to each mode and by a far-field expansion of FFT
     correlations beyond (``_mode_amplitudes``); both match the dense sums to
     ~1e-14.  The run aborts if the sum rule sum_k w_k = 1 or unitarity
-    |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.
+    |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.  Each
+    coupled run logs one DEBUG record to the ``gravclock.numerics`` logger:
+    the modes, the Newton passes of the root solve and the gap roots that
+    fell back to bisection.
     """
     if zeta <= -1.0:
         raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
@@ -556,7 +665,9 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
         defect = 0.0
     else:
         p, q = coupling_scale**2 * p, coupling_scale**2 * q
-        _, d, lam, w = _comb_eigen(grid, u, p, q)
+        _, d, lam, w, passes, fallback = _comb_eigen(grid, u, p, q)
+        _log.debug("mode comb: %d modes, %d Newton passes, %d gap roots "
+                   "bisected", grid.n_modes, passes, fallback)
         alpha = _alpha_trajectory(d, lam, w, t_arr, grid.nu_min - u,
                                   grid.dnu)
         a_arr = alpha.real**2 + alpha.imag**2

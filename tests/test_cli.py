@@ -269,6 +269,17 @@ def test_bad_global_flags(tmp_path, capsys):
     assert not (tmp_path / "rate.json").exists()
 
 
+def test_parser_is_built_once(tmp_path, capsys):
+    """main reuses one parser: parsing leaves it as it was."""
+    parser = cli._build_parser()
+    cfg = write_cfg(tmp_path, {})
+    for _ in range(2):
+        code, _, _ = run(capsys, ["rate", "--config", cfg,
+                                  "--out", str(tmp_path)])
+        assert code == 0
+        assert cli._build_parser() is parser
+
+
 def test_every_subcommand_takes_only_the_common_flags():
     """A flag that some command ignores cannot be added to them all."""
     parser = cli._build_parser()

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import logging
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import gravclock as gc
@@ -286,7 +290,7 @@ def comb_solution(zeta, r, s_max, coupling, grid=None):
     grid = grid or gc.ModeGrid.for_line(zeta, r)
     u = r * zeta
     p, q = _coupling_line(coupling, grid, u, 1.0 + zeta, r)
-    j, d, lam, w = _comb_eigen(grid, u, p, q)
+    j, d, lam, w, _, _ = _comb_eigen(grid, u, p, q)
     detuning = max(u - grid.nu_min, grid.nu_max - u)
     times = np.linspace(0.0, s_max, math.ceil(s_max * 4.0 * detuning
                                               / math.pi) + 1)
@@ -327,6 +331,206 @@ def test_fft_trajectory_over_several_chunks():
     grid = gc.ModeGrid.for_line(0.3, 100.0)
     assert_fft_sums_match_dense(*comb_solution(0.3, 100.0, 6.0 / grid.dnu,
                                                "tilted"))
+
+
+# ---------------------------------------------------------------------------
+# comb roots
+# ---------------------------------------------------------------------------
+
+
+def reference_comb_roots(grid, u, p, q):
+    """Reference for the Newton root solver: every root of the comb's
+    secular equation bisected from its gap (or its doubled outer bracket)
+    to adjacent floats, with the same weights.  Returns j, d, lam, w."""
+    from gravclock.numerics import _comb_sums
+    n, dnu = grid.n_modes, grid.dnu
+    lam0 = grid.nu_min - u
+
+    def secular(j, d):
+        lam = lam0 + dnu * (j + d)
+        return (p + q * lam) * _comb_sums(j, d, n) / dnu - n * q - lam
+
+    ends = np.array([0.0, n - 1.0])
+    for doublings in range(64):
+        reach = 2.0**doublings
+        f = secular(ends, np.array([-reach, reach]))
+        if f[0] > 0.0 and f[1] < 0.0:
+            break
+    j = np.arange(-1.0, n).clip(0.0, n - 1.0)
+    lo, hi = np.zeros(n + 1), np.ones(n + 1)
+    lo[0], hi[0], hi[-1] = -reach, 0.0, reach
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        up = secular(j, mid) > 0.0
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    d = 0.5 * (lo + hi)
+    lam = lam0 + dnu * (j + d)
+    s, t = _comb_sums(j, d, n, squares=True)
+    w = 1.0 / (1.0 + (p + q * lam) * t / dnu**2 - q * s / dnu)
+    return j, d, lam, w
+
+
+def comb_couplings(grid, u, zeta, r, coupling, scale=1.0):
+    from gravclock.numerics import _coupling_line
+    p, q = _coupling_line(coupling, grid, u, 1.0 + zeta, r)
+    return scale**2 * p, scale**2 * q
+
+
+def mpmath_gap_root(grid, lam0, p, q, j, d0):
+    """Root of the secular equation in gap j at 34 digits, from the same
+    double-precision comb and couplings, started at d0."""
+    n = grid.n_modes
+    p, q, lam0, dnu = (mpmath.mpf(x) for x in (p, q, lam0, grid.dnu))
+
+    def secular(d):
+        x = j + d
+        lam = lam0 + dnu * x
+        s = (mpmath.digamma(x + 1) - mpmath.digamma(n - x)
+             + mpmath.pi * mpmath.cot(mpmath.pi * d))
+        return (p + q * lam) * s / dnu - n * q - lam
+
+    with mpmath.workdps(34):
+        return mpmath.findroot(secular, mpmath.mpf(d0))
+
+
+@pytest.mark.parametrize("lam0", [-5.0, -150.0, 140.0])
+@pytest.mark.parametrize("coupling", ["flat", "tilted"])
+def test_newton_roots_against_mpmath(lam0, coupling):
+    """401-mode combs with the line centred (lam0 = -5) and far outside
+    the window on either side: on every 8th gap root the largest error in
+    d is no larger than the bisection's, and no root is worse than the
+    bisection's by more than the few ulps either can land off."""
+    from gravclock.numerics import _comb_eigen
+    grid = gc.ModeGrid(nu_min=lam0, nu_max=lam0 + 10.0, n_modes=401)
+    p, q = comb_couplings(grid, 0.0, 0.0, 1e3, coupling)
+    j, d_ref, _, _ = reference_comb_roots(grid, 0.0, p, q)
+    _, d, _, _, _, fallback = _comb_eigen(grid, 0.0, p, q)
+    assert fallback == 0
+    ks = np.arange(1, grid.n_modes, 8)
+    exact = [mpmath_gap_root(grid, lam0, p, q, int(j[k]), d_ref[k])
+             for k in ks]
+    err = np.array([float(abs(d[k] - x)) for k, x in zip(ks, exact)])
+    err_ref = np.array([float(abs(d_ref[k] - x)) for k, x in zip(ks, exact)])
+    assert err.max() <= err_ref.max()
+    assert np.all(err <= err_ref + 4.0 * np.spacing(d_ref[ks]))
+
+
+@settings(max_examples=25)
+@given(zeta=st.floats(0.0, 0.5), r=st.floats(100.0, 1e3),
+       coupling=st.sampled_from(["flat", "tilted"]),
+       scale=st.floats(0.05, 5.0))
+def test_newton_roots_match_the_bisection_reference(zeta, r, coupling,
+                                                     scale):
+    """Default combs, couplings from 1/400 to 25 times the golden rule:
+    Newton settles every gap root within the pass cap and agrees with the
+    bisection reference.
+
+    The reference forms lam = lam0 + dnu*(j + d) in one sum that cancels
+    near the line; its rounding, eps*(2|lam0| + |lam|), moves a root by up
+    to |dR/dlam| times that over pi^2, R(lam) = dnu*(lam + n*q)/(p + q*lam)
+    being the smooth part of the secular equation.  The solver forms lam
+    without the cancellation, so d is compared within 1e-13 plus twice that
+    bound.  A weight is compared within 1e-12 of itself or of the largest
+    weight: roots within ~1e-6 below a mode carry d's own rounding near 1,
+    a relative eps/(1 - d) of their tiny weights.
+    """
+    from gravclock.numerics import _MAX_NEWTON, _comb_eigen
+    grid = gc.ModeGrid.for_line(zeta, r)
+    u = r * zeta
+    p, q = comb_couplings(grid, u, zeta, r, coupling, scale)
+    j, d, _, w, passes, fallback = _comb_eigen(grid, u, p, q)
+    _, d_ref, lam_ref, w_ref = reference_comb_roots(grid, u, p, q)
+    assert passes <= _MAX_NEWTON and fallback == 0
+    n, lam0 = grid.n_modes, grid.nu_min - u
+    eps = np.finfo(float).eps
+    drift = (grid.dnu * abs(p - n * q * q) / (p + q * lam_ref) ** 2
+             * eps * (2.0 * abs(lam0) + np.abs(lam_ref)) / np.pi**2)
+    assert np.all(np.abs(d - d_ref) <= 1e-13 + 2.0 * drift)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=1e-12 * w.max())
+
+
+def test_bisection_fallback_alone_reproduces_the_reference(monkeypatch):
+    """With no Newton passes every gap root falls back to bisection from
+    its whole gap: the reference, bit for bit."""
+    from gravclock.numerics import _comb_eigen
+    monkeypatch.setattr(gc.numerics, "_MAX_NEWTON", 0)
+    for zeta, coupling in ((0.0, "flat"), (0.3, "tilted")):
+        grid = gc.ModeGrid.for_line(zeta, 100.0)
+        u = 100.0 * zeta
+        p, q = comb_couplings(grid, u, zeta, 100.0, coupling)
+        j, d, lam, w, passes, fallback = _comb_eigen(grid, u, p, q)
+        assert (passes, fallback) == (0, grid.n_modes - 1)
+        for got, want in zip((j, d, lam, w),
+                             reference_comb_roots(grid, u, p, q)):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r", [100.0, 1e3, 1e4])
+@pytest.mark.parametrize("zeta,coupling", [(0.0, "flat"), (0.5, "tilted")])
+def test_default_combs_settle_without_fallback(r, zeta, coupling):
+    """2401-60001 modes: every gap root settles by Newton within the cap;
+    only the two outer roots are bisected."""
+    from gravclock.numerics import _MAX_NEWTON, _comb_eigen
+    grid = gc.ModeGrid.for_line(zeta, r)
+    u = r * zeta
+    p, q = comb_couplings(grid, u, zeta, r, coupling)
+    _, d, _, w, passes, fallback = _comb_eigen(grid, u, p, q)
+    assert passes <= _MAX_NEWTON and fallback == 0
+    assert np.all((d[1:-1] > 0.0) & (d[1:-1] < 1.0))
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_ww_simulate_logs_the_root_solve(caplog):
+    """One DEBUG record per run: modes, Newton passes, gap roots that fell
+    back to bisection; the outputs do not depend on the logging level."""
+    from gravclock.numerics import _MAX_NEWTON
+    grid = gc.ModeGrid.for_line(0.25, 1e3)
+    quiet = gc.ww_simulate(0.25, 1e3, grid, 2.0)
+    with caplog.at_level(logging.DEBUG, logger="gravclock.numerics"):
+        run = gc.ww_simulate(0.25, 1e3, grid, 2.0)
+    records = [rec for rec in caplog.records
+               if rec.name == "gravclock.numerics"]
+    assert len(records) == 1
+    modes, passes, fallback = records[0].args
+    assert modes == grid.n_modes
+    assert 1 <= passes <= _MAX_NEWTON and fallback == 0
+    assert np.array_equal(run.alpha_sq, quiet.alpha_sq)
+    assert np.array_equal(run.beta_sq_final, quiet.beta_sq_final)
+
+
+def test_too_weak_coupling_fails_loudly():
+    """At 1e-8 of the golden-rule coupling the roots below the line sit
+    within 1e-16 of the next mode up, where d rounds to 1: an error naming
+    the cause, not divide-by-zero warnings and a NaN defect."""
+    grid = gc.ModeGrid.for_line(0.1, 100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(gc.IntegrationError, match="too weak"):
+            gc.ww_simulate(0.1, 100.0, grid, 5.0, coupling_scale=1e-8)
+
+
+def test_unsettled_roots_fail_loudly(monkeypatch):
+    """Roots whose brackets have not closed when the bisection cap runs
+    out are an error that counts them, not a silent midpoint."""
+    monkeypatch.setattr(gc.numerics, "_MAX_NEWTON", 0)
+    monkeypatch.setattr(gc.numerics, "_MAX_BISECTIONS", 5)
+    grid = gc.ModeGrid.for_line(0.3, 100.0)
+    with pytest.raises(gc.IntegrationError,
+                       match=f"^{grid.n_modes + 1} comb eigenvalues "
+                             "unsettled"):
+        gc.ww_simulate(0.3, 100.0, grid, 1.0)
+
+
+def test_trigamma_estimate_is_close_enough_for_newton():
+    """The Newton derivative's psi' stands within 0.2% for x >= 1."""
+    from scipy.special import polygamma
+    from gravclock.numerics import _trigamma_estimate
+    x = np.linspace(1.0, 400.0, 4001)
+    assert np.max(np.abs(_trigamma_estimate(x) / polygamma(1, x) - 1.0)) \
+        < 2e-3
 
 
 def test_ww_simulate_refuses_defect_past_bound(monkeypatch):
