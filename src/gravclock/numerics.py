@@ -432,9 +432,11 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
     """
     n, dnu = grid.n_modes, grid.dnu
     lam0 = grid.nu_min - u
+    dnu_hi, dnu_lo = _split(dnu)
 
     def secular(j, d):
-        lam = lam0 + dnu * (j + d)
+        # lam formed as in _newton_gap_roots, without the cancellation
+        lam = (lam0 + dnu_hi * j) + (dnu_lo * j + dnu * d)
         return (p + q * lam) * _comb_sums(j, d, n) / dnu - n * q - lam
 
     # The secular function falls from +inf to -inf across every gap and

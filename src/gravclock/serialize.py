@@ -4,19 +4,24 @@ Every float is written as %.16e (17 significant digits) so files round-trip
 exactly and repeated runs are byte-identical.  Non-finite floats are refused
 before anything is written: JSON has no spelling for them.
 
-``write_csv`` fills one ``%`` template for the whole file, with one
-conversion per column.  A column that repeats its values (a sweep grid of
-40401 rows has 201 distinct angles) has each distinct value formatted once
-beforehand and goes in as ``%s``; the others go in as floats under
-``%.16e``.  Distinct values are found on the bit pattern, not compared as
-floats: 0.0 == -0.0, yet the two print differently, and value columns of
-the figure-1 sweep hold both.
+``write_csv`` builds the bytes ``%`` would, in numpy, a block of rows at a
+time.  A value's 17-digit mantissa is round(|x| * 10^(16-k)) with k the
+decimal exponent, from Dekker's exact product with a double-double table of
+powers of ten; k starts as floor(log10|x|), is re-estimated where the
+mantissa leaves [1e16, 1e17), and a mantissa rounded up to 10^17 carries
+into it.  Sign, digits, point, exponent and separator fill a 32-byte record
+(eight digits to a word, through a multiply-and-shift split) whose unused
+bytes are NUL; deleting the NULs leaves the text.  ``%`` itself formats
+what the fast path cannot decide or reach: a product within 1e-6 of a
+rounding tie, where round-half-even needs the exact value, and |x| outside
+[1e-280, 1e300], where the table or the split would leave the doubles.
 """
 from __future__ import annotations
 
 import json
+import logging
 import math
-from itertools import chain
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +32,14 @@ class NonFiniteError(ValueError):
 
 
 _FMT = "%.16e"
+_E = 300                 # power and exponent tables span 10^-_E .. 10^_E
+# |x| outside [_TINY, _HUGE] goes to %: 10^(16-k) must stay in the table,
+# and Dekker's split overflows above ~1.3e300.
+_TINY, _HUGE = 1e-280, 1e300
+_TIE = 1e-6              # a product this close to a rounding tie goes to %
+_CHUNK = 8192            # values per pass: the temporaries stay in cache
+
+_log = logging.getLogger(__name__)
 
 
 def fmt17(x) -> str:
@@ -67,19 +80,120 @@ def dump_json(path, obj: dict) -> None:
     Path(path).write_text(_render(obj, 0, "") + "\n")
 
 
-def _column_spec(col: np.ndarray) -> tuple[str, list]:
-    """The conversion spec of ``col`` in a row template and its arguments.
+def _split(x):
+    """x as hi + lo, hi holding 26 bits (Dekker): products of two hi or lo
+    parts are exact."""
+    s = 134217729.0 * x
+    hi = s - (s - x)
+    return hi, x - hi
 
-    A column with more distinct values than repeats stays float and is
-    formatted by the file's one substitution; otherwise each distinct bit
-    pattern is formatted once and its text repeated.
+
+@cache
+def _pow10_table() -> np.ndarray:
+    """Rows hi, lo, hi_hi, hi_lo of 10^e for e in [-_E, _E], column e + _E.
+
+    hi is the double nearest 10^e and lo the double nearest 10^e - hi, so
+    hi + lo holds 10^e to ~2^-106; hi_hi + hi_lo is hi split for Dekker's
+    exact product.  Python's int division rounds correctly, so every entry
+    is its exact value rounded once.
     """
-    bits, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(col):
-        return _FMT, col.tolist()
-    distinct = bits.view(float).tolist()
-    text = ((_FMT + "\n") * len(distinct) % tuple(distinct)).split("\n")
-    return "%s", np.array(text[:-1], dtype=object)[inverse].tolist()
+    rows = []
+    for e in range(-_E, _E + 1):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        hi = num / den
+        a, b = hi.as_integer_ratio()
+        rows.append((hi, (num * b - a * den) / (den * b)))
+    hi, lo = np.array(rows).T
+    return np.array([hi, lo, *_split(hi)])
+
+
+def _word(text: bytes) -> int:
+    """Up to eight ASCII characters as one little-endian word: the first
+    character in the lowest byte, the rest NUL."""
+    return int.from_bytes(text, "little")
+
+
+@cache
+def _word_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Words for the pieces of a record: sign, first digit and point
+    (index digit + 10 when negative); four digits (index 0-9999, in the
+    low half of a word); 'e', sign and exponent digits (index k + _E)."""
+    heads = [_word(b"\0" * 5 + sign + b"%d." % d)
+             for sign in (b"\0", b"-") for d in range(10)]
+    q = np.arange(10000)
+    quads = (q // 1000 | q // 100 % 10 << 8 | q // 10 % 10 << 16
+             | q % 10 << 24) + _word(b"0000")
+    exps = [_word(b"e%+03d" % k) for k in range(-_E, _E + 1)]
+    return (np.array(heads), quads.astype(np.int64), np.array(exps))
+
+
+def _mantissa(a, k):
+    """floor(a * 10^(16-k)) as int64 and the fraction left over.
+
+    a * (hi + lo) is summed as p + err + a*lo with Dekker's exact err =
+    a*hi - p; p >= 2^53 is an integer whenever k is right, and the fraction
+    comes out within ~1e-14.
+    """
+    hi, lo, hh, hl = _pow10_table().take((_E + 16) - k, axis=1)
+    p = a * hi
+    ah, al = _split(a)
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    f = np.floor(r)
+    return p.astype(np.int64) + f.astype(np.int64), r - f
+
+
+def _records(x: np.ndarray, seps: np.ndarray) -> tuple[bytes, int]:
+    """The text of the finite values ``x``, each followed by its separator
+    in ``seps`` (one per column, ``x`` running row by row), and how many
+    values took the exact ``%`` fallback.
+
+    Each value gets a record of four words: sign, first digit and point;
+    digits 2-9; digits 10-17; exponent and separator.  The words come from
+    lookup tables (``_word_tables``), unused bytes are NUL, and deleting
+    every NUL leaves the text.
+    """
+    a = np.abs(x)
+    fast = (a >= _TINY) & (a <= _HUGE)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    m, frac = _mantissa(a, k)
+    # log10 may land one decade off; the mantissa then leaves [1e16, 1e17)
+    off = (m < 10**16) | (m >= 10**17)
+    if off.any():
+        off = np.flatnonzero(off)
+        step = np.where(m[off] < 10**16, -1, 1)
+        k[off] += step
+        m[off], frac[off] = _mantissa(a[off], k[off])
+    m += frac > 0.5
+    top = m == 10**17                        # rounded up to 10^(k+1)
+    if top.any():
+        m[top] = 10**16
+        k[top] += 1
+    m *= fast                                # zeros print as 0.000...e+00
+    slow = (~fast & (x != 0.0)) | (np.abs(frac - 0.5) < _TIE)
+    heads, quads, exps = _word_tables()
+    first = m // 10**16
+    rest = m - first * 10**16
+    eight = rest // 10**8
+    halves = np.stack([eight, rest - eight * 10**8], axis=1)
+    fours = halves // 10000
+    rec = np.empty((len(x), 4), np.int64)
+    words = quads.take(halves - fours * 10000)
+    words <<= 32
+    words |= quads.take(fours)
+    rec[:, 1:3] = words
+    first += np.signbit(x) * 10
+    rec[:, 0] = heads.take(first)
+    rec.reshape(-1, len(seps), 4)[:, :, 3] = \
+        exps.take(k.reshape(-1, len(seps)) + _E) | seps
+    n_slow = int(np.count_nonzero(slow))
+    if n_slow:
+        slow = np.flatnonzero(slow)
+        text = [_FMT % v for v in x[slow].tolist()]
+        raw = rec.view(np.uint8).reshape(len(x), 32)
+        raw[slow, :24] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
+        raw[slow, 24:31] = 0                 # keep the separator
+    return rec.tobytes().translate(None, b"\0"), n_slow
 
 
 def write_csv(path, header: str, columns) -> None:
@@ -88,8 +202,10 @@ def write_csv(path, header: str, columns) -> None:
     Raises ``ValueError`` when the header does not name one column each or
     a column is not 1-D or the lengths differ, and ``NonFiniteError`` naming
     the column and row of the first NaN or infinity; nothing is written
-    then.
+    then.  Logs one DEBUG record: the file, its rows and columns, and the
+    values formatted by the exact ``%`` fallback.
     """
+    path = Path(path)
     names = header.split(",")
     cols = [np.asarray(c, dtype=float) for c in columns]
     if len(names) != len(cols):
@@ -99,12 +215,23 @@ def write_csv(path, header: str, columns) -> None:
         raise ValueError("columns must be 1-D")
     if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("columns differ in length")
-    for name, c in zip(names, cols):
-        bad = np.flatnonzero(~np.isfinite(c))
-        if len(bad):
-            raise NonFiniteError(f"{Path(path).name} column {name} row "
-                                 f"{bad[0]}: non-finite value {c[bad[0]]}")
-    specs, args = zip(*map(_column_spec, cols))
-    row = ",".join(specs) + "\n"
-    body = row * len(cols[0]) % tuple(chain.from_iterable(zip(*args)))
-    Path(path).write_text(header + "\n" + body)
+    table = np.column_stack(cols)
+    bad = ~np.isfinite(table)
+    if bad.any():
+        col = int(np.argmax(bad.any(axis=0)))
+        row = int(np.argmax(bad[:, col]))
+        raise NonFiniteError(f"{path.name} column {names[col]} row "
+                             f"{row}: non-finite value {table[row, col]}")
+    n_rows, n_cols = table.shape
+    seps = np.full(n_cols, ord(",") << 56)
+    seps[-1] = ord("\n") << 56
+    step = max(1, _CHUNK // n_cols)
+    pieces, slow = [(header + "\n").encode()], 0
+    for start in range(0, n_rows, step):
+        text, n_slow = _records(table[start:start + step].ravel(), seps)
+        pieces.append(text)
+        slow += n_slow
+    with path.open("wb") as f:
+        f.writelines(pieces)
+    _log.debug("%s: %d rows, %d columns, %d values formatted by %%",
+               path.name, n_rows, n_cols, slow)

@@ -342,12 +342,13 @@ def reference_comb_roots(grid, u, p, q):
     """Reference for the Newton root solver: every root of the comb's
     secular equation bisected from its gap (or its doubled outer bracket)
     to adjacent floats, with the same weights.  Returns j, d, lam, w."""
-    from gravclock.numerics import _comb_sums
+    from gravclock.numerics import _comb_sums, _split
     n, dnu = grid.n_modes, grid.dnu
     lam0 = grid.nu_min - u
+    dnu_hi, dnu_lo = _split(dnu)
 
     def secular(j, d):
-        lam = lam0 + dnu * (j + d)
+        lam = (lam0 + dnu_hi * j) + (dnu_lo * j + dnu * d)
         return (p + q * lam) * _comb_sums(j, d, n) / dnu - n * q - lam
 
     ends = np.array([0.0, n - 1.0])
@@ -428,27 +429,21 @@ def test_newton_roots_match_the_bisection_reference(zeta, r, coupling,
     Newton settles every gap root within the pass cap and agrees with the
     bisection reference.
 
-    The reference forms lam = lam0 + dnu*(j + d) in one sum that cancels
-    near the line; its rounding, eps*(2|lam0| + |lam|), moves a root by up
-    to |dR/dlam| times that over pi^2, R(lam) = dnu*(lam + n*q)/(p + q*lam)
-    being the smooth part of the secular equation.  The solver forms lam
-    without the cancellation, so d is compared within 1e-13 plus twice that
-    bound.  A weight is compared within 1e-12 of itself or of the largest
-    weight: roots within ~1e-6 below a mode carry d's own rounding near 1,
-    a relative eps/(1 - d) of their tiny weights.
+    Both form lam = lam0 + dnu*(j + d) with dnu split, so it does not
+    cancel near the line, and both land within a few ulps of the root: d
+    is compared within 1e-15 (300 probe draws differed by at most 3.3e-16).
+    A weight is compared within 1e-12 of itself or of the largest weight:
+    roots within ~1e-6 below a mode carry d's own rounding near 1, a
+    relative eps/(1 - d) of their tiny weights.
     """
     from gravclock.numerics import _MAX_NEWTON, _comb_eigen
     grid = gc.ModeGrid.for_line(zeta, r)
     u = r * zeta
     p, q = comb_couplings(grid, u, zeta, r, coupling, scale)
     j, d, _, w, passes, fallback = _comb_eigen(grid, u, p, q)
-    _, d_ref, lam_ref, w_ref = reference_comb_roots(grid, u, p, q)
+    _, d_ref, _, w_ref = reference_comb_roots(grid, u, p, q)
     assert passes <= _MAX_NEWTON and fallback == 0
-    n, lam0 = grid.n_modes, grid.nu_min - u
-    eps = np.finfo(float).eps
-    drift = (grid.dnu * abs(p - n * q * q) / (p + q * lam_ref) ** 2
-             * eps * (2.0 * abs(lam0) + np.abs(lam_ref)) / np.pi**2)
-    assert np.all(np.abs(d - d_ref) <= 1e-13 + 2.0 * drift)
+    assert np.all(np.abs(d - d_ref) <= 1e-15)
     np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=1e-12 * w.max())
 
 
@@ -466,6 +461,28 @@ def test_bisection_fallback_alone_reproduces_the_reference(monkeypatch):
         for got, want in zip((j, d, lam, w),
                              reference_comb_roots(grid, u, p, q)):
             assert np.array_equal(got, want)
+
+
+def test_bisection_fallback_roots_are_as_exact_as_newton(monkeypatch):
+    """r = 1e4, 40001 modes: with Newton capped at 0 passes every gap root
+    is bisected, and the roots next to the line (where lam0 + dnu*(j + d)
+    cancels) and across the comb are as close to the 34-digit roots as the
+    Newton roots: within 4 eps in d (both reach ~3e-16).  Forming lam in one
+    sum left them ~250 times worse (8.5e-14)."""
+    from gravclock.numerics import _comb_eigen
+    grid = gc.ModeGrid.for_line(0.0, 1e4)
+    p, q = comb_couplings(grid, 0.0, 0.0, 1e4, "flat")
+    j, d, _, _, _, _ = _comb_eigen(grid, 0.0, p, q)
+    monkeypatch.setattr(gc.numerics, "_MAX_NEWTON", 0)
+    _, d_fb, _, _, passes, fallback = _comb_eigen(grid, 0.0, p, q)
+    assert (passes, fallback) == (0, grid.n_modes - 1)
+    line = round(-grid.nu_min / grid.dnu)
+    ks = np.r_[line - 3:line + 4, 1, grid.n_modes // 4, grid.n_modes - 1]
+    exact = [mpmath_gap_root(grid, grid.nu_min, p, q, int(j[k]), d[k])
+             for k in ks]
+    for roots in (d, d_fb):
+        err = max(float(abs(roots[k] - x)) for k, x in zip(ks, exact))
+        assert err <= 4.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("r", [100.0, 1e3, 1e4])

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import logging
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -190,3 +193,136 @@ def test_cli_files_match_the_reference_writer(tmp_path, monkeypatch):
     # the sweep holds both signed zeros, which must print apart
     assert b",-0.0000000000000000e+00\n" in new["sweep/sweep.csv"]
     assert b",0.0000000000000000e+00\n" in new["sweep/sweep.csv"]
+
+
+# ---------------------------------------------------------------------------
+# the numpy formatter against "%.16e"
+# ---------------------------------------------------------------------------
+
+
+def _written(tmp, values) -> list[str]:
+    """The lines ``write_csv`` writes for one column of ``values``."""
+    serialize.write_csv(tmp / "one.csv", "x", [values])
+    return (tmp / "one.csv").read_text().splitlines()[1:]
+
+
+_MAX = 1.7976931348623157e308
+# powers of ten (subnormal ones too), exponents at +-99/+-100, both ends of
+# the fast path (1e-280, 1e300), the smallest normal and subnormal, the
+# largest double and zero; each drawn with up to 3 ulps on either side
+_ANCHORS = sorted({float(f"1e{e}") for e in range(-323, 309)}
+                  | {float(f"{m}e{e}") for e in (-101, -100, -99, 99, 100)
+                     for m in (5, 9.999999999999999)}
+                  | {2.2250738585072014e-308, 5e-324, _MAX, 0.0})
+_FINITE_BITS = int(np.float64(_MAX).view(np.int64))
+
+
+@st.composite
+def _edge_doubles(draw):
+    kind = draw(st.sampled_from(["anchor", "subnormal", "range", "bits"]))
+    if kind == "anchor":
+        bits = int(np.float64(draw(st.sampled_from(_ANCHORS)))
+                   .view(np.int64)) + draw(st.integers(-3, 3))
+        bits = min(max(bits, 0), _FINITE_BITS)
+    elif kind == "subnormal":
+        bits = draw(st.integers(1, 2**52 - 1))
+    elif kind == "range":
+        lo, hi = draw(st.sampled_from([(1e-101, 1e-98), (1e98, 1e101),
+                                       (1e-281, 1e-279), (1e299, 1e301)]))
+        return draw(st.floats(lo, hi)) * draw(st.sampled_from([1.0, -1.0]))
+    else:
+        bits = draw(st.integers(0, _FINITE_BITS))
+    x = float(np.int64(bits).view(np.float64))
+    return x if draw(st.booleans()) else -x
+
+
+@pytest.mark.filterwarnings("error")
+@given(values=st.lists(_edge_doubles(), min_size=1, max_size=40))
+def test_write_csv_matches_percent_format_at_the_edges(tmp_path_factory,
+                                                       values):
+    tmp = tmp_path_factory.mktemp("edge")
+    assert _written(tmp, values) == [serialize.fmt17(v) for v in values]
+
+
+@st.composite
+def _ties(draw):
+    """Doubles on or next to a rounding tie of the 17th digit, built from
+    18-digit decimal strings ending in 5.
+
+    An exact tie is odd m / 2^j whose decimal m * 5^j has 18 digits;
+    otherwise the string's digits and exponent are drawn and it parses to
+    the double nearest the tie.
+    """
+    if draw(st.booleans()):
+        j = draw(st.integers(3, 25))
+        lo = -(-10**17 // 5**j) // 2
+        hi = min((10**18 - 1) // 5**j, 2**53 - 1) // 2 - 1
+        digits = str((2 * draw(st.integers(lo, hi)) + 1) * 5**j)
+        exponent = len(digits) - 1 - j
+        text = f"{digits[0]}.{digits[1:]}e{exponent}"
+        assert Fraction(float(text)) == Fraction(text)
+    else:
+        digits = str(draw(st.integers(10**16, 10**17 - 1))) + "5"
+        text = f"{digits[0]}.{digits[1:]}e{draw(st.integers(-300, 300))}"
+    return float(text) * draw(st.sampled_from([1.0, -1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+@given(values=st.lists(_ties(), min_size=1, max_size=40))
+def test_write_csv_rounds_ties_like_percent_format(tmp_path_factory, values):
+    tmp = tmp_path_factory.mktemp("tie")
+    assert _written(tmp, values) == [serialize.fmt17(v) for v in values]
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_ties_take_the_percent_fallback(tmp_path, caplog):
+    """2^-25 = 2.98023223876953125e-08 has 18 digits ending in 5: it lies
+    exactly on a tie of the 17th, which %-formatting rounds to even, and so
+    do the others below.  The numpy path hands each of them to %, as it
+    does values outside [1e-280, 1e300].  Logged with the file: rows,
+    columns and the values formatted by %; the bytes do not depend on the
+    logging level."""
+    ties = [2.0**-25, -3 * 2.0**-25, 5 * 2.0**-24, 13 * 2.0**-24]
+    tiny_huge = [1e-300, -5e-324, 1e301, -_MAX]
+    col = np.array(ties + tiny_huge + [0.0, -0.0, 0.1])
+    serialize.write_csv(tmp_path / "quiet.csv", "x,y", [col, col[::-1]])
+    with caplog.at_level(logging.DEBUG, logger="gravclock.serialize"):
+        serialize.write_csv(tmp_path / "t.csv", "x,y", [col, col[::-1]])
+    records = [r for r in caplog.records if r.name == "gravclock.serialize"]
+    assert len(records) == 1
+    assert records[0].args == ("t.csv", len(col), 2, 2 * (len(ties) + 4))
+    assert (tmp_path / "t.csv").read_bytes() == \
+        (tmp_path / "quiet.csv").read_bytes()
+    lines = (tmp_path / "t.csv").read_text().splitlines()
+    assert lines[1].split(",")[0] == "2.9802322387695312e-08"
+    assert lines[1:] == [f"{serialize.fmt17(a)},{serialize.fmt17(b)}"
+                         for a, b in zip(col, col[::-1])]
+
+
+@pytest.mark.filterwarnings("error")
+def test_write_csv_carries_into_the_next_power_of_ten(tmp_path):
+    """The doubles nearest these powers of ten lie just below them, close
+    enough that 17 digits round up to 10^e: the mantissa reaches 10^17 and
+    carries into the exponent."""
+    exponents = [-305, -176, -79, -14, 98, 220]
+    values = [float(f"1e{e}") for e in exponents]
+    assert all(Fraction(v) < Fraction(10) ** e
+               for v, e in zip(values, exponents))
+    assert _written(tmp_path, values) == \
+        [f"1.0000000000000000e{e:+03d}" for e in exponents]
+
+
+def test_power_table_holds_the_exact_powers_of_ten():
+    """Each row: the double nearest 10^e, the double nearest what it
+    misses, and the first split in two 26-bit halves."""
+    table = serialize._pow10_table()
+    assert table.shape == (4, 2 * serialize._E + 1)
+    for e, (hi, lo, hi_hi, hi_lo) in zip(range(-serialize._E,
+                                               serialize._E + 1),
+                                         table.T.tolist()):
+        exact = Fraction(10) ** e
+        assert hi == float(exact)
+        assert lo == float(exact - Fraction(hi))
+        assert hi_hi + hi_lo == hi
+        assert math.frexp(hi_hi)[0] * 2**26 == int(math.frexp(hi_hi)[0]
+                                                    * 2**26)
