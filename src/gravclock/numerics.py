@@ -341,9 +341,10 @@ def _comb_sums(j: np.ndarray, d: np.ndarray, n: int, *,
     return s, t
 
 
-def _split(x: float) -> tuple[float, float]:
-    """x as hi + lo with hi in 26 bits (Dekker): hi * k is exact for any
-    integer |k| < 2^26."""
+def _split(x):
+    """x (a float or an array) as hi + lo with hi in 26 bits (Dekker): hi * k
+    is exact for any integer |k| < 2^26, and so is the product of two hi or
+    lo parts, which makes Dekker's product of two doubles exact."""
     scaled = 134217729.0 * x
     hi = scaled - (scaled - x)
     return hi, x - hi

@@ -10,8 +10,8 @@ decimal exponent, from Dekker's exact product with a double-double table of
 powers of ten; k starts as floor(log10|x|), is re-estimated where the
 mantissa leaves [1e16, 1e17), and a mantissa rounded up to 10^17 carries
 into it.  Sign, digits, point, exponent and separator fill a 32-byte record
-(eight digits to a word, through a multiply-and-shift split) whose unused
-bytes are NUL; deleting the NULs leaves the text.  ``%`` itself formats
+of four words, looked up in small tables (digits four at a time), whose
+unused bytes are NUL; deleting the NULs leaves the text.  ``%`` itself formats
 what the fast path cannot decide or reach: a product within 1e-6 of a
 rounding tie, where round-half-even needs the exact value, and |x| outside
 [1e-280, 1e300], where the table or the split would leave the doubles.
@@ -26,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import _split
+
 
 class NonFiniteError(ValueError):
     """A value to be written is NaN or infinite; names the field."""
@@ -37,7 +39,7 @@ _E = 300                 # power and exponent tables span 10^-_E .. 10^_E
 # and Dekker's split overflows above ~1.3e300.
 _TINY, _HUGE = 1e-280, 1e300
 _TIE = 1e-6              # a product this close to a rounding tie goes to %
-_CHUNK = 8192            # values per pass: the temporaries stay in cache
+_CHUNK = 8192            # values per block: the temporaries stay in cache
 
 _log = logging.getLogger(__name__)
 
@@ -78,14 +80,6 @@ def _render(value, depth: int, path: str) -> str:
 
 def dump_json(path, obj: dict) -> None:
     Path(path).write_text(_render(obj, 0, "") + "\n")
-
-
-def _split(x):
-    """x as hi + lo, hi holding 26 bits (Dekker): products of two hi or lo
-    parts are exact."""
-    s = 134217729.0 * x
-    hi = s - (s - x)
-    return hi, x - hi
 
 
 @cache
