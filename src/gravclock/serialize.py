@@ -209,13 +209,12 @@ def write_csv(path, header: str, columns) -> None:
         raise ValueError("columns must be 1-D")
     if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("columns differ in length")
+    for name, c in zip(names, cols):
+        bad = np.flatnonzero(~np.isfinite(c))
+        if len(bad):
+            raise NonFiniteError(f"{path.name} column {name} row "
+                                 f"{bad[0]}: non-finite value {c[bad[0]]}")
     table = np.column_stack(cols)
-    bad = ~np.isfinite(table)
-    if bad.any():
-        col = int(np.argmax(bad.any(axis=0)))
-        row = int(np.argmax(bad[:, col]))
-        raise NonFiniteError(f"{path.name} column {names[col]} row "
-                             f"{row}: non-finite value {table[row, col]}")
     n_rows, n_cols = table.shape
     seps = np.full(n_cols, ord(",") << 56)
     seps[-1] = ord("\n") << 56
