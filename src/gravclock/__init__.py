@@ -11,7 +11,7 @@ from .analytic import (KhandelwalParams, RateResult, SpectrumResult,
 from .experiments import (LineCase, SweepSpec, figure1_default_panels,
                           figure1_sweep, figure2_default_cases, figure2_lines,
                           optimal_state_scan, term_magnitude_report)
-from .model import (ATOMIC_MASS, C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
+from .model import (C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, MixtureSpec, PhysicalParams,
                     SuperpositionSpec, density_mix, density_sup,
@@ -24,7 +24,7 @@ from .numerics import (AccuracyError, IntegrationError, ModeGrid, OracleRun,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ATOMIC_MASS", "C_LIGHT", "EPS0", "HBAR", "STANDARD_GRAVITY",
+    "C_LIGHT", "EPS0", "HBAR", "STANDARD_GRAVITY",
     "AccuracyError", "ConfigurationError", "DimensionlessScales",
     "HeightDensity", "HorizonError", "IntegrationError", "KhandelwalParams",
     "LineCase", "MixtureSpec", "ModeGrid", "OracleRun", "PhysicalParams",

@@ -19,7 +19,7 @@ from scipy.special import voigt_profile
 
 from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
-                    HorizonError, MixtureSpec, SuperpositionSpec,
+                    HorizonError, SuperpositionSpec,
                     _SUPPORT_PANELS, _require_finite, _require_positive,
                     _support_breaks, _support_integrals)
 from .numerics import (AccuracyError, block_rows, gauss_moment,
@@ -50,16 +50,6 @@ class RateResult:
                 "gammaQ_inv": self.gammaQ_inv, "method": self.method}
 
 
-def _check_matched(sup: SuperpositionSpec, mixture: MixtureSpec | None) -> None:
-    if mixture is None:
-        return
-    if (mixture.z1, mixture.z2, mixture.delta, mixture.theta) != \
-            (sup.z1, sup.z2, sup.delta, sup.theta):
-        raise ConfigurationError(
-            "mixture does not share the superposition's packets and weights; "
-            "the rate difference is only defined for matched states")
-
-
 def gammaq_closed_grid(theta, phi, dz, delta_zeta):
     """Closed-form rate excess, vectorized; heights in zeta units.
 
@@ -81,7 +71,6 @@ def gammaq_closed_grid(theta, phi, dz, delta_zeta):
 
 
 def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
-                       mixture: MixtureSpec | None = None,
                        method: str = "closed-form") -> float:
     """Rate excess of the coherent state over its matched mixture.
 
@@ -91,7 +80,6 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     pointwise subtraction of the two densities cancels catastrophically at
     the precision this is compared to.
     """
-    _check_matched(sup, mixture)
     width = float(scales.zeta(sup.delta))
     if method == "closed-form":
         dz = float(scales.zeta(sup.z2 - sup.z1))
@@ -113,7 +101,6 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
 
 
 def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
-                mixture: MixtureSpec | None = None,
                 method: str = "closed-form") -> RateResult:
     """Both states' rates plus their difference.
 
@@ -121,7 +108,6 @@ def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     not through subtracting the two rates -- at Earth gravity the difference
     sits ~18 digits below the rates themselves.
     """
-    _check_matched(sup, mixture)
     dens_sup = HeightDensity.superposition(sup, scales)
     dens_mix = HeightDensity.mixture(sup.mixture(), scales)
     if method == "closed-form":

@@ -19,20 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, experiments, numerics, serialize
-from .model import (ATOMIC_MASS, C_LIGHT, STANDARD_GRAVITY,
-                    ConfigurationError, HeightDensity, HorizonError,
-                    MixtureSpec, PhysicalParams, SuperpositionSpec)
+from .model import (C_LIGHT, STANDARD_GRAVITY, ConfigurationError,
+                    HeightDensity, HorizonError, MixtureSpec, PhysicalParams,
+                    SuperpositionSpec)
 
-_PRESET_R = 1.5e17
-# 267.4 nm intercombination line of the aluminium ion; the decay rate follows
-# from the pinned ratio r = Omega/Gamma0 = 1.5e17.
-_PRESET_OMEGA = 7.045e15
-
-PRESETS = {
-    "earth-aluminium": dict(g=STANDARD_GRAVITY, c=C_LIGHT,
-                            omega=_PRESET_OMEGA,
-                            gamma0=_PRESET_OMEGA / _PRESET_R),
-}
+# The default parameters, used where a config has no ``params``: Earth's
+# gravity and the 267.4 nm intercombination line of the aluminium ion, whose
+# decay rate follows from the pinned ratio r = Omega/Gamma0 = 1.5e17.
+_EARTH_R = 1.5e17
+_EARTH_OMEGA = 7.045e15
+_EARTH_PARAMS = dict(g=STANDARD_GRAVITY, c=C_LIGHT, omega=_EARTH_OMEGA,
+                     gamma0=_EARTH_OMEGA / _EARTH_R)
 
 _DEFAULT_STATE = {"zeta1": 0.0, "zeta2": 0.02, "delta_zeta": 0.01,
                   "theta_rad": math.pi / 8, "phi_rad": 0.0,
@@ -92,9 +89,8 @@ _POSITIVE = dict(lo=0.0, lo_open=True)
 
 # Every config key and its default.  Top-level entries are keys; nested
 # dicts are sections.  ``params`` and ``state`` have no defaults section of
-# their own (a preset and _DEFAULT_STATE stand in); their tables follow.
+# their own (_EARTH_PARAMS and _DEFAULT_STATE stand in); their tables follow.
 CONFIG_SCHEMA = {
-    "preset": _Key("earth-aluminium", options=tuple(PRESETS)),
     "out": _Key("."),
     "rate": {
         "method": _Key("closed-form", options=("closed-form", "quadrature")),
@@ -146,8 +142,7 @@ CONFIG_SCHEMA = {
 
 # The config key of each PhysicalParams field.
 _PARAM_FIELDS = {"g": "g", "c": "c", "omega": "omega_rad_s",
-                 "gamma0": "gamma0_s", "dipole": "dipole_Cm",
-                 "mass": "mass_kg"}
+                 "gamma0": "gamma0_s", "dipole": "dipole_Cm"}
 _FIELD_NAME = re.compile(r"\b(?:%s)\b" % "|".join(_PARAM_FIELDS))
 
 _PARAMS = {
@@ -157,7 +152,6 @@ _PARAMS = {
     # exactly one of these two; the other is derived
     "gamma0_s": _Key(None, **_POSITIVE),
     "dipole_Cm": _Key(None, **_POSITIVE),
-    "mass_kg": _Key(ATOMIC_MASS, **_POSITIVE),
 }
 
 _THETA = dict(lo=0.0, hi=math.pi / 2)
@@ -296,7 +290,8 @@ class _Env:
 
     def __init__(self, cfg: dict, args: argparse.Namespace):
         self.cfg = cfg
-        self.params = self._resolve_params(cfg, args)
+        self.params = (_physical_params(cfg["params"]) if "params" in cfg
+                       else PhysicalParams(**_EARTH_PARAMS))
         self.scales = self.params.scales()
         sec = cfg["state"]
         packet = _packet(sec)
@@ -304,8 +299,8 @@ class _Env:
             packet = [float(self.scales.height_m(x)) for x in packet]
         self.spec = _state_spec(sec, packet)
         # The horizon rule lives in HeightDensity.  Building the density
-        # here, once params or the preset have set the scales, applies it to
-        # both state forms on every command.
+        # here, once the params have set the scales, applies it to both
+        # state forms on every command.
         build = (HeightDensity.superposition
                  if isinstance(self.spec, SuperpositionSpec)
                  else HeightDensity.mixture)
@@ -314,16 +309,6 @@ class _Env:
         except HorizonError as exc:
             _bad("state", str(exc))
         self.out = self._resolve_out(cfg, args)
-
-    @staticmethod
-    def _resolve_params(cfg: dict, args) -> PhysicalParams:
-        if "params" in cfg:
-            if args.preset is not None:
-                raise ConfigurationError(
-                    "params: mutually exclusive with --preset")
-            return _physical_params(cfg["params"])
-        name = args.preset or cfg["preset"]
-        return PhysicalParams(**PRESETS[name])
 
     @staticmethod
     def _resolve_out(cfg: dict, args) -> Path:
@@ -487,8 +472,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="JSON config file")
     common.add_argument("--out", metavar="DIR",
                         help="output directory (must exist; default '.')")
-    common.add_argument("--preset", choices=tuple(PRESETS),
-                        help="named physical-parameter preset")
     parser = argparse.ArgumentParser(
         prog="gravclock",
         description="Spontaneous emission of two-packet clock states in "

@@ -22,12 +22,11 @@ import numpy as np
 
 ROOT_PI = math.sqrt(math.pi)
 
-# CODATA values; mass default is one unified atomic mass unit.
+# CODATA values.
 HBAR = 1.054571817e-34          # J s
 EPS0 = 8.8541878128e-12         # F / m
 C_LIGHT = 299792458.0           # m / s
 STANDARD_GRAVITY = 9.80665      # m / s^2
-ATOMIC_MASS = 1.66053906892e-27  # kg
 
 # Interference terms below this leave no usable norm in the state.
 _NORM_FLOOR = 1e-12
@@ -85,8 +84,7 @@ class PhysicalParams:
     """Dimensionful constants and atom parameters.
 
     Exactly one of ``gamma0`` / ``dipole`` must be supplied; the other is
-    derived.  ``mass`` only matters for the wave-packet coherence-time
-    estimates (it contributes global phases everywhere else).
+    derived.
     """
 
     g: float
@@ -94,12 +92,11 @@ class PhysicalParams:
     omega: float
     gamma0: float | None = None
     dipole: float | None = None
-    mass: float = ATOMIC_MASS
     hbar: float = HBAR
     eps0: float = EPS0
 
     def __post_init__(self) -> None:
-        for name in ("g", "c", "omega", "mass", "hbar", "eps0"):
+        for name in ("g", "c", "omega", "hbar", "eps0"):
             _require_positive(name, getattr(self, name))
         if self.gamma0 is None and self.dipole is None:
             raise ConfigurationError("one of gamma0 or dipole is required")

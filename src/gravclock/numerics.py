@@ -4,9 +4,9 @@ The oracle solves the one-excitation amplitude equations on a finite comb of
 field modes exactly, with no pole approximation: their generator is a real
 symmetric arrowhead matrix whose eigenvalues solve a secular equation with a
 closed-form sum on the uniform comb.  Inside each gap between modes that
-equation is a fixed point d = arccot(y(d))/pi with a smooth y, so a few
-vectorized Newton passes find all the roots; bisection keeps the two roots
-outside the comb and any root Newton leaves unsettled.  The trajectory and
+equation is a fixed point d = arccot(y(d))/pi with a smooth y, and beyond
+each end of the comb the fixed point d = 1/(pi*y), so a few vectorized,
+bracketed Newton passes find all the roots.  The trajectory and
 the final mode amplitudes are sums over all eigenvalues; FFTs evaluate both
 in O(n log n) (a chirp-z transform and far-field Cauchy sums).  The
 closed-form exponential decay law is checked against that solution rather
@@ -197,12 +197,11 @@ def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
 _MAX_DNU = 0.05          # coarsest spacing that still resolves the line
 _MIN_MARGIN_LW = 25.0    # window margin around the shifted line, in linewidths
 _MAX_DEFECT = 1e-6       # largest sum-rule or unitarity defect of a run
-# Newton passes before a gap root falls back to bisection; default combs
-# settle in four.
-_MAX_NEWTON = 8
-# Bisection passes for the outer roots and the fallback; brackets reach
-# adjacent floats within ~64.
-_MAX_BISECTIONS = 200
+# Passes of the root solver before it gives up.  Default combs settle in
+# four, far stronger or weaker couplings in ~16; bisection alone would
+# close a bracket 2^20 gaps wide to adjacent floats around any |d| >= 2^-60
+# within 20 + 60 + 52 passes.
+_MAX_PASSES = 200
 _NEAR = 16               # gaps on each side of a mode summed directly
 # The far-field and Taylor series stop where a term falls below this share
 # of the leading one: an eighth of the unit roundoff.
@@ -315,9 +314,8 @@ def _coupling_line(coupling: str, grid: ModeGrid, u: float, gam: float,
     raise ConfigurationError(f"coupling must be flat|tilted, got {coupling!r}")
 
 
-def _comb_sums(j: np.ndarray, d: np.ndarray, n: int, *,
-               squares: bool = False):
-    """S = sum_m 1/(x-m) (and T = sum_m 1/(x-m)^2) over the comb m < n.
+def _comb_sums(j: np.ndarray, d: np.ndarray, n: int):
+    """S = sum_m 1/(x-m) and T = sum_m 1/(x-m)^2 over the comb m < n.
 
     A point is x = j + d: inside the gap (j, j+1) when 0 < d < 1, below the
     comb when j = 0 and d < 0, above it when j = n-1 and d > 0.  The sums
@@ -334,8 +332,6 @@ def _comb_sums(j: np.ndarray, d: np.ndarray, n: int, *,
     # cot and 1/sin^2 have period 1; d - 1 is exact for d in (1/2, 1)
     e = np.pi * np.where(edge, 0.5, np.where(d > 0.5, d - 1.0, d))
     s = np.where(edge, np.where(above, -psi, psi), psi + np.pi / np.tan(e))
-    if not squares:
-        return s
     tri_a, tri_b = polygamma(1, a), polygamma(1, b)
     t = np.where(edge, tri_a - tri_b, (np.pi / np.sin(e)) ** 2 - tri_a - tri_b)
     return s, t
@@ -357,62 +353,97 @@ def _trigamma_estimate(x: np.ndarray) -> np.ndarray:
     return 1.0 / (x * x) + inv * (1.0 - inv * inv / 12.0)
 
 
-def _newton_gap_roots(j, d, lo, hi, n, lam0, dnu, p, q):
-    """Newton passes for the gap roots 1..n-1 of ``_comb_eigen``, in place.
+def _newton_roots(j, d, lo, hi, n, lam0, dnu, p, q):
+    """Newton passes for all n+1 roots of ``_comb_eigen``, in place.
 
-    In gap j the secular equation reads pi*cot(pi*d) = R - sigma with
-    R = dnu*(lam + n*q)/(p + q*lam) and sigma = psi(j+d+1) - psi(n-j-d),
-    both smooth in the gap, so each root is the fixed point of
-    d = arccot(y)/pi, y = (R - sigma)/pi.  Newton runs on
-    F(d) = d - arccot(y(d))/pi, whose sign says on which side of d the
-    root lies; that keeps a [lo, hi] bracket, and a step leaving it is
-    replaced by bisection.  sigma' comes from ``_trigamma_estimate``: the
-    step needs it only roughly.  A root settles once its step falls to
-    the rounding floor or stops shrinking; its last update is one Newton
-    step on the secular equation itself, whose rounding matches bisection.
-    Returns the passes made and the indices of the roots left unsettled
-    after _MAX_NEWTON passes.
+    With g = p + q*lam and R = dnu*(lam + n*q)/g the secular equation reads
+    P(d) = R - sigma: P is the pole term of S next to the root, sigma the
+    smooth rest.  In gap j, P = pi*cot(pi*d) and sigma = psi(j+d+1) -
+    psi(n-j-d); Newton runs on the fixed point F(d) = d - arccot(y)/pi,
+    y = (R - sigma)/pi.  Beyond the comb, P = 1/d and sigma = +-(psi(1+|d|)
+    - psi(n+|d|)), + below; Newton runs on the fixed point d = 1/(pi*y)
+    times pi*y*g, smooth where 1/(pi*y) is steep (a bound state far from
+    the comb) or g passes 0.  Either function's sign says on which side of
+    d the root lies; that keeps a [lo, hi] bracket, and a step leaving it
+    bisects instead.  sigma' comes from ``_trigamma_estimate``: the step
+    needs it only roughly.  A root settles once its step reaches the
+    rounding floor, with one last Newton step on the secular equation
+    itself, whose rounding matches bisection, or once its bracket closes to
+    adjacent floats, at their midpoint.  Returns the passes made; raises
+    IntegrationError past _MAX_PASSES.
     """
     # lam = lam0 + dnu*(j + d) cancels near the line; with dnu split,
     # lam0 + dnu_hi*j is one rounding of nearly equal terms and keeps lam
     # to full relative precision.
     dnu_hi, dnu_lo = _split(dnu)
-    slope = dnu * dnu * (p - n * q * q)  # dR/dd times (p + q*lam)^2
-    live = np.arange(1, n)
-    prev = np.full(n - 1, np.nan)        # last Newton step of each live root
+    slope = dnu * dnu * (p - n * q * q)  # dR/dd times g^2
+    live = np.arange(n + 1)
     passes = 0
-    while live.size and passes < _MAX_NEWTON:
+    while live.size:
+        if passes == _MAX_PASSES:
+            raise IntegrationError(
+                f"{live.size} comb eigenvalues unsettled after {_MAX_PASSES} "
+                "passes")
         passes += 1
         jl, dl = j[live], d[live]
         a = (jl + 1.0) + dl
         b = (n - jl) - dl
+        # positions of the live outer roots, and whether each lies above
+        # the comb; their sigma takes psi at 1 + |d| and n + |d|
+        ends = [(k, up) for k, up in ((0, False), (live.size - 1, True))
+                if live[k] == (n if up else 0)]
+        for k, up in ends:
+            (b if up else a)[k] = 1.0 + abs(dl[k])
         lam = (lam0 + dnu_hi * jl) + (dnu_lo * jl + dnu * dl)
         g = p + q * lam
-        y = (dnu * (lam + n * q) / g - (digamma(a) - digamma(b))) / np.pi
-        dy = (slope / (g * g) - _trigamma_estimate(a)
-              - _trigamma_estimate(b)) / np.pi
+        sigma = digamma(a) - digamma(b)
+        y = (dnu * (lam + n * q) / g - sigma) / np.pi
+        tri_a, tri_b = _trigamma_estimate(a), _trigamma_estimate(b)
+        dy = (slope / (g * g) - tri_a - tri_b) / np.pi
         f = dl - np.arctan2(1.0, y) / np.pi
         step = f / (1.0 + dy / (np.pi * (1.0 + y * y)))
-        below = f < 0.0                  # the root lies above dl
+        rise = f < 0.0                   # the root lies above dl
+        for k, up in ends:
+            # d*den - g, den = pi*y*g: -d times the secular function
+            # (times dnu), with no division by g
+            dk, gk, sk = dl[k], g[k], sigma[k]
+            ds = (tri_a[k] - tri_b[k]) if up else (tri_b[k] - tri_a[k])
+            den = dnu * (lam[k] + n * q) - gk * sk
+            fk = dk * den - gk
+            dfk = den + dk * (dnu * dnu - q * dnu * sk - gk * ds) - q * dnu
+            step[k] = fk / dfk if dfk else math.inf
+            rise[k] = (fk > 0.0) != up
         lo_l, hi_l = lo[live], hi[live]
-        lo_l[below] = dl[below]
-        hi_l[~below] = dl[~below]
+        lo_l[rise] = dl[rise]
+        hi_l[~rise] = dl[~rise]
         lo[live], hi[live] = lo_l, hi_l
         new = dl - step
-        out = (new < lo_l) | (new > hi_l)
-        new[out] = 0.5 * (lo_l[out] + hi_l[out])
-        size = np.abs(step)
-        settled = ~out & ((size <= 4.0 * _EPS * dl) | (size >= prev))
+        # Only the rounding floor settles a root: a step may grow on the way
+        # in.  A step that lands on or past the bracket's ends bisects it
+        # instead, which also breaks cycles between neighbours a few ulps
+        # apart.
+        settled = np.abs(step) <= 4.0 * _EPS * np.abs(dl)
+        out = ~(settled | ((lo_l < new) & (new < hi_l)))
         # d = 0 or 1 has no secular step; _comb_eigen refuses it
-        fin = np.flatnonzero(settled & (dl > 0.0) & (dl < 1.0))
+        gap = settled & (dl > 0.0) & (dl < 1.0)
+        near = [k for k, _ in ends if settled[k]]
+        gap[near] = False
+        fin = np.flatnonzero(gap)
         df = dl[fin]
         cot = 1.0 / np.tan(np.pi * (df - (df > 0.5)))
         new[fin] = df + (cot - y[fin]) / (np.pi * (1.0 + cot * cot) + dy[fin])
+        if near:
+            s, t = _comb_sums(jl[near], dl[near], n)
+            gn, ln = g[near], lam[near]
+            new[near] = dl[near] - ((gn * s / dnu - n * q - ln)
+                                    / (q * s - gn * t / dnu - dnu))
+        bis = np.flatnonzero(out)
+        mid = 0.5 * (lo_l[bis] + hi_l[bis])
+        new[bis] = mid
+        settled[bis] = (mid == lo_l[bis]) | (mid == hi_l[bis])
         d[live] = new
-        size[out] = np.nan
-        prev = size[~settled]
         live = live[~settled]
-    return passes, live
+    return passes
 
 
 def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
@@ -420,66 +451,37 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
 
     Its n+1 eigenvalues solve lam = sum_j g_j^2/(lam - D_j): one in each gap
     between modes and one beyond each end.  With g_j^2 = p + q*D_j the sum is
-    (p + q*lam)*S/dnu - n*q.  The gap roots come from vectorized Newton
-    passes on the arccot fixed point of each gap (``_newton_gap_roots``);
-    bisection finds the two outer roots and any gap root Newton has not
-    settled within _MAX_NEWTON passes.  Returns the roots as gap index j and
-    offset d (lam = D_0 + dnu*(j + d)), the eigenvalues, the atomic weights
-    w = 1/(1 + sum_j g_j^2/(lam - D_j)^2), which sum to one, the Newton
-    passes made and the number of gap roots that fell back to bisection.
+    (p + q*lam)*S/dnu - n*q.  Vectorized Newton passes find all of them
+    (``_newton_roots``), each inside a bracket: a gap root in its gap,
+    starting at its middle, and an outer root between its end mode, where
+    it starts, and Weyl's bound.  The coupling [[0, g^T], [g, 0]] has norm
+    |g| = sqrt(n*p + q*sum_j D_j), so the lowest eigenvalue lies in
+    [min(0, D_0) - |g|, D_0] and the highest in [D_{n-1}, max(0, D_{n-1})
+    + |g|].  Returns the roots as gap index j and offset d (lam = D_0 +
+    dnu*(j + d)), the eigenvalues, the atomic weights w = 1/(1 + sum_j
+    g_j^2/(lam - D_j)^2), which sum to one, and the passes made.
 
     Raises IntegrationError when a root is left unsettled or lies within
     rounding of a mode (d = 0 or 1), where the gap-offset form breaks down.
     """
     n, dnu = grid.n_modes, grid.dnu
     lam0 = grid.nu_min - u
-    dnu_hi, dnu_lo = _split(dnu)
-
-    def secular(j, d):
-        # lam formed as in _newton_gap_roots, without the cancellation
-        lam = (lam0 + dnu_hi * j) + (dnu_lo * j + dnu * d)
-        return (p + q * lam) * _comb_sums(j, d, n) / dnu - n * q - lam
-
-    # The secular function falls from +inf to -inf across every gap and
-    # beyond each end; bracket the two outer roots by doubling.
-    ends = np.array([0.0, n - 1.0])
-    for doublings in range(64):
-        reach = 2.0**doublings
-        f = secular(ends, np.array([-reach, reach]))
-        if f[0] > 0.0 and f[1] < 0.0:
-            break
-    else:
-        raise IntegrationError("cannot bracket the comb's outer eigenvalues")
+    top = lam0 + (n - 1) * dnu
+    norm = math.sqrt(n * (p + q * 0.5 * (lam0 + top)))
     j = np.arange(-1.0, n).clip(0.0, n - 1.0)
-    d = np.full(n + 1, 0.5)
-    lo, hi = np.zeros(n + 1), np.ones(n + 1)
-    lo[0], hi[0], hi[-1] = -reach, 0.0, reach
-    passes, left = _newton_gap_roots(j, d, lo, hi, n, lam0, dnu, p, q)
-    rest = np.r_[0, left, n]
-    j_r, lo_r, hi_r = j[rest], lo[rest], hi[rest]
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (lo_r + hi_r)
-        if np.all((mid == lo_r) | (mid == hi_r)):
-            break
-        up = secular(j_r, mid) > 0.0
-        lo_r = np.where(up, mid, lo_r)
-        hi_r = np.where(up, hi_r, mid)
-    else:
-        mid = 0.5 * (lo_r + hi_r)
-        open_ = int(np.count_nonzero((mid != lo_r) & (mid != hi_r)))
-        raise IntegrationError(
-            f"{open_} comb eigenvalues unsettled after {_MAX_BISECTIONS} "
-            "bisection passes")
-    d[rest] = 0.5 * (lo_r + hi_r)
+    d = np.r_[0.0, np.full(n - 1, 0.5), 0.0]
+    lo = np.r_[(min(0.0, lam0) - norm - lam0) / dnu, np.zeros(n)]
+    hi = np.r_[0.0, np.ones(n - 1), (max(0.0, top) + norm - top) / dnu]
+    passes = _newton_roots(j, d, lo, hi, n, lam0, dnu, p, q)
     gap = d[1:-1]
     if not np.all((gap > 0.0) & (gap < 1.0)):
         raise IntegrationError(
             "coupling too weak for the gap-offset form: a comb eigenvalue "
             "lies within rounding of a mode")
     lam = lam0 + dnu * (j + d)
-    s, t = _comb_sums(j, d, n, squares=True)
+    s, t = _comb_sums(j, d, n)
     w = 1.0 / (1.0 + (p + q * lam) * t / dnu**2 - q * s / dnu)
-    return j, d, lam, w, passes, len(left)
+    return j, d, lam, w, passes
 
 
 def _fft_len(n: int) -> int:
@@ -641,8 +643,7 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     ~1e-14.  The run aborts if the sum rule sum_k w_k = 1 or unitarity
     |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.  Each
     coupled run logs one DEBUG record to the ``gravclock.numerics`` logger:
-    the modes, the Newton passes of the root solve and the gap roots that
-    fell back to bisection.
+    the modes and the passes of the root solve.
     """
     if zeta <= -1.0:
         raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
@@ -668,9 +669,9 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
         defect = 0.0
     else:
         p, q = coupling_scale**2 * p, coupling_scale**2 * q
-        _, d, lam, w, passes, fallback = _comb_eigen(grid, u, p, q)
-        _log.debug("mode comb: %d modes, %d Newton passes, %d gap roots "
-                   "bisected", grid.n_modes, passes, fallback)
+        _, d, lam, w, passes = _comb_eigen(grid, u, p, q)
+        _log.debug("mode comb: %d modes, %d Newton passes", grid.n_modes,
+                   passes)
         alpha = _alpha_trajectory(d, lam, w, t_arr, grid.nu_min - u,
                                   grid.dnu)
         a_arr = alpha.real**2 + alpha.imag**2

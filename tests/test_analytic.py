@@ -130,11 +130,6 @@ def test_quantum_correction_rejections():
     spec = make_spec()
     with pytest.raises(gc.ConfigurationError, match="method"):
         gc.quantum_correction(spec, UNIT_SCALES, method="magic")
-    other = make_spec(z2=0.03).mixture()
-    with pytest.raises(gc.ConfigurationError):
-        gc.quantum_correction(spec, UNIT_SCALES, mixture=other)
-    # the matched mixture is accepted
-    gc.quantum_correction(spec, UNIT_SCALES, mixture=spec.mixture())
 
 
 def test_decay_rates_consistency():
@@ -329,12 +324,12 @@ def test_spectrum_quadrature_holds_the_earth_scale_line():
     """The CLI default state at r = 1.5e17: the Lorentzian is ~3e-18 wide in
     zeta, below the float spacing of zeta, yet the panels in detuning
     coordinates resolve it."""
-    from gravclock.cli import _PRESET_R, _line_window
+    from gravclock.cli import _EARTH_R, _line_window
     dens = gc.HeightDensity.superposition_zeta(0.0, 0.02, 0.01, math.pi / 8,
                                                0.0)
-    nu = np.linspace(*_line_window(dens, _PRESET_R), 4001)
-    q = gc.spectrum(dens, nu, _PRESET_R, method="quadrature")
-    v = gc.spectrum(dens, nu, _PRESET_R, method="voigt")
+    nu = np.linspace(*_line_window(dens, _EARTH_R), 4001)
+    q = gc.spectrum(dens, nu, _EARTH_R, method="quadrature")
+    v = gc.spectrum(dens, nu, _EARTH_R, method="voigt")
     assert q.total_mass >= 0.999
     assert np.max(np.abs(q.p_values - v.p_values)) <= 1e-9 * v.p_values.max()
 

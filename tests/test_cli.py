@@ -119,6 +119,8 @@ BAD_CONFIGS = [
     ({"params": {"gamma0_s": 1.0}}, "params.omega_rad_s"),
     ({"params": {"omega_rad_s": 1e15, "gamma0_s": 1.0, "g": True}},
      "params.g"),
+    ({"params": {"omega_rad_s": 1e15, "gamma0_s": 1.0, "mass_kg": 5.0}},
+     "params.mass_kg: unknown config key"),
     ({"state": {**METER_STATE, "z3_m": 1.0}}, "state.z3_m"),
     ({"state": {k: v for k, v in METER_STATE.items() if k != "delta_m"}},
      "state.delta_m"),
@@ -212,8 +214,8 @@ def test_state_reaching_the_horizon_exits_2_on_every_command(
 
 
 def test_meter_state_horizon_check_follows_the_params(tmp_path, capsys):
-    """The same meter heights sit at zeta ~ -1e-16 under the preset and at
-    zeta = -0.9 with g = c = 1."""
+    """The same meter heights sit at zeta ~ -1e-16 under the default
+    (Earth) parameters and at zeta = -0.9 with g = c = 1."""
     meter = {"z1_m": -0.9, "z2_m": 0.0, "delta_m": 0.01,
              "theta_rad": math.pi / 8, "phi_rad": 0.0}
     cfg = write_cfg(tmp_path, {"state": meter})
@@ -249,15 +251,6 @@ def test_missing_output_directory(tmp_path, capsys):
     assert "out: output directory" in err
 
 
-def test_params_and_preset_flag_conflict(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"params": UNIT_PARAMS})
-    code, _, err = run(capsys, ["rate", "--config", cfg,
-                                "--preset", "earth-aluminium",
-                                "--out", str(tmp_path)])
-    assert code == 2
-    assert "mutually exclusive" in err
-
-
 def test_bad_global_flags(tmp_path, capsys):
     # no --quad-order: the Gauss-Hermite order of rate quadrature is fixed
     cfg = write_cfg(tmp_path, {"rate": {"method": "quadrature"}})
@@ -289,7 +282,7 @@ def test_every_subcommand_takes_only_the_common_flags():
     for name, command in sub.choices.items():
         flags = {flag for action in command._actions
                  for flag in action.option_strings}
-        assert flags == {"--config", "--out", "--preset", "-h", "--help"}, \
+        assert flags == {"--config", "--out", "-h", "--help"}, \
             name
 
 
@@ -330,7 +323,7 @@ def test_spectrum_writes_table(tmp_path, capsys):
 
 
 def test_spectrum_low_mass_warns_but_exits_0(tmp_path, capsys):
-    # under the physical preset the line sits ~2e15 linewidths away from
+    # under the default parameters the line sits ~2e15 linewidths away from
     # nu = 0, so a +-5 window catches essentially none of the mass
     cfg = write_cfg(tmp_path, {"spectrum": {"nu_min": -5.0, "nu_max": 5.0}})
     code, _, err = run(capsys, ["spectrum", "--config", cfg,
@@ -492,18 +485,6 @@ def test_tcoh_report(tmp_path, capsys):
     assert ref["term2"] == pytest.approx(1e-18, rel=1e-12)
     assert payload["n_factor"] > 0.0
     assert payload["tcoh_s"] > 0.0
-
-
-def test_preset_flag_matches_default(tmp_path, capsys):
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    out_a.mkdir()
-    out_b.mkdir()
-    assert run(capsys, ["rate", "--out", str(out_a)])[0] == 0
-    assert run(capsys, ["rate", "--preset", "earth-aluminium",
-                        "--out", str(out_b)])[0] == 0
-    assert (out_a / "rate.json").read_bytes() == \
-        (out_b / "rate.json").read_bytes()
 
 
 def test_empty_config_means_defaults(tmp_path, capsys):

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import gravclock as gc
@@ -290,7 +290,7 @@ def comb_solution(zeta, r, s_max, coupling, grid=None):
     grid = grid or gc.ModeGrid.for_line(zeta, r)
     u = r * zeta
     p, q = _coupling_line(coupling, grid, u, 1.0 + zeta, r)
-    j, d, lam, w, _, _ = _comb_eigen(grid, u, p, q)
+    j, d, lam, w, _ = _comb_eigen(grid, u, p, q)
     detuning = max(u - grid.nu_min, grid.nu_max - u)
     times = np.linspace(0.0, s_max, math.ceil(s_max * 4.0 * detuning
                                               / math.pi) + 1)
@@ -349,7 +349,7 @@ def reference_comb_roots(grid, u, p, q):
 
     def secular(j, d):
         lam = (lam0 + dnu_hi * j) + (dnu_lo * j + dnu * d)
-        return (p + q * lam) * _comb_sums(j, d, n) / dnu - n * q - lam
+        return (p + q * lam) * _comb_sums(j, d, n)[0] / dnu - n * q - lam
 
     ends = np.array([0.0, n - 1.0])
     for doublings in range(64):
@@ -369,7 +369,7 @@ def reference_comb_roots(grid, u, p, q):
         hi = np.where(up, hi, mid)
     d = 0.5 * (lo + hi)
     lam = lam0 + dnu * (j + d)
-    s, t = _comb_sums(j, d, n, squares=True)
+    s, t = _comb_sums(j, d, n)
     w = 1.0 / (1.0 + (p + q * lam) * t / dnu**2 - q * s / dnu)
     return j, d, lam, w
 
@@ -380,17 +380,33 @@ def comb_couplings(grid, u, zeta, r, coupling, scale=1.0):
     return scale**2 * p, scale**2 * q
 
 
-def mpmath_gap_root(grid, lam0, p, q, j, d0):
-    """Root of the secular equation in gap j at 34 digits, from the same
-    double-precision comb and couplings, started at d0."""
+def off_line_comb(zeta, r, offset):
+    """The default comb of (zeta, r), moved so that its nearer end lies
+    |offset| local linewidths above (offset > 0) or below the line."""
+    grid = gc.ModeGrid.for_line(zeta, r)
+    width = grid.nu_max - grid.nu_min
+    start = r * zeta + offset * (1.0 + zeta)
+    if offset < 0.0:
+        start -= width
+    return gc.ModeGrid(nu_min=start, nu_max=start + width,
+                       n_modes=grid.n_modes)
+
+
+def mpmath_comb_root(grid, lam0, p, q, j, d0):
+    """Root of the secular equation at 34 digits, from the same
+    double-precision comb and couplings, started at d0: in gap j when
+    0 < d0 < 1, else beyond the comb's end."""
     n = grid.n_modes
     p, q, lam0, dnu = (mpmath.mpf(x) for x in (p, q, lam0, grid.dnu))
 
     def secular(d):
         x = j + d
         lam = lam0 + dnu * x
-        s = (mpmath.digamma(x + 1) - mpmath.digamma(n - x)
-             + mpmath.pi * mpmath.cot(mpmath.pi * d))
+        if 0.0 < d0 < 1.0:
+            s = (mpmath.digamma(x + 1) - mpmath.digamma(n - x)
+                 + mpmath.pi * mpmath.cot(mpmath.pi * d))
+        else:
+            s = mpmath.digamma(x + 1) - mpmath.digamma(x + 1 - n)
         return (p + q * lam) * s / dnu - n * q - lam
 
     with mpmath.workdps(34):
@@ -408,10 +424,9 @@ def test_newton_roots_against_mpmath(lam0, coupling):
     grid = gc.ModeGrid(nu_min=lam0, nu_max=lam0 + 10.0, n_modes=401)
     p, q = comb_couplings(grid, 0.0, 0.0, 1e3, coupling)
     j, d_ref, _, _ = reference_comb_roots(grid, 0.0, p, q)
-    _, d, _, _, _, fallback = _comb_eigen(grid, 0.0, p, q)
-    assert fallback == 0
+    _, d, _, _, _ = _comb_eigen(grid, 0.0, p, q)
     ks = np.arange(1, grid.n_modes, 8)
-    exact = [mpmath_gap_root(grid, lam0, p, q, int(j[k]), d_ref[k])
+    exact = [mpmath_comb_root(grid, lam0, p, q, int(j[k]), d_ref[k])
              for k in ks]
     err = np.array([float(abs(d[k] - x)) for k, x in zip(ks, exact)])
     err_ref = np.array([float(abs(d_ref[k] - x)) for k, x in zip(ks, exact)])
@@ -419,91 +434,152 @@ def test_newton_roots_against_mpmath(lam0, coupling):
     assert np.all(err <= err_ref + 4.0 * np.spacing(d_ref[ks]))
 
 
+def rounding_floor(grid, u, p, q, j, d):
+    """How far from the root of the secular function a double can land
+    for rounding alone, in d: eps times the sizes of its terms (with both
+    digammas) over its slope.  Near a strongly coupled outer root the terms
+    cancel to ~1e-4 of their size and this reaches tens of ulps."""
+    from scipy.special import digamma
+    from gravclock.numerics import _comb_sums
+    n, dnu = grid.n_modes, grid.dnu
+    lam = grid.nu_min - u + dnu * (j + d)
+    g = p + q * lam
+    s, t = _comb_sums(np.asarray(j), np.asarray(d), n)
+    terms = (abs(g) / dnu * (abs(digamma(abs(d))) + abs(digamma(n + abs(d))))
+             + n * q + abs(lam))
+    return float(np.finfo(float).eps * terms / abs(q * s - g * t / dnu - dnu))
+
+
+_OUTER_COMBS = [(0.0, 100.0, "flat", 0.0), (0.5, 1e3, "tilted", 0.0),
+                (0.3, 300.0, "flat", 150.0), (0.2, 500.0, "tilted", -190.0)]
+
+
+@pytest.mark.parametrize("zeta,r,coupling,offset", _OUTER_COMBS)
+@pytest.mark.parametrize("scale", [0.05, 1.0, 5.0, 50.0])
+def test_outer_roots_against_mpmath(zeta, r, coupling, offset, scale):
+    """Both roots beyond the comb's ends against 34-digit roots, on default
+    combs (1/400 to 2500 times the golden-rule coupling) and on combs
+    150-190 linewidths off the line, where one of them is the bound state
+    far outside the comb.  Each lies within 20 ulps of the bisection
+    reference and no farther from the exact root than it, up to 4 ulps --
+    or, where larger, up to twice the rounding floor, which neither solver
+    beats (576 outer roots of 288 probe draws above 25 times the coupling,
+    floors 0.4-80 ulps: both within 1.6 floors of the exact root, 1.8
+    floors of each other)."""
+    from gravclock.numerics import _comb_eigen
+    grid = (off_line_comb(zeta, r, offset) if offset
+            else gc.ModeGrid.for_line(zeta, r))
+    u = r * zeta
+    p, q = comb_couplings(grid, u, zeta, r, coupling, scale)
+    j, d, _, _, _ = _comb_eigen(grid, u, p, q)
+    _, d_ref, _, _ = reference_comb_roots(grid, u, p, q)
+    for k in (0, -1):
+        floor = rounding_floor(grid, u, p, q, j[k], d[k])
+        ulp = np.spacing(abs(d_ref[k]))
+        exact = mpmath_comb_root(grid, grid.nu_min - u, p, q, int(j[k]),
+                                 d_ref[k])
+        assert abs(d[k] - d_ref[k]) <= max(20.0 * ulp, 2.0 * floor)
+        assert float(abs(d[k] - exact)) <= (float(abs(d_ref[k] - exact))
+                                            + max(4.0 * ulp, 2.0 * floor))
+
+
 @settings(max_examples=25)
 @given(zeta=st.floats(0.0, 0.5), r=st.floats(100.0, 1e3),
        coupling=st.sampled_from(["flat", "tilted"]),
-       scale=st.floats(0.05, 5.0))
+       scale=st.floats(0.05, 50.0),
+       offset=st.one_of(st.just(0.0), st.floats(120.0, 200.0),
+                        st.floats(-200.0, -120.0)))
 def test_newton_roots_match_the_bisection_reference(zeta, r, coupling,
-                                                     scale):
-    """Default combs, couplings from 1/400 to 25 times the golden rule:
-    Newton settles every gap root within the pass cap and agrees with the
+                                                     scale, offset):
+    """Default combs, couplings from 1/400 to 2500 times the golden rule,
+    centred on the line or 120-200 linewidths off it on either side: the
+    solver settles every root within the pass cap and agrees with the
     bisection reference.
 
     Both form lam = lam0 + dnu*(j + d) with dnu split, so it does not
-    cancel near the line, and both land within a few ulps of the root: d
-    is compared within 1e-15 (300 probe draws differed by at most 3.3e-16).
-    A weight is compared within 1e-12 of itself or of the largest weight:
-    roots within ~1e-6 below a mode carry d's own rounding near 1, a
-    relative eps/(1 - d) of their tiny weights.
+    cancel near the line, and both land within a few ulps of the root: a
+    gap root's d is compared within 1e-15 (300 probe draws differed by at
+    most 3.3e-16), an outer root's within 20 ulps or twice its rounding
+    floor (see test_outer_roots_against_mpmath).  A weight is compared
+    within 1e-12 of itself or of the largest weight: roots within ~1e-6
+    below a mode carry d's own rounding near 1, a relative eps/(1 - d) of
+    their tiny weights.
     """
-    from gravclock.numerics import _MAX_NEWTON, _comb_eigen
-    grid = gc.ModeGrid.for_line(zeta, r)
+    from gravclock.numerics import _MAX_PASSES, _comb_eigen
+    grid = (off_line_comb(zeta, r, offset) if offset
+            else gc.ModeGrid.for_line(zeta, r))
     u = r * zeta
+    assume(coupling == "flat" or r + grid.nu_min > 0.0)
     p, q = comb_couplings(grid, u, zeta, r, coupling, scale)
-    j, d, _, w, passes, fallback = _comb_eigen(grid, u, p, q)
+    j, d, _, w, passes = _comb_eigen(grid, u, p, q)
     _, d_ref, _, w_ref = reference_comb_roots(grid, u, p, q)
-    assert passes <= _MAX_NEWTON and fallback == 0
-    assert np.all(np.abs(d - d_ref) <= 1e-15)
+    assert passes <= _MAX_PASSES
+    assert np.all(np.abs(d[1:-1] - d_ref[1:-1]) <= 1e-15)
+    for k in (0, -1):
+        assert abs(d[k] - d_ref[k]) <= max(
+            20.0 * np.spacing(abs(d_ref[k])),
+            2.0 * rounding_floor(grid, u, p, q, j[k], d[k]))
     np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=1e-12 * w.max())
 
 
-def test_bisection_fallback_alone_reproduces_the_reference(monkeypatch):
-    """With no Newton passes every gap root falls back to bisection from
-    its whole gap: the reference, bit for bit."""
-    from gravclock.numerics import _comb_eigen
-    monkeypatch.setattr(gc.numerics, "_MAX_NEWTON", 0)
-    for zeta, coupling in ((0.0, "flat"), (0.3, "tilted")):
-        grid = gc.ModeGrid.for_line(zeta, 100.0)
-        u = 100.0 * zeta
-        p, q = comb_couplings(grid, u, zeta, 100.0, coupling)
-        j, d, lam, w, passes, fallback = _comb_eigen(grid, u, p, q)
-        assert (passes, fallback) == (0, grid.n_modes - 1)
-        for got, want in zip((j, d, lam, w),
-                             reference_comb_roots(grid, u, p, q)):
-            assert np.array_equal(got, want)
-
-
-def test_bisection_fallback_roots_are_as_exact_as_newton(monkeypatch):
-    """r = 1e4, 40001 modes: with Newton capped at 0 passes every gap root
-    is bisected, and the roots next to the line (where lam0 + dnu*(j + d)
-    cancels) and across the comb are as close to the 34-digit roots as the
-    Newton roots: within 4 eps in d (both reach ~3e-16).  Forming lam in one
-    sum left them ~250 times worse (8.5e-14)."""
+def test_roots_at_r_1e4_match_mpmath():
+    """r = 1e4, 40001 modes: the roots next to the line (where lam0 +
+    dnu*(j + d) cancels), across the comb and beyond its ends are within
+    4 eps in d of the 34-digit roots (they reach ~3e-16).  Forming lam in
+    one sum leaves roots ~250 times worse (8.5e-14)."""
     from gravclock.numerics import _comb_eigen
     grid = gc.ModeGrid.for_line(0.0, 1e4)
     p, q = comb_couplings(grid, 0.0, 0.0, 1e4, "flat")
-    j, d, _, _, _, _ = _comb_eigen(grid, 0.0, p, q)
-    monkeypatch.setattr(gc.numerics, "_MAX_NEWTON", 0)
-    _, d_fb, _, _, passes, fallback = _comb_eigen(grid, 0.0, p, q)
-    assert (passes, fallback) == (0, grid.n_modes - 1)
+    j, d, _, _, _ = _comb_eigen(grid, 0.0, p, q)
     line = round(-grid.nu_min / grid.dnu)
-    ks = np.r_[line - 3:line + 4, 1, grid.n_modes // 4, grid.n_modes - 1]
-    exact = [mpmath_gap_root(grid, grid.nu_min, p, q, int(j[k]), d[k])
+    ks = np.r_[0, line - 3:line + 4, 1, grid.n_modes // 4, grid.n_modes - 1,
+               grid.n_modes]
+    exact = [mpmath_comb_root(grid, grid.nu_min, p, q, int(j[k]), d[k])
              for k in ks]
-    for roots in (d, d_fb):
-        err = max(float(abs(roots[k] - x)) for k, x in zip(ks, exact))
-        assert err <= 4.0 * np.finfo(float).eps
+    err = max(float(abs(d[k] - x)) for k, x in zip(ks, exact))
+    assert err <= 4.0 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("r", [100.0, 1e3, 1e4])
 @pytest.mark.parametrize("zeta,coupling", [(0.0, "flat"), (0.5, "tilted")])
 def test_default_combs_settle_without_fallback(r, zeta, coupling):
-    """2401-60001 modes: every gap root settles by Newton within the cap;
-    only the two outer roots are bisected."""
-    from gravclock.numerics import _MAX_NEWTON, _comb_eigen
+    """2401-60001 modes: every root, the two beyond the comb's ends
+    included, settles on a Newton step within four passes."""
+    from gravclock.numerics import _comb_eigen
     grid = gc.ModeGrid.for_line(zeta, r)
     u = r * zeta
     p, q = comb_couplings(grid, u, zeta, r, coupling)
-    _, d, _, w, passes, fallback = _comb_eigen(grid, u, p, q)
-    assert passes <= _MAX_NEWTON and fallback == 0
+    _, d, _, w, passes = _comb_eigen(grid, u, p, q)
+    assert passes <= 4
     assert np.all((d[1:-1] > 0.0) & (d[1:-1] < 1.0))
+    assert d[0] < 0.0 < d[-1]
+    assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("scale", [0.02, 0.001])
+@pytest.mark.parametrize("zeta,r,coupling", [(0.0, 100.0, "flat"),
+                                             (0.3, 1e3, "tilted")])
+def test_weak_coupling_roots_settle_on_the_root(zeta, r, coupling, scale):
+    """At 1/2500 and 1e-6 of the golden-rule coupling the two roots next to
+    the line crowd the mode on it, and their Newton steps from d = 1/2
+    grow for a pass or two on the way in.  They settle only at the
+    rounding floor, on the bisection reference's roots, and the weights
+    keep their sum rule; settling a step merely because it stopped
+    shrinking would stop them 0.013 short in d, with weights summing to
+    0.72 at 0.02."""
+    from gravclock.numerics import _comb_eigen
+    grid = gc.ModeGrid.for_line(zeta, r)
+    u = r * zeta
+    p, q = comb_couplings(grid, u, zeta, r, coupling, scale)
+    _, d, _, w, _ = _comb_eigen(grid, u, p, q)
+    _, d_ref, _, _ = reference_comb_roots(grid, u, p, q)
+    assert np.all(np.abs(d[1:-1] - d_ref[1:-1]) <= 1e-15)
     assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ww_simulate_logs_the_root_solve(caplog):
-    """One DEBUG record per run: modes, Newton passes, gap roots that fell
-    back to bisection; the outputs do not depend on the logging level."""
-    from gravclock.numerics import _MAX_NEWTON
+    """One DEBUG record per run: the modes and the solver's passes; the
+    outputs do not depend on the logging level."""
     grid = gc.ModeGrid.for_line(0.25, 1e3)
     quiet = gc.ww_simulate(0.25, 1e3, grid, 2.0)
     with caplog.at_level(logging.DEBUG, logger="gravclock.numerics"):
@@ -511,9 +587,9 @@ def test_ww_simulate_logs_the_root_solve(caplog):
     records = [rec for rec in caplog.records
                if rec.name == "gravclock.numerics"]
     assert len(records) == 1
-    modes, passes, fallback = records[0].args
+    modes, passes = records[0].args
     assert modes == grid.n_modes
-    assert 1 <= passes <= _MAX_NEWTON and fallback == 0
+    assert 1 <= passes <= 4
     assert np.array_equal(run.alpha_sq, quiet.alpha_sq)
     assert np.array_equal(run.beta_sq_final, quiet.beta_sq_final)
 
@@ -530,10 +606,9 @@ def test_too_weak_coupling_fails_loudly():
 
 
 def test_unsettled_roots_fail_loudly(monkeypatch):
-    """Roots whose brackets have not closed when the bisection cap runs
-    out are an error that counts them, not a silent midpoint."""
-    monkeypatch.setattr(gc.numerics, "_MAX_NEWTON", 0)
-    monkeypatch.setattr(gc.numerics, "_MAX_BISECTIONS", 5)
+    """Roots still unsettled when the pass cap runs out are an error that
+    counts them, not a silent midpoint."""
+    monkeypatch.setattr(gc.numerics, "_MAX_PASSES", 1)
     grid = gc.ModeGrid.for_line(0.3, 100.0)
     with pytest.raises(gc.IntegrationError,
                        match=f"^{grid.n_modes + 1} comb eigenvalues "
