@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import voigt_profile
 
 from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
@@ -23,7 +22,7 @@ from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     _SUPPORT_PANELS, _require_finite, _require_positive,
                     _support_breaks, _support_integrals)
 from .numerics import (AccuracyError, block_rows, gauss_moment,
-                       panel_quadrature)
+                       panel_quadrature, voigt_profile)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -242,9 +241,11 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
     Lorentzian is a Voigt profile with Gaussian sigma = r*width/sqrt(2) and
     Lorentzian HWHM (1+mu)/2 -- exact except for freezing the slowly varying
     linewidth across one packet (relative error ~width: ~1e-17 at physical r,
-    ~1e-2 in desk-scale checks).  ``method="quadrature"`` integrates the
-    exact kernel instead and works for any density: see
-    :func:`_line_quadrature`.
+    ~1e-2 in desk-scale checks).  One call of
+    :func:`~gravclock.numerics.voigt_profile` evaluates every component on a
+    (components, points) array; the weighted rows are then added in
+    component order.  ``method="quadrature"`` integrates the exact kernel
+    instead and works for any density: see :func:`_line_quadrature`.
     """
     if r <= 0.0:
         raise ConfigurationError(f"r must be > 0, got {r!r}")
@@ -257,8 +258,9 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
         if not density.is_analytic:
             raise ConfigurationError("voigt path needs an analytic density")
         sigma = r * density.width / math.sqrt(2.0)
-        p = density.component_sum(
-            lambda mu: voigt_profile(nu - r * mu, sigma, 0.5 * (1.0 + mu)))
+        mu = np.asarray(density.centers)[:, None]
+        lines = voigt_profile(nu - r * mu, sigma, 0.5 * (1.0 + mu))
+        p = sum(w * line for w, line in zip(density.weights, lines))
         floor = -1e-9 * float(p.max(initial=0.0))
         if np.any(p < floor):
             raise AccuracyError(

@@ -1,4 +1,12 @@
-"""Quadrature engines and a discretized-mode emission oracle.
+"""Quadrature engines, special functions and a discretized-mode emission
+oracle.
+
+The special functions are numpy kernels, so that the library runs on numpy
+alone: digamma and trigamma for arguments >= 1 (the asymptotic series from
+10, a Taylor series about digamma's root and the recurrence below), an
+accurate digamma difference for two large arguments, and the Voigt profile
+(Weideman's rational series for the Faddeeva function, with a Gaussian
+expansion through Dawson's integral for nearly Gaussian lines).
 
 The oracle solves the one-excitation amplitude equations on a finite comb of
 field modes exactly, with no pole approximation: their generator is a real
@@ -17,11 +25,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import digamma, polygamma
 
 from .model import ConfigurationError, HorizonError, ROOT_PI
 
@@ -191,6 +198,261 @@ def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# special functions: digamma, trigamma, the Voigt profile
+# ---------------------------------------------------------------------------
+
+# The asymptotic series take over from x = 10, with the Bernoulli terms
+# B_2k/(2k) of digamma and B_2k of trigamma, k = 1..8; the next terms are
+# below 3e-18 and 6e-18 there.
+_SERIES_FROM = 10.0
+_PSI_SERIES = np.array([1 / 12, -1 / 120, 1 / 252, -1 / 240, 1 / 132,
+                        -691 / 32760, 1 / 12, -3617 / 8160])
+_TRIGAMMA_SERIES = np.array([1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66,
+                             -691 / 2730, 7 / 6, -3617 / 510])
+# Digamma's positive root x0 as a double-double, and its Taylor
+# coefficients about x0, (-1)^(k+1) zeta(k+1, x0) for k = 1..38: made by
+# tools/kernel_coefficients.py.
+_PSI_ROOT = (1.4616321449683622, 9.549995429965697e-17)
+_PSI_TAYLOR = np.array([
+    0.9676722454476212, -0.4427631689835921, 0.258499760955651,
+    -0.16394270544240652, 0.10782405069126237, -0.07219956125645471,
+    0.04880428816414311, -0.03316112647484736, 0.022597648232218104,
+    -0.01542476590494896, 0.010538791616612175, -0.007204534386356869,
+    0.004926781395729853, -0.003369801655439328, 0.002305126326734928,
+    -0.0015769367714301972, 0.0010788252019162967, -0.0007380709389960052,
+    0.000504953265834602, -0.0003454680251063077, 0.00023635601564027053,
+    -0.00016170622091974803, 0.0001106337276874741, -7.569179582195066e-05,
+    5.178575795222081e-05, -3.5430070947659604e-05, 2.424006611860132e-05,
+    -1.6584242271854135e-05, 1.134638458466385e-05, -7.762817668462094e-06,
+    5.3110609208898636e-06, -3.6336507898010456e-06, 2.486022733129538e-06,
+    -1.7008538854332607e-06, 1.1636675363548843e-06, -7.96142543124197e-07,
+    5.446941930669446e-07, -3.7266161283438227e-07])
+
+
+def _horner(z: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """sum_k coef[k] z^k, in place on one scratch array."""
+    acc = np.full_like(z, coef[-1])
+    for c in coef[-2::-1]:
+        acc *= z
+        acc += c
+    return acc
+
+
+def _powers(x: np.ndarray, count: int) -> np.ndarray:
+    """x^0 .. x^(count-1) as rows, so that one matrix product sums a
+    series: half the array passes of Horner's rule."""
+    out = np.empty((count, x.size))
+    out[0] = 1.0
+    for k in range(1, count):
+        np.multiply(out[k - 1], x, out=out[k])
+    return out
+
+
+def _psi_tail(x: np.ndarray) -> np.ndarray:
+    """sum_k B_2k / (2k x^2k), k = 1..8: digamma's asymptotic series past
+    log(x) - 1/(2x)."""
+    z = 1.0 / (x * x)
+    tail = _horner(z, _PSI_SERIES)
+    tail *= z
+    return tail
+
+
+def digamma(x) -> np.ndarray:
+    """psi(x) for an array x >= 1 (smaller x are not supported), within
+    ~3e-16 of max(1, |psi|).
+
+    From x = 10 the asymptotic series log(x) - 1/(2x) - sum B_2k/(2k x^2k).
+    The few smaller arguments are taken out and written x = t + m with
+    t in [1, 2): psi(t) from its Taylor series about the root x0, which
+    keeps relative precision where psi(t) passes through zero, plus the
+    recurrence sum 1/t + ... + 1/(t+m-1), whose terms are all positive.
+    """
+    shape = np.shape(x)
+    x = np.ravel(np.asarray(x, dtype=float))
+    out = np.log(x)
+    out -= 0.5 / x
+    out -= _psi_tail(x)
+    small = np.flatnonzero(x < _SERIES_FROM)
+    if small.size:
+        xs = x[small]
+        m = np.floor(xs)
+        t = xs - m + 1.0          # exact: xs and m are within a factor 2
+        g = (t - _PSI_ROOT[0]) - _PSI_ROOT[1]
+        steps = np.arange(_SERIES_FROM - 2.0)
+        shifted = np.where(steps < (m - 1.0)[:, None],
+                           1.0 / (t[:, None] + steps), 0.0)
+        out[small] = (_PSI_TAYLOR @ _powers(g, len(_PSI_TAYLOR) + 1)[1:]
+                      + shifted.sum(axis=1))
+    return out.reshape(shape)
+
+
+def trigamma(x) -> np.ndarray:
+    """psi'(x) for an array x >= 1 (smaller x are not supported), within
+    ~4e-16 of max(1, psi').
+
+    From x = 10 the asymptotic series 1/x + 1/(2x^2) + sum B_2k/x^(2k+1);
+    smaller arguments are shifted past 10 by psi'(x) = psi'(x+1) + 1/x^2,
+    whose terms are all positive.
+    """
+    shape = np.shape(x)
+    x = np.ravel(np.asarray(x, dtype=float))
+    inv = 1.0 / x
+    z = inv * inv
+    out = _horner(z, _TRIGAMMA_SERIES)
+    out *= z
+    out += 0.5 * inv + 1.0
+    out *= inv
+    small = np.flatnonzero(x < _SERIES_FROM)
+    if small.size:
+        xs = x[small]
+        shifted = xs[:, None] + np.arange(_SERIES_FROM - 1.0)
+        below = shifted < _SERIES_FROM
+        terms = np.where(below, 1.0 / (shifted * shifted), 0.0)
+        top = xs + below.sum(axis=1)
+        out[small] = trigamma(top) + terms.sum(axis=1)
+    return out.reshape(shape)
+
+
+def digamma_span(a, span: float) -> np.ndarray:
+    """psi(a + span) - psi(a) for an array a >= 1 and an exact span >= 0.
+
+    Where a >= 10 the difference is taken term by term from the asymptotic
+    series, log1p(span/a) + span/(2 a b) - (tail(b) - tail(a)) with
+    b = a + span, so it keeps relative precision where the two digammas
+    nearly cancel; elsewhere psi(a) <= psi(10) and the plain difference
+    loses nothing.
+    """
+    shape = np.shape(a)
+    a = np.ravel(np.asarray(a, dtype=float))
+    b = a + span
+    out = digamma(b) - digamma(a)
+    big = np.flatnonzero(a >= _SERIES_FROM)
+    if big.size:
+        ab, bb = a[big], b[big]
+        out[big] = (np.log1p(span / ab) + 0.5 * span / (ab * bb)
+                    - (_psi_tail(bb) - _psi_tail(ab)))
+    return out.reshape(shape)
+
+
+# Below this y = gamma/(sigma sqrt 2) the Voigt profile is its expansion to
+# second order in y (see _gauss_real), whose terms left out, ~y^3, are
+# below 1e-21 of the line; Weideman's series would leave ~5e-11 relative
+# errors in the Gaussian wings there.
+_VOIGT_GAUSS_Y = 1e-7
+# Terms of Weideman's series: 36 would leave 3e-12 relative at y = 0.02,
+# where 40 leave 2e-13.
+_WEIDEMAN_N = 40
+# The slope 1 - 2x D(x) of Dawson's integral D as N(x^2)/Q(x^2), a rational
+# form that keeps D ~ 1/(2x): within 3e-12 relative in D for |x| <= 4.5 and
+# 1.3e-8 in the slope beyond, made by tools/kernel_coefficients.py.
+_DAWSON_NQ = np.array([
+    [1.0, -1.2983977449335038, 0.17132195436697858, -0.026237173276982127,
+     0.0005901416198540143, -0.00011498124484184872, -4.051218041726904e-06,
+     -3.741616153249351e-07, -2.0036014682825045e-08, -7.758127121213986e-10,
+     -3.9901348086715116e-11, -2.7556287664438833e-19],
+    [1.0, 0.7016022550680561, 0.24119313094562397, 0.05401275176288272,
+     0.008831703571582956, 0.001119421873693434, 0.00011382320780300427,
+     9.485975702911482e-06, 6.448065631568138e-07, 3.799671326405763e-08,
+     1.4302371050856556e-09, 7.980541865162812e-11]])
+# x^2 is capped at 1e16, far below where its 11th power overflows: the form
+# stays within 4e-9 of the slope, which is ~-1/(2x^2), from there on.
+_DAWSON_S_MAX = 1e16
+
+
+@cache
+def _weideman_coefficients() -> tuple[float, np.ndarray]:
+    """L and the ascending coefficients a_k, k < N, of Weideman's rational
+    series
+
+        w(z) = 2 sum_k a_k Z^k / (L - iz)^2 + 1 / (sqrt(pi) (L - iz)),
+        Z = (L + iz)/(L - iz),  L = sqrt(N/sqrt 2),
+
+    from one FFT of exp(-t^2)(L^2 + t^2) at t = L tan(theta/2)
+    (J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497-1518, 1994)."""
+    n = _WEIDEMAN_N
+    m = 2 * n
+    k = np.arange(1 - m, m)
+    half = math.sqrt(n / math.sqrt(2.0))
+    t = half * np.tan(k * np.pi / (2 * m))
+    f = np.r_[0.0, np.exp(-t * t) * (half * half + t * t)]
+    a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
+    return half, a[1:n + 1].copy()
+
+
+def _faddeeva_real(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re w(x + iy) for y > 0 by Weideman's N = 40 series, within ~1e-15
+    absolute; Horner's rule runs in place over the whole array."""
+    half, a = _weideman_coefficients()
+    big_z = 1j * x - y                  # iz
+    den = np.reciprocal(half - big_z)
+    big_z += half
+    big_z *= den
+    p = np.full_like(big_z, a[-1])
+    for c in a[-2::-1]:
+        p *= big_z
+        p += c
+    p *= den
+    p *= 2.0
+    p += 1.0 / ROOT_PI
+    p *= den
+    return p.real
+
+
+def _dawson_slope(s: np.ndarray) -> np.ndarray:
+    """D'(x) = 1 - 2x D(x) of Dawson's integral D, an even function, at
+    s = x^2: within 3e-12 relative in D for |x| <= 4.5, 1.3e-8 absolute
+    beyond."""
+    shape = s.shape
+    n, q = _DAWSON_NQ @ _powers(np.minimum(s.ravel(), _DAWSON_S_MAX),
+                                _DAWSON_NQ.shape[1])
+    n /= q
+    return n.reshape(shape)
+
+
+def _gauss_real(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re w(x + iy) for 0 <= y <= 1e-7: its expansion in y,
+
+        exp(-x^2) (1 + y^2 (1 - 2x^2)) - (2y/sqrt(pi)) (1 - 2x D(x)),
+
+    to within O(y^3), D being Dawson's integral.  |x| is capped at 1e150,
+    where x^2 would overflow: the line is below 1e-300 there either way."""
+    x2 = np.square(np.clip(x, -1e150, 1e150))
+    out = 1.0 - 2.0 * x2
+    out *= y * y
+    out += 1.0
+    out *= np.exp(-x2)
+    out -= (2.0 / ROOT_PI) * y * _dawson_slope(x2)
+    return out
+
+
+def voigt_profile(x, sigma: float, gamma) -> np.ndarray:
+    """The Voigt profile, a unit-area Gaussian of standard deviation sigma
+    convolved with a Lorentzian of half-width gamma, at offsets x; gamma
+    broadcasts against x (one per row, say) and must be > 0, as sigma.
+
+    V = Re w(z) / (sigma sqrt(2 pi)), z = (x + i gamma)/(sigma sqrt 2).
+    Where y = Im z > 1e-7, Re w comes from Weideman's series
+    (``_faddeeva_real``); below, from its expansion about the real axis
+    (``_gauss_real``), where Weideman's series would leave ~5e-11 relative
+    errors in the Gaussian wings.
+    """
+    scale = 1.0 / (math.sqrt(2.0) * sigma)
+    u = np.asarray(x, dtype=float) * scale
+    v = np.broadcast_to(np.asarray(gamma, dtype=float) * scale, u.shape)
+    gauss = v <= _VOIGT_GAUSS_Y
+    if not gauss.any():
+        out = _faddeeva_real(u, v)
+    elif gauss.all():
+        out = _gauss_real(u, v)
+    else:
+        out = np.empty(u.shape)
+        out[gauss] = _gauss_real(u[gauss], v[gauss])
+        out[~gauss] = _faddeeva_real(u[~gauss], v[~gauss])
+    out *= scale / ROOT_PI
+    return out
+
+
+# ---------------------------------------------------------------------------
 # mode grid and oracle
 # ---------------------------------------------------------------------------
 
@@ -319,22 +581,32 @@ def _comb_sums(j: np.ndarray, d: np.ndarray, n: int):
 
     A point is x = j + d: inside the gap (j, j+1) when 0 < d < 1, below the
     comb when j = 0 and d < 0, above it when j = n-1 and d > 0.  The sums
-    come in closed form from digamma/trigamma and the cotangent reflection,
-    with the pole terms taken from d alone, so the distance to the nearest
-    mode keeps full precision however large j is.
+    come in closed form from digamma/trigamma at arguments >= 1 and the
+    cotangent reflection, with the pole terms (1/d beyond the comb) taken
+    from d alone, so the distance to the nearest mode keeps full precision
+    however large j is.  Beyond the comb the digamma difference psi(1+|d|)
+    - psi(n+|d|) comes from :func:`digamma_span`, which keeps its relative
+    precision when |d| is large and the two nearly cancel.
     """
+    shape = np.shape(d)
+    j, d = np.ravel(j), np.ravel(d)
     below = d < 0.0
     above = j == n - 1
     edge = below | above
-    a = np.where(edge, np.abs(d), j + d + 1.0)
+    a = np.where(edge, 1.0 + np.abs(d), j + d + 1.0)
     b = np.where(edge, n + np.abs(d), n - j - d)
     psi = digamma(a) - digamma(b)
+    ends = np.flatnonzero(edge)
+    psi[ends] = -digamma_span(a[ends], n - 1.0)
     # cot and 1/sin^2 have period 1; d - 1 is exact for d in (1/2, 1)
     e = np.pi * np.where(edge, 0.5, np.where(d > 0.5, d - 1.0, d))
-    s = np.where(edge, np.where(above, -psi, psi), psi + np.pi / np.tan(e))
-    tri_a, tri_b = polygamma(1, a), polygamma(1, b)
-    t = np.where(edge, tri_a - tri_b, (np.pi / np.sin(e)) ** 2 - tri_a - tri_b)
-    return s, t
+    pole = 1.0 / np.where(edge, d, 1.0)
+    s = np.where(edge, np.where(above, -psi, psi) + pole,
+                 psi + np.pi / np.tan(e))
+    tri_a, tri_b = trigamma(a), trigamma(b)
+    t = np.where(edge, pole * pole + tri_a - tri_b,
+                 (np.pi / np.sin(e)) ** 2 - tri_a - tri_b)
+    return s.reshape(shape), t.reshape(shape)
 
 
 def _split(x):
@@ -347,8 +619,9 @@ def _split(x):
 
 
 def _trigamma_estimate(x: np.ndarray) -> np.ndarray:
-    """psi'(x) within 0.2% for x >= 1, without polygamma: one step of
-    psi'(x) = 1/x^2 + psi'(x+1), then 1/h - 1/(12 h^3) with h = x + 1/2."""
+    """psi'(x) within 0.2% for x >= 1, at a fraction of trigamma's cost: one
+    step of psi'(x) = 1/x^2 + psi'(x+1), then 1/h - 1/(12 h^3) with
+    h = x + 1/2."""
     inv = 1.0 / (x + 0.5)
     return 1.0 / (x * x) + inv * (1.0 - inv * inv / 12.0)
 
@@ -360,11 +633,12 @@ def _newton_roots(j, d, lo, hi, n, lam0, dnu, p, q):
     P(d) = R - sigma: P is the pole term of S next to the root, sigma the
     smooth rest.  In gap j, P = pi*cot(pi*d) and sigma = psi(j+d+1) -
     psi(n-j-d); Newton runs on the fixed point F(d) = d - arccot(y)/pi,
-    y = (R - sigma)/pi.  Beyond the comb, P = 1/d and sigma = +-(psi(1+|d|)
-    - psi(n+|d|)), + below; Newton runs on the fixed point d = 1/(pi*y)
-    times pi*y*g, smooth where 1/(pi*y) is steep (a bound state far from
-    the comb) or g passes 0.  Either function's sign says on which side of
-    d the root lies; that keeps a [lo, hi] bracket, and a step leaving it
+    y = (R - sigma)/pi.  Beyond the comb, P = 1/d and sigma =
+    +-(psi(1+|d|) - psi(n+|d|)), + below, from :func:`digamma_span` so
+    that it keeps its relative precision for large |d|; Newton runs on the
+    fixed point d = 1/(pi*y) times pi*y*g, smooth where 1/(pi*y) is steep
+    (a bound state far from the comb) or g passes 0.  Either function's sign says on which side
+    of d the root lies; that keeps a [lo, hi] bracket, and a step leaving it
     bisects instead.  sigma' comes from ``_trigamma_estimate``: the step
     needs it only roughly.  A root settles once its step reaches the
     rounding floor, with one last Newton step on the secular equation
@@ -397,6 +671,10 @@ def _newton_roots(j, d, lo, hi, n, lam0, dnu, p, q):
         lam = (lam0 + dnu_hi * jl) + (dnu_lo * jl + dnu * dl)
         g = p + q * lam
         sigma = digamma(a) - digamma(b)
+        if ends:
+            k_ends = [k for k, _ in ends]
+            span = digamma_span(1.0 + np.abs(dl[k_ends]), n - 1.0)
+            sigma[k_ends] = np.where([up for _, up in ends], span, -span)
         y = (dnu * (lam + n * q) / g - sigma) / np.pi
         tri_a, tri_b = _trigamma_estimate(a), _trigamma_estimate(b)
         dy = (slope / (g * g) - tri_a - tri_b) / np.pi

@@ -108,15 +108,177 @@ def test_accuracy_error_carries_estimate_and_bound():
     assert err.value.bound > 0.0
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    """The library integrates with its own engine; scipy.integrate would
-    add ~0.3 s to every import."""
+_NO_SCIPY = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+import gravclock
+from gravclock import cli
+assert not scipy_modules(), scipy_modules()
+out = sys.argv[1]
+cfg = out + "/cfg.json"
+with open(cfg, "w") as f:
+    json.dump({"figures": {"n_grid": 5, "n_nu": 11},
+               "sweep": {"n_grid": 5},
+               "spectrum": {"n_points": 11},
+               "oracle": {"zeta": 0.3, "r": 100.0, "dnu": 0.05,
+                          "halfwidth_linewidths": 30.0, "s_max": 6.0,
+                          "compare_up_to": 4.0}}, f)
+for command in ("rate", "survival", "spectrum", "tcoh", "figures", "sweep",
+                "oracle"):
+    assert cli.main([command, "--config", cfg, "--out", out]) == 0, command
+    assert not scipy_modules(), (command, scipy_modules())
+"""
+
+
+def test_import_and_every_command_load_no_scipy(tmp_path):
+    """The runtime is numpy alone: neither ``import gravclock`` nor any
+    CLI command (a small oracle included) loads a scipy module, which
+    would add ~0.25 s and ~25 MB to every process."""
     src = str(Path(gc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    subprocess.run([sys.executable, "-c", "import gravclock, sys; "
-                    "assert 'scipy.integrate' not in sys.modules"],
-                   env=env, check=True)
+    subprocess.run([sys.executable, "-c", _NO_SCIPY, str(tmp_path)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+
+
+# ---------------------------------------------------------------------------
+# special functions
+# ---------------------------------------------------------------------------
+
+_PSI_ROOT = gc.numerics._PSI_ROOT[0]
+# digamma's root from both sides, the ends of the Taylor interval [1, 2) and
+# of the recurrence, and the switch to the asymptotic series at 10
+_PSI_SEAMS = [1.0, np.nextafter(_PSI_ROOT, 0.0), _PSI_ROOT,
+              np.nextafter(_PSI_ROOT, 2.0), 1.4616, 1.4617,
+              np.nextafter(2.0, 0.0), 2.0, 3.0, 9.0, np.nextafter(10.0, 0.0),
+              10.0, np.nextafter(10.0, 11.0)]
+
+
+def scaled_error(got, exact, x):
+    """Largest |got - exact(x)| / max(1, |exact(x)|), exact at 40 digits."""
+    with mpmath.workdps(40):
+        return max(float(abs(mpmath.mpf(float(g)) - e) / max(1, abs(e)))
+                   for g, e in ((g, exact(mpmath.mpf(float(v))))
+                                for g, v in zip(got, x)))
+
+
+@settings(max_examples=25)
+@given(st.lists(st.floats(1.0, 10.0, exclude_max=True), max_size=40))
+def test_digamma_below_10_against_mpmath(xs):
+    """Taylor series about the root plus the recurrence: within 6.7e-16 of
+    max(1, |psi|) on [1, 10), where the recurrence from 10 alone reaches
+    1.1e-15 and scipy 2.9e-16."""
+    from gravclock.numerics import digamma
+    x = np.array(xs + _PSI_SEAMS[:-2])
+    assert scaled_error(digamma(x), mpmath.digamma, x) <= 6.7e-16
+
+
+@settings(max_examples=25)
+@given(st.lists(st.floats(10.0, 1e7), max_size=40))
+def test_digamma_from_10_against_mpmath(xs):
+    """The asymptotic series: within 4.5e-16 of max(1, |psi|) for
+    x >= 10 (scipy: 2.2e-16)."""
+    from gravclock.numerics import digamma
+    x = np.array(xs + _PSI_SEAMS[-2:] + [1e7])
+    assert scaled_error(digamma(x), mpmath.digamma, x) <= 4.5e-16
+
+
+@settings(max_examples=25)
+@given(st.lists(st.one_of(st.floats(1.0, 10.0), st.floats(10.0, 1e7)),
+                max_size=40))
+def test_trigamma_against_mpmath(xs):
+    """Within 4.5e-16 of max(1, psi') for x >= 1."""
+    from gravclock.numerics import trigamma
+    x = np.array(xs + _PSI_SEAMS)
+    assert scaled_error(trigamma(x), lambda v: mpmath.psi(1, v), x) <= 4.5e-16
+
+
+def test_digamma_keeps_its_shape_and_taylor_table():
+    """Scalars and 2-D arrays in, the same shapes out; the Taylor table is
+    (-1)^(k+1) zeta(k+1, x0) about the 40-digit root x0, as
+    tools/kernel_coefficients.py makes it."""
+    from gravclock.numerics import (_PSI_ROOT as root, _PSI_TAYLOR, digamma,
+                                    trigamma)
+    assert digamma(3.5).shape == () and trigamma(3.5).shape == ()
+    grid = np.linspace(1.0, 30.0, 12).reshape(3, 4)
+    assert np.array_equal(digamma(grid), digamma(grid.ravel()).reshape(3, 4))
+    with mpmath.workdps(40):
+        x0 = mpmath.findroot(mpmath.digamma, mpmath.mpf("1.46"))
+        assert root == (float(x0), float(x0 - float(x0)))
+        table = [float((-1) ** (k + 1) * mpmath.zeta(k + 1, x0))
+                 for k in range(1, len(_PSI_TAYLOR) + 1)]
+    assert np.array_equal(_PSI_TAYLOR, table)
+
+
+@settings(max_examples=25)
+@given(a=st.floats(1.0, 1e6), n=st.integers(2, 10**5))
+def test_digamma_span_keeps_relative_precision(a, n):
+    """psi(a + n - 1) - psi(a) within 4e-15 relative, also where the two
+    digammas nearly cancel (the plain difference loses up to ~1e-9)."""
+    from gravclock.numerics import digamma_span
+    with mpmath.workdps(40):
+        exact = (mpmath.digamma(mpmath.mpf(a) + (n - 1))
+                 - mpmath.digamma(mpmath.mpf(a)))
+        got = digamma_span(np.array([a]), n - 1.0)[0]
+        assert float(abs(got - exact) / exact) <= 4e-15
+
+
+@settings(max_examples=25)
+@given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=20))
+def test_dawson_slope_against_mpmath(xs):
+    """1 - 2x D(x) from one rational form: within 5e-12 for |x| <= 4.5,
+    where the Voigt kernel needs D to ~1e-11, and 2e-8 beyond, where it
+    needs ~4e-8; past |x| = 1e8 the slope stays within 4e-9 of 0."""
+    from gravclock.numerics import _dawson_slope
+    x = np.array(xs + [0.0, 3.72, 4.5, np.nextafter(4.5, 5.0), 200.0])
+    got = _dawson_slope(x * x)
+    with mpmath.workdps(40):
+        for v, g in zip(x, got):
+            m = mpmath.mpf(float(v))
+            exact = 1 - m * mpmath.sqrt(mpmath.pi) * mpmath.exp(-m * m) \
+                * mpmath.erfi(m)
+            assert abs(g - exact) <= (5e-12 if abs(v) <= 4.5 else 2e-8)
+    assert np.all(np.abs(_dawson_slope(np.array([1e16, 1e40, np.inf])))
+                  <= 4e-9)
+
+
+_VOIGT_YS = [1e-16, 1e-12, 1e-9, 0.99e-7, 1e-7, 1.01e-7, 1e-5, 1e-3,
+             0.0199, 0.02, 0.1, 1.0, 10.0, 1e2, 1e4]
+
+
+@pytest.mark.parametrize("y", _VOIGT_YS)
+def test_voigt_profile_against_scipy(y):
+    """y = gamma/(sigma sqrt 2) from 1e-16 to 1e4, across the seam at
+    1e-7 between Weideman's series and the Gaussian expansion: within
+    5e-15 of the line maximum everywhere and, where the profile is at least
+    1e-6 of it, within 1e-12 relative for y >= 0.02 and y <= 1e-7, 1e-10
+    between (Weideman's series alone: 4e-11 at y <= 1e-4)."""
+    from scipy.special import voigt_profile as reference
+    from gravclock.numerics import voigt_profile
+    sigma = 1.3
+    gamma = y * sigma * math.sqrt(2.0)
+    half_width = sigma * math.sqrt(2.0) * (12.0 + 40.0 * y)
+    x = np.linspace(-half_width, half_width, 8001)
+    got, ref = voigt_profile(x, sigma, gamma), reference(x, sigma, gamma)
+    top = ref.max()
+    assert np.max(np.abs(got - ref)) <= 5e-15 * top
+    band = ref >= 1e-6 * top
+    rel = 1e-10 if 1e-7 < y < 0.02 else 1e-12
+    assert np.max(np.abs(got - ref)[band] / ref[band]) <= rel
+
+
+def test_voigt_profile_branches_per_element():
+    """Rows on either side of the seam in one call give what each gives
+    alone, and gamma broadcasts against x."""
+    from gravclock.numerics import voigt_profile
+    x = np.linspace(-4.0, 4.0, 9)
+    gamma = np.array([[1e-9], [0.3]])
+    both = voigt_profile(x - np.zeros((2, 1)), 0.5, gamma)
+    assert both.shape == (2, 9)
+    for row, g in zip(both, gamma[:, 0]):
+        assert np.array_equal(row, voigt_profile(x, 0.5, g))
 
 
 # ---------------------------------------------------------------------------
@@ -436,17 +598,20 @@ def test_newton_roots_against_mpmath(lam0, coupling):
 
 def rounding_floor(grid, u, p, q, j, d):
     """How far from the root of the secular function a double can land
-    for rounding alone, in d: eps times the sizes of its terms (with both
-    digammas) over its slope.  Near a strongly coupled outer root the terms
-    cancel to ~1e-4 of their size and this reaches tens of ulps."""
+    for rounding alone, in d: eps times the sizes of its terms over its
+    slope.  The outer sum S = 1/d + sigma enters with the sizes of its two
+    parts; sigma = psi(1+|d|) - psi(n+|d|) is formed as one difference
+    (``digamma_span``), not from the two digammas of ~9.  Near a strongly
+    coupled outer root the terms still cancel to ~1e-4 of their size and
+    this reaches ~16 ulps."""
     from scipy.special import digamma
     from gravclock.numerics import _comb_sums
     n, dnu = grid.n_modes, grid.dnu
     lam = grid.nu_min - u + dnu * (j + d)
     g = p + q * lam
     s, t = _comb_sums(np.asarray(j), np.asarray(d), n)
-    terms = (abs(g) / dnu * (abs(digamma(abs(d))) + abs(digamma(n + abs(d))))
-             + n * q + abs(lam))
+    sigma = digamma(1.0 + abs(d)) - digamma(n + abs(d))
+    terms = abs(g) / dnu * (abs(sigma) + 1.0 / abs(d)) + n * q + abs(lam)
     return float(np.finfo(float).eps * terms / abs(q * s - g * t / dnu - dnu))
 
 
@@ -463,9 +628,10 @@ def test_outer_roots_against_mpmath(zeta, r, coupling, offset, scale):
     far outside the comb.  Each lies within 20 ulps of the bisection
     reference and no farther from the exact root than it, up to 4 ulps --
     or, where larger, up to twice the rounding floor, which neither solver
-    beats (576 outer roots of 288 probe draws above 25 times the coupling,
-    floors 0.4-80 ulps: both within 1.6 floors of the exact root, 1.8
-    floors of each other)."""
+    beats (238 outer roots of 150 probe draws above 25 times the coupling,
+    floors 0.3-16 ulps: both within 1.9 floors of the exact root, at most
+    11 ulps from each other).  The 32 roots here lie within 4.4 ulps of
+    the exact ones; sigma from two digammas left them up to 13.7 ulps off."""
     from gravclock.numerics import _comb_eigen
     grid = (off_line_comb(zeta, r, offset) if offset
             else gc.ModeGrid.for_line(zeta, r))
