@@ -401,9 +401,10 @@ def cmd_oracle(env: _Env) -> int:
 
 
 def _write_sweep(path: Path, spec: experiments.SweepSpec) -> None:
-    rows = experiments.figure1_sweep(spec)
-    serialize.write_csv(path, "theta,phi,dz,gammaQ_inv",
-                        [rows[:, 0], rows[:, 1], rows[:, 2], rows[:, 3]])
+    gammaq = experiments.figure1_grid(spec)[-1]
+    serialize.write_csv(path, "theta,phi,dz,gammaQ_inv", [gammaq.ravel()],
+                        axes=(spec.theta_values, spec.phi_values,
+                              spec.dz_values))
 
 
 def cmd_sweep(env: _Env) -> int:

@@ -43,17 +43,22 @@ class SweepSpec:
                 * len(self.dz_values))
 
 
+def figure1_grid(spec: SweepSpec) -> tuple[np.ndarray, ...]:
+    """The sparse (theta, phi, dz) mesh of the sweep and the closed-form
+    rate excess on it, shaped (n_theta, n_phi, n_dz)."""
+    mesh = np.meshgrid(spec.theta_values, spec.phi_values, spec.dz_values,
+                       indexing="ij", sparse=True)
+    return (*mesh, gammaq_closed_grid(*mesh, spec.delta_zeta))
+
+
 def figure1_sweep(spec: SweepSpec) -> np.ndarray:
     """Closed-form rate-excess table over the sweep grid.
 
     Returns an (n_rows, 4) array with columns (theta, phi, dz, gammaQ_inv),
     rows in C order over (theta, phi, dz).
     """
-    th, ph, dz = np.meshgrid(spec.theta_values, spec.phi_values,
-                             spec.dz_values, indexing="ij")
-    th, ph, dz = th.ravel(), ph.ravel(), dz.ravel()
-    return np.column_stack([th, ph, dz,
-                            gammaq_closed_grid(th, ph, dz, spec.delta_zeta)])
+    return np.column_stack([c.ravel() for c in
+                            np.broadcast_arrays(*figure1_grid(spec))])
 
 
 def figure1_default_panels(*, n_grid: int = 201,

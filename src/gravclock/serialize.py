@@ -15,6 +15,10 @@ unused bytes are NUL; deleting the NULs leaves the text.  ``%`` itself formats
 what the fast path cannot decide or reach: a product within 1e-6 of a
 rounding tie, where round-half-even needs the exact value, and |x| outside
 [1e-280, 1e300], where the table or the split would leave the doubles.
+
+A grid table, whose rows are the Cartesian product of its axes, is written
+from the axes: each axis value is formatted once and its record repeated on
+the rows it appears on.  The bytes are those of the expanded table.
 """
 from __future__ import annotations
 
@@ -136,16 +140,21 @@ def _mantissa(a, k):
     return p.astype(np.int64) + f.astype(np.int64), r - f
 
 
-def _records(x: np.ndarray, seps: np.ndarray) -> tuple[bytes, int]:
-    """The text of the finite values ``x``, each followed by its separator
-    in ``seps`` (one per column, ``x`` running row by row), and how many
+def _records(x: np.ndarray, seps: np.ndarray,
+             lead: int = 0) -> tuple[np.ndarray, int]:
+    """The records of the finite values ``x``, shaped (rows..., columns),
+    each followed by its column's separator in ``seps``, and how many
     values took the exact ``%`` fallback.
 
-    Each value gets a record of four words: sign, first digit and point;
-    digits 2-9; digits 10-17; exponent and separator.  The words come from
-    lookup tables (``_word_tables``), unused bytes are NUL, and deleting
-    every NUL leaves the text.
+    The records come shaped (rows..., lead + columns, 4): the first
+    ``lead`` records of each row are left for the caller to fill.  Each
+    value gets a record of four words: sign, first digit and point; digits
+    2-9; digits 10-17; exponent and separator.  The words come from lookup
+    tables (``_word_tables``), unused bytes are NUL, and deleting every NUL
+    leaves the text.
     """
+    shape = x.shape
+    x = x.ravel()
     a = np.abs(x)
     fast = (a >= _TINY) & (a <= _HUGE)
     a = np.where(fast, a, 1.0)
@@ -171,59 +180,97 @@ def _records(x: np.ndarray, seps: np.ndarray) -> tuple[bytes, int]:
     eight = rest // 10**8
     halves = np.stack([eight, rest - eight * 10**8], axis=1)
     fours = halves // 10000
-    rec = np.empty((len(x), 4), np.int64)
+    # allocated after the temporaries: allocated before them, it made the
+    # heap grow and page-fault on every chunk (~10% on a 12002-row table)
+    rec = np.empty((*shape[:-1], lead + shape[-1], 4), np.int64)
+    out = rec[..., lead:, :]
     words = quads.take(halves - fours * 10000)
     words <<= 32
     words |= quads.take(fours)
-    rec[:, 1:3] = words
+    out[..., 1:3] = words.reshape(*shape, 2)
     first += np.signbit(x) * 10
-    rec[:, 0] = heads.take(first)
-    rec.reshape(-1, len(seps), 4)[:, :, 3] = \
-        exps.take(k.reshape(-1, len(seps)) + _E) | seps
+    out[..., 0] = heads.take(first).reshape(shape)
+    out[..., 3] = exps.take(k + _E).reshape(shape) | seps
+    slow = slow.reshape(shape)
     n_slow = int(np.count_nonzero(slow))
     if n_slow:
-        slow = np.flatnonzero(slow)
-        text = [_FMT % v for v in x[slow].tolist()]
-        raw = rec.view(np.uint8).reshape(len(x), 32)
-        raw[slow, :24] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
-        raw[slow, 24:31] = 0                 # keep the separator
-    return rec.tobytes().translate(None, b"\0"), n_slow
+        text = [_FMT % v for v in x.reshape(shape)[slow].tolist()]
+        out[slow, :3] = np.array(text, "S24").view(np.int64).reshape(-1, 3)
+        out[slow, 3] = np.broadcast_to(seps, shape)[slow]  # separator only
+    return rec, n_slow
 
 
-def write_csv(path, header: str, columns) -> None:
-    """Write equal-length 1-D columns under a comma-separated header line.
+def write_csv(path, header: str, columns, *, axes=()) -> None:
+    """Write 1-D columns under a comma-separated header line.
 
-    Raises ``ValueError`` when the header does not name one column each or
-    a column is not 1-D or the lengths differ, and ``NonFiniteError`` naming
-    the column and row of the first NaN or infinity; nothing is written
-    then.  Logs one DEBUG record: the file, its rows and columns, and the
-    values formatted by the exact ``%`` fallback.
+    Without ``axes`` every column holds one value per row.  With ``axes``
+    the rows are the C-order Cartesian product of the 1-D ``axes``, which
+    are written first, and each entry of ``columns`` holds one value per
+    row of that product.  The header names the axes, then the columns.
+    Each axis value is formatted once and its record repeated on every row
+    it appears on; the bytes are those of the expanded table.
+
+    Raises ``ValueError`` when the header does not name one column each, an
+    axis or column is not 1-D or a column's length is not the row count,
+    and ``NonFiniteError`` naming the column and first row of a NaN or
+    infinity; nothing is written then.  Logs one DEBUG record: the file,
+    its rows and columns, and the values formatted by the exact ``%``
+    fallback, counted on every row they are written to.
     """
     path = Path(path)
     names = header.split(",")
+    axes = [np.asarray(a, dtype=float) for a in axes]
     cols = [np.asarray(c, dtype=float) for c in columns]
-    if len(names) != len(cols):
-        raise ValueError(f"header names {len(names)} columns, "
-                         f"got {len(cols)}")
-    if any(c.ndim != 1 for c in cols):
-        raise ValueError("columns must be 1-D")
-    if any(len(c) != len(cols[0]) for c in cols):
-        raise ValueError("columns differ in length")
-    for name, c in zip(names, cols):
+    n_axes, n_cols = len(axes), len(axes) + len(cols)
+    if len(names) != n_cols:
+        raise ValueError(f"header names {len(names)} columns, got {n_cols}")
+    if any(c.ndim != 1 for c in axes + cols):
+        raise ValueError("axes and columns must be 1-D")
+    shape = tuple(len(a) for a in axes)
+    n_rows = math.prod(shape) if axes else len(cols[0])
+    if any(len(c) != n_rows for c in cols):
+        raise ValueError(f"columns differ in length from the {n_rows} rows")
+    # an axis value first appears on row index * (rows per value)
+    strides = [math.prod(shape[j + 1:]) for j in range(n_axes)]
+    for name, c, stride in zip(names, axes + cols,
+                               strides + [1] * len(cols)):
         bad = np.flatnonzero(~np.isfinite(c))
         if len(bad):
             raise NonFiniteError(f"{path.name} column {name} row "
-                                 f"{bad[0]}: non-finite value {c[bad[0]]}")
-    table = np.column_stack(cols)
-    n_rows, n_cols = table.shape
+                                 f"{bad[0] * stride}: non-finite value "
+                                 f"{c[bad[0]]}")
     seps = np.full(n_cols, ord(",") << 56)
     seps[-1] = ord("\n") << 56
-    step = max(1, _CHUNK // n_cols)
     pieces, slow = [(header + "\n").encode()], 0
-    for start in range(0, n_rows, step):
-        text, n_slow = _records(table[start:start + step].ravel(), seps)
-        pieces.append(text)
-        slow += n_slow
+    recs = []
+    for a, sep in zip(axes, seps):
+        rec, n_slow = _records(a[:, None], sep)
+        recs.append(rec[:, 0])
+        slow += n_slow * (n_rows // max(1, len(a)))
+    table = np.column_stack(cols)
+    # Rows go in chunks of whole blocks of the last axis (a plain table is
+    # one block), or in slices of a block longer than a chunk: the last axis
+    # repeats along the blocks, and every other axis has one value a block.
+    width = max(1, shape[-1] if axes else n_rows)
+    step = max(1, _CHUNK // n_cols)
+    per, part = max(1, step // width), min(width, step)
+    blocks = n_rows // width
+    for b0 in range(0, blocks, per):
+        nb = min(per, blocks - b0)
+        block = b0 + np.arange(nb)
+        for l0 in range(0, width, part):
+            nl = min(part, width - l0)
+            start = b0 * width + l0
+            values = table[start:start + nb * nl]
+            rec, n_slow = _records(values.reshape(nb, nl, len(cols)),
+                                   seps[n_axes:], n_axes)
+            slow += n_slow
+            if axes:
+                rec[:, :, n_axes - 1] = recs[-1][l0:l0 + nl]
+            for j in range(n_axes - 1):
+                at = block // (strides[j] // width) % shape[j]
+                rec[:, :, j] = recs[j][at][:, None]
+            pieces.append(rec.tobytes().translate(None, b"\0"))
     with path.open("wb") as f:
         f.writelines(pieces)
     _log.debug("%s: %d rows, %d columns, %d values formatted by %%",

@@ -5,6 +5,7 @@ import logging
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from hypothesis.extra.numpy import arrays
 from gravclock import cli, serialize
 
 
-def reference_write_csv(path, header: str, columns) -> None:
-    """The value-by-value writer that ``serialize.write_csv`` replaced."""
-    cols = [np.asarray(c, dtype=float).ravel() for c in columns]
+def reference_write_csv(path, header: str, columns, *, axes=()) -> None:
+    """The value-by-value writer that ``serialize.write_csv`` replaced; the
+    ``axes`` are expanded into full columns first."""
+    grid = np.meshgrid(*axes, indexing="ij")
+    cols = [np.asarray(c, dtype=float).ravel() for c in [*grid, *columns]]
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("columns differ in length")
@@ -76,6 +79,11 @@ def test_write_csv_rejects_ragged_columns(tmp_path):
     with pytest.raises(ValueError):
         serialize.write_csv(tmp_path / "bad.csv", "a,b",
                             [np.zeros(3), np.zeros(4)])
+    # on a grid, a column holds one value per row of the axes' product
+    with pytest.raises(ValueError, match="6 rows"):
+        serialize.write_csv(tmp_path / "bad.csv", "x,y,v", [np.zeros(5)],
+                            axes=(np.zeros(2), np.zeros(3)))
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
@@ -87,6 +95,10 @@ def test_writers_refuse_non_finite_values(tmp_path, bad):
     with pytest.raises(serialize.NonFiniteError, match="column p row 2"):
         serialize.write_csv(tmp_path / "bad.csv", "s,p",
                             [np.zeros(3), [0.0, 1.0, bad]])
+    # an axis value first appears on row index * (length of the later axes)
+    with pytest.raises(serialize.NonFiniteError, match="column y row 8"):
+        serialize.write_csv(tmp_path / "bad.csv", "x,y,z,v", [np.zeros(24)],
+                            axes=(np.zeros(2), [0.0, 1.0, bad], np.zeros(4)))
     assert not any(tmp_path.iterdir())
 
 
@@ -99,6 +111,10 @@ def test_write_csv_rejects_header_column_mismatch(tmp_path):
     with pytest.raises(ValueError, match="header names 3 columns, got 2"):
         serialize.write_csv(tmp_path / "bad.csv", "a,b,c",
                             [np.zeros(2), np.zeros(2)])
+    # the header names the axes, then the columns
+    with pytest.raises(ValueError, match="header names 2 columns, got 3"):
+        serialize.write_csv(tmp_path / "bad.csv", "x,v", [np.zeros(6)],
+                            axes=(np.zeros(2), np.zeros(3)))
     assert not any(tmp_path.iterdir())
 
 
@@ -107,6 +123,9 @@ def test_write_csv_rejects_columns_that_are_not_1d(tmp_path, column):
     with pytest.raises(ValueError, match="1-D"):
         serialize.write_csv(tmp_path / "bad.csv", "a,b",
                             [np.zeros(6), column])
+    with pytest.raises(ValueError, match="1-D"):
+        serialize.write_csv(tmp_path / "bad.csv", "a,b", [np.zeros(6)],
+                            axes=(column,))
     assert not any(tmp_path.iterdir())
 
 
@@ -297,6 +316,74 @@ def test_exact_ties_take_the_percent_fallback(tmp_path, caplog):
     assert lines[1].split(",")[0] == "2.9802322387695312e-08"
     assert lines[1:] == [f"{serialize.fmt17(a)},{serialize.fmt17(b)}"
                          for a, b in zip(col, col[::-1])]
+    # as grid axes each value is formatted once, but the record counts it
+    # on every row it is written to: col's 8 on 2 rows each, 2^-25 on 11
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="gravclock.serialize"):
+        serialize.write_csv(tmp_path / "g.csv", "x,y,v", [np.ones(22)],
+                            axes=(col, [1.0, 2.0**-25]))
+    records = [r for r in caplog.records if r.name == "gravclock.serialize"]
+    assert [r.args for r in records] == [("g.csv", 22, 3, 8 * 2 + 11)]
+
+
+def _logged(path, header, columns, **kwargs) -> tuple:
+    """The arguments of the one DEBUG record ``write_csv`` logs."""
+    records = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger("gravclock.serialize")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        serialize.write_csv(path, header, columns, **kwargs)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    (record,) = records
+    return record.args
+
+
+# signed zeros, exact ties of the 17th digit and magnitudes outside
+# [1e-280, 1e300]: the last two take the % fallback
+_GRID_EDGES = [0.0, -0.0, 2.0**-25, -3 * 2.0**-25, 5 * 2.0**-24,
+               13 * 2.0**-24, 1e-300, -5e-324, 1e301, -_MAX]
+
+
+@st.composite
+def _grids(draw):
+    """1-3 axes of 1-7 values, 1-2 value columns and a chunk size; small
+    chunks split the rows, and the last axis, into many blocks."""
+    value = st.one_of(st.sampled_from(_GRID_EDGES), _edge_doubles(),
+                      _ties())
+    axes = [np.array(draw(st.lists(value, min_size=1, max_size=7)))
+            for _ in range(draw(st.integers(1, 3)))]
+    n = math.prod(len(a) for a in axes)
+    cols = [np.array(draw(st.lists(value, min_size=n, max_size=n)))
+            for _ in range(draw(st.integers(1, 2)))]
+    return axes, cols, draw(st.sampled_from([1, 9, 40, serialize._CHUNK]))
+
+
+@pytest.mark.filterwarnings("error")
+@given(grid=_grids())
+def test_grid_tables_write_their_expanded_columns(tmp_path_factory, grid):
+    """A table written from its axes has the bytes of the value-by-value
+    writer on the expanded columns, and its DEBUG record reads as the plain
+    write's: a fallback axis value counts once per row it appears on."""
+    axes, cols, chunk = grid
+    tmp = tmp_path_factory.mktemp("grid")
+    (tmp / "grid").mkdir()
+    (tmp / "plain").mkdir()
+    header = ",".join([f"a{i}" for i in range(len(axes))]
+                      + [f"c{i}" for i in range(len(cols))])
+    expanded = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    with mock.patch.object(serialize, "_CHUNK", chunk):
+        logged = _logged(tmp / "grid" / "t.csv", header, cols, axes=axes)
+        assert logged == _logged(tmp / "plain" / "t.csv", header,
+                                 expanded + cols)
+    reference_write_csv(tmp / "ref.csv", header, cols, axes=axes)
+    assert (tmp / "grid" / "t.csv").read_bytes() == \
+        (tmp / "ref.csv").read_bytes()
 
 
 @pytest.mark.filterwarnings("error")
