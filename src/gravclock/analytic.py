@@ -27,16 +27,6 @@ from .numerics import (AccuracyError, block_rows, gauss_moment,
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
-def local_rate(zeta):
-    """Decay rate at fixed height, (1 + zeta) in flat-space-rate units."""
-    z = np.asarray(zeta, dtype=float)
-    if np.any(z <= -1.0):
-        raise HorizonError("local rate requested at/below the horizon "
-                           "(zeta <= -1)")
-    out = 1.0 + z
-    return out if np.ndim(zeta) else float(out)
-
-
 @dataclass(frozen=True)
 class RateResult:
     gamma_sup: float
@@ -124,29 +114,16 @@ def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                       gammaQ_inv=float(gq), method=method)
 
 
-def total_rate(density: HeightDensity, *,
-               at_time: float | None = None) -> float:
+def total_rate(density: HeightDensity) -> float:
     """Mean decay rate of a height density: <1 + zeta>.
 
-    With ``at_time`` set, returns instead the exact instantaneous emission
-    rate integral rho(zeta) (1+zeta) exp(-(1+zeta) s) dzeta at s = at_time,
-    i.e. the negative time derivative of the survival probability.  Sampled
-    densities are integrated by
+    Sampled densities are integrated by
     :func:`~gravclock.numerics.panel_quadrature` on their support panels.
     """
-    s = 0.0 if at_time is None else float(at_time)
-    if s < 0.0:
-        raise ConfigurationError(f"at_time must be >= 0, got {at_time!r}")
     if density.is_analytic:
-        if at_time is None:
-            return 1.0 + density.mean()
-        w2 = density.width**2
-        return density.component_sum(
-            lambda mu: (1.0 + mu - 0.5 * w2 * s)
-            * math.exp(-(1.0 + mu) * s + 0.25 * w2 * s**2))
-    # exp(-0 * x) is exactly 1, so s = 0 also gives the plain mean
-    return float(_support_integrals(
-        density, lambda z: ((1.0 + z) * np.exp(-(1.0 + z) * s))[..., None])[0])
+        return 1.0 + density.mean()
+    return float(_support_integrals(density,
+                                    lambda z: (1.0 + z)[..., None])[0])
 
 
 def survival_probability(density: HeightDensity, s):
@@ -174,43 +151,6 @@ def survival_probability(density: HeightDensity, s):
             density, lambda z: np.exp(-(1.0 + z)[..., None] * times))
     out = out.reshape(s_arr.shape)
     return out if np.ndim(s) else float(out)
-
-
-def excited_amplitude_sq(zeta, s):
-    """|excited amplitude|^2 of a single height strip: exp(-(1+zeta) s)."""
-    z = np.asarray(zeta, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(z <= -1.0):
-        raise HorizonError("zeta at/below the horizon")
-    if np.any(s_arr < 0.0):
-        raise ConfigurationError("s must be >= 0")
-    out = np.exp(-(1.0 + z) * s_arr)
-    return float(out) if not (np.ndim(zeta) or np.ndim(s)) else out
-
-
-def photon_amplitude_sq(zeta, nu, s, r):
-    """|mode amplitude|^2 / g^2 for a strip at zeta, detuning nu, time s.
-
-    Everything is formed from detunings: the line sits at u = r*zeta and only
-    u - nu enters.  As s grows this tends to the Lorentzian kernel
-    1 / ((1+zeta)^2/4 + (u-nu)^2); the stationary line shape is
-    (1+zeta)/(2 pi) times that limit.
-    """
-    z = np.asarray(zeta, dtype=float)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(z <= -1.0):
-        raise HorizonError("zeta at/below the horizon")
-    if np.any(s_arr < 0.0):
-        raise ConfigurationError("s must be >= 0")
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be > 0, got {r!r}")
-    gam = 1.0 + z
-    detune = r * z - np.asarray(nu, dtype=float)
-    bracket = (np.exp(-gam * s_arr) + 1.0
-               - 2.0 * np.exp(-0.5 * gam * s_arr) * np.cos(detune * s_arr))
-    out = bracket / (0.25 * gam**2 + detune**2)
-    scalar = not (np.ndim(zeta) or np.ndim(nu) or np.ndim(s))
-    return float(out) if scalar else out
 
 
 def lorentzian_line(nu, zeta: float, r: float):

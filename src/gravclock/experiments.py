@@ -37,11 +37,6 @@ class SweepSpec:
                 raise ConfigurationError(f"{name} must be non-empty")
             object.__setattr__(self, name, vals)
 
-    @property
-    def n_rows(self) -> int:
-        return (len(self.theta_values) * len(self.phi_values)
-                * len(self.dz_values))
-
 
 def figure1_grid(spec: SweepSpec) -> tuple[np.ndarray, ...]:
     """The sparse (theta, phi, dz) mesh of the sweep and the closed-form
@@ -139,14 +134,14 @@ def figure2_default_cases(*, n_points: int = 4001) -> dict[str, LineCase]:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float, iters: int = 40) -> float:
-    """Deterministic golden-section maximizer on [lo, hi]."""
+def _golden_max(f, lo: float, hi: float) -> float:
+    """Deterministic golden-section maximizer on [lo, hi], 40 steps."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iters):
+    for _ in range(40):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -158,26 +153,24 @@ def _golden_max(f, lo: float, hi: float, iters: int = 40) -> float:
     return 0.5 * (a + b)
 
 
-def optimal_state_scan(delta_zeta: float, *, ratio_grid=None, theta_grid=None,
-                       phi_grid=None, refine_iters: int = 40) -> dict:
+def optimal_state_scan(delta_zeta: float) -> dict:
     """Search the state family for the largest |rate excess|.
 
     The separation axis is dz/delta_zeta, so the closed form factorizes as
     gammaQ = delta_zeta * F(ratio, theta, phi) and the maximum is exactly
-    proportional to the packet width.  Coarse grid first, then a few rounds
-    of coordinate-wise golden-section refinement; fully deterministic.
+    proportional to the packet width.  A coarse grid (31 log-spaced ratios
+    in [0.05, 4], 51 thetas in [pi/8, 3pi/8], 41 phis in [0, 2pi]) first,
+    then two rounds of coordinate-wise golden-section refinement; fully
+    deterministic.
 
     The optimum must land at phi = pi with nearly overlapping packets --
     that's asserted, not assumed.
     """
     if not delta_zeta > 0.0:
         raise ConfigurationError("delta_zeta must be > 0")
-    ratios = np.geomspace(0.05, 4.0, 31) if ratio_grid is None \
-        else np.asarray(ratio_grid, dtype=float)
-    thetas = np.linspace(math.pi / 8, 3 * math.pi / 8, 51) \
-        if theta_grid is None else np.asarray(theta_grid, dtype=float)
-    phis = np.linspace(0.0, 2.0 * math.pi, 41) if phi_grid is None \
-        else np.asarray(phi_grid, dtype=float)
+    ratios = np.geomspace(0.05, 4.0, 31)
+    thetas = np.linspace(math.pi / 8, 3 * math.pi / 8, 51)
+    phis = np.linspace(0.0, 2.0 * math.pi, 41)
 
     def f_abs(ratio, theta, phi):
         return np.abs(gammaq_closed_grid(theta, phi, ratio, 1.0))
@@ -196,12 +189,9 @@ def optimal_state_scan(delta_zeta: float, *, ratio_grid=None, theta_grid=None,
     t_lo, t_hi = bracket(thetas, j)
     p_lo, p_hi = bracket(phis, k)
     for _ in range(2):
-        ratio_b = _golden_max(lambda v: f_abs(v, theta_b, phi_b),
-                              r_lo, r_hi, refine_iters)
-        theta_b = _golden_max(lambda v: f_abs(ratio_b, v, phi_b),
-                              t_lo, t_hi, refine_iters)
-        phi_b = _golden_max(lambda v: f_abs(ratio_b, theta_b, v),
-                            p_lo, p_hi, refine_iters)
+        ratio_b = _golden_max(lambda v: f_abs(v, theta_b, phi_b), r_lo, r_hi)
+        theta_b = _golden_max(lambda v: f_abs(ratio_b, v, phi_b), t_lo, t_hi)
+        phi_b = _golden_max(lambda v: f_abs(ratio_b, theta_b, v), p_lo, p_hi)
     best = float(f_abs(ratio_b, theta_b, phi_b))
 
     if abs(phi_b - math.pi) > 0.2:
@@ -230,25 +220,24 @@ def optimal_state_scan(delta_zeta: float, *, ratio_grid=None, theta_grid=None,
 
 
 def term_magnitude_report(*, g: float = STANDARD_GRAVITY,
-                          c: float = C_LIGHT, hbar: float = HBAR,
-                          mass: float = 1e-27, t: float = 1e-8,
-                          zeta_sep: float = 1e-18,
-                          p_bar: float = 0.0) -> dict:
+                          c: float = C_LIGHT, hbar: float = HBAR) -> dict:
     """Order-of-magnitude comparison of the three coherence-time terms.
 
-    Reference point: separation and packet spread both zeta_sep * c^2/g
-    (~9.2 mm on Earth), minimum-uncertainty velocity spread
-    sigma_v = hbar/(m sigma_z), and the one-significant-figure atomic mass
-    1e-27 kg the estimate chain rounds to.  term3 is the one-sided bound at
-    momentum |p_bar - m g t|, maximal over the run time t.
+    Reference point: separation and packet spread both 1e-18 * c^2/g in
+    height (zeta = 1e-18, ~9.2 mm on Earth), minimum-uncertainty velocity
+    spread sigma_v = hbar/(m sigma_z), the one-significant-figure atomic
+    mass m = 1e-27 kg the estimate chain rounds to, run time t = 1e-8 s and
+    mean momentum p_bar = 0.  term3 is the one-sided bound at momentum
+    |p_bar - m g t| = m g t, maximal over the run time t.
     """
-    sigma_z = zeta_sep * c**2 / g
+    mass, t = 1e-27, 1e-8
+    sigma_z = 1e-18 * c**2 / g
     dz = sigma_z
     sigma_v = hbar / (mass * sigma_z)
     sv2c2 = (sigma_v / c) ** 2
     term1 = sv2c2
     term2 = g * dz / c**2
-    term3 = (2.0 / hbar) * sv2c2 * dz * abs(p_bar - mass * g * t)
+    term3 = (2.0 / hbar) * sv2c2 * dz * (mass * g * t)
     return {
         "term1": term1,
         "term2": term2,
@@ -258,5 +247,5 @@ def term_magnitude_report(*, g: float = STANDARD_GRAVITY,
         "sigma_v_m_s": sigma_v,
         "mass_kg": mass,
         "t_s": t,
-        "p_bar": p_bar,
+        "p_bar": 0.0,
     }

@@ -126,7 +126,8 @@ class PhysicalParams:
 
 @dataclass(frozen=True)
 class DimensionlessScales:
-    """Conversions between SI quantities and the dimensionless variables."""
+    """Heights between meters and zeta (:meth:`zeta`, :meth:`height_m`),
+    and the line-shift factor :attr:`r`."""
 
     g: float
     c: float
@@ -147,20 +148,6 @@ class DimensionlessScales:
 
     def height_m(self, zeta):
         return np.asarray(zeta, dtype=float) * self.c**2 / self.g
-
-    def s(self, tau_s):
-        return self.gamma0 * np.asarray(tau_s, dtype=float)
-
-    def tau_s(self, s):
-        return np.asarray(s, dtype=float) / self.gamma0
-
-    def nu(self, omega_rad_s):
-        # Difference of absolute frequencies: fine for lab detunings, but do
-        # not reconstruct gravitational shifts this way -- use r * zeta.
-        return (np.asarray(omega_rad_s, dtype=float) - self.omega) / self.gamma0
-
-    def line_shift(self, zeta):
-        return self.r * np.asarray(zeta, dtype=float)
 
 
 # Identity conversion: "heights" already given in zeta units.
@@ -216,24 +203,10 @@ class SuperpositionSpec:
     def norm_bracket(self) -> float:
         return 1.0 + self.interference_weight
 
-    @property
-    def norm_constant(self) -> float:
-        """Normalization N = [sqrt(pi) delta (1 + cos phi sin 2theta E)]^{-1/2}."""
-        return 1.0 / math.sqrt(ROOT_PI * self.delta * self.norm_bracket)
-
     def mixture(self) -> "MixtureSpec":
         """The decohered counterpart: same packets and weights, no phase."""
         return MixtureSpec(z1=self.z1, z2=self.z2, delta=self.delta,
                            theta=self.theta)
-
-    def swapped(self) -> "SuperpositionSpec":
-        """Relabel the packets: (z1,z2,theta) -> (z2,z1,pi/2-theta).
-
-        Describes the identical physical state; only phi's sign convention
-        would differ at third order, and cos(phi) is all that ever enters.
-        """
-        return SuperpositionSpec(z1=self.z2, z2=self.z1, delta=self.delta,
-                                 theta=math.pi / 2 - self.theta, phi=self.phi)
 
 
 @dataclass(frozen=True)
@@ -250,30 +223,6 @@ class MixtureSpec:
         _require_finite("z2", self.z2)
         _require_positive("delta", self.delta)
         _validate_angles(self.theta, None)
-
-
-def density_sup(spec: SuperpositionSpec, z_m):
-    """Position density of the superposition state, in 1/m."""
-    z = np.asarray(z_m, dtype=float)
-    d2 = spec.delta**2
-    q1 = (z - spec.z1) ** 2 / d2
-    q2 = (z - spec.z2) ** 2 / d2
-    body = (math.cos(spec.theta) ** 2 * np.exp(-q1)
-            + math.sin(spec.theta) ** 2 * np.exp(-q2)
-            + math.cos(spec.phi) * math.sin(2.0 * spec.theta)
-            * np.exp(-0.5 * (q1 + q2)))
-    out = spec.norm_constant**2 * np.maximum(body, 0.0)
-    return out if np.ndim(z_m) else float(out)
-
-
-def density_mix(spec: MixtureSpec | SuperpositionSpec, z_m):
-    """Position density of the classical mixture, in 1/m."""
-    z = np.asarray(z_m, dtype=float)
-    d2 = spec.delta**2
-    norm = 1.0 / (ROOT_PI * spec.delta)
-    out = norm * (math.cos(spec.theta) ** 2 * np.exp(-((z - spec.z1) ** 2) / d2)
-                  + math.sin(spec.theta) ** 2 * np.exp(-((z - spec.z2) ** 2) / d2))
-    return out if np.ndim(z_m) else float(out)
 
 
 _ANALYTIC_KINDS = ("analytic-superposition", "analytic-mixture")

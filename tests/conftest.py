@@ -41,6 +41,13 @@ def random_specs(n: int, *, seed: int = SEED) -> list[gc.SuperpositionSpec]:
     return out
 
 
+def relabelled(spec: gc.SuperpositionSpec) -> gc.SuperpositionSpec:
+    """The same physical state with the packets' labels exchanged:
+    (z1, z2, theta) -> (z2, z1, pi/2 - theta); only cos(phi) ever enters."""
+    return gc.SuperpositionSpec(z1=spec.z2, z2=spec.z1, delta=spec.delta,
+                                theta=np.pi / 2 - spec.theta, phi=spec.phi)
+
+
 @pytest.fixture(scope="session")
 def oracle_trio():
     """Mode-comb runs at r = 1e3 for zeta in {0, 0.25, 0.5}.

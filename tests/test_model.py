@@ -8,12 +8,19 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import gravclock as gc
-from conftest import UNIT_SCALES, random_specs
+from conftest import UNIT_SCALES, random_specs, relabelled
 
 
 def make_spec(z1=0.0, z2=2.0, delta=1.0, theta=math.pi / 4, phi=0.0):
     return gc.SuperpositionSpec(z1=z1, z2=z2, delta=delta, theta=theta,
                                 phi=phi)
+
+
+def make_zeta_spec(z1=0.0, z2=2.0, delta=1.0, theta=math.pi / 4, phi=0.0):
+    """:func:`make_spec` with heights and spread scaled by 0.01, so that a
+    density's support (12 spreads past the packets) stays above zeta = -0.5;
+    the shape depends only on the ratios, which are unchanged."""
+    return make_spec(0.01 * z1, 0.01 * z2, 0.01 * delta, theta, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -68,12 +75,7 @@ def test_scales_conversions():
     # one meter of height on Earth
     assert sc.zeta(1.0) == pytest.approx(9.80665 / gc.C_LIGHT**2, rel=1e-15)
     assert sc.height_m(sc.zeta(123.0)) == pytest.approx(123.0, rel=1e-12)
-    assert sc.s(2.0) == pytest.approx(2.0 * sc.gamma0, rel=1e-15)
-    assert sc.tau_s(sc.s(3.3)) == pytest.approx(3.3, rel=1e-15)
     assert sc.r == pytest.approx(1.5e17, rel=1e-12)
-    assert sc.nu(sc.omega) == 0.0
-    # gravitational line shift in linewidth units: u = r * zeta
-    assert sc.line_shift(1e-17) == pytest.approx(1.5, rel=1e-12)
 
 
 def test_scales_reject_nonpositive():
@@ -89,23 +91,22 @@ def test_scales_reject_nonpositive():
 def test_norm_constant_closed_form():
     """Unit packets two widths apart, equal weights, no phase."""
     spec = make_spec()
-    want = 1.0 / math.sqrt(math.sqrt(math.pi) * (1.0 + math.exp(-1.0)))
     assert spec.overlap == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert spec.norm_constant == pytest.approx(want, rel=1e-15)
-    assert spec.norm_constant == pytest.approx(0.6422270899193502, rel=1e-15)
+    assert spec.norm_bracket == pytest.approx(1.0 + math.exp(-1.0),
+                                              rel=1e-15)
 
 
 def test_density_sup_unit_mass_adaptive():
-    spec = make_spec(theta=math.pi / 3, phi=1.0)
-    mass, err = quad(lambda z: gc.density_sup(spec, z), -30.0, 30.0,
-                     points=[spec.z1, spec.z2], limit=200)
+    spec = make_zeta_spec(theta=math.pi / 3, phi=1.0)
+    dens = gc.HeightDensity.superposition(spec, UNIT_SCALES)
+    mass, err = quad(dens, -0.3, 0.3, points=[spec.z1, spec.z2], limit=200)
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_mix_unit_mass_adaptive():
-    spec = make_spec(theta=0.9).mixture()
-    mass, err = quad(lambda z: gc.density_mix(spec, z), -30.0, 30.0,
-                     points=[spec.z1, spec.z2], limit=200)
+    spec = make_zeta_spec(theta=0.9).mixture()
+    dens = gc.HeightDensity.mixture(spec, UNIT_SCALES)
+    mass, err = quad(dens, -0.3, 0.3, points=[spec.z1, spec.z2], limit=200)
     assert mass == pytest.approx(1.0, abs=1e-12)
 
 
@@ -126,26 +127,28 @@ def test_density_normalization_gauss_hermite_order_40():
 
 def test_phi_half_pi_superposition_equals_mixture():
     """cos(phi) = 0 kills the interference term entirely."""
-    spec = make_spec(z1=-0.3, z2=1.1, delta=0.7, theta=0.6,
-                     phi=math.pi / 2)
-    z = np.linspace(-4.0, 5.0, 801)
-    sup = gc.density_sup(spec, z)
-    mix = gc.density_mix(spec.mixture(), z)
+    spec = make_zeta_spec(z1=-0.3, z2=1.1, delta=0.7, theta=0.6,
+                          phi=math.pi / 2)
+    z = np.linspace(-0.04, 0.05, 801)
+    sup = gc.HeightDensity.superposition(spec, UNIT_SCALES)(z)
+    mix = gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)(z)
     assert np.allclose(sup, mix, rtol=1e-14, atol=1e-300)
 
 
 def test_density_swap_invariance():
-    spec = make_spec(z1=-1.0, z2=0.5, delta=0.8, theta=0.5, phi=2.0)
-    z = np.linspace(-5.0, 4.0, 501)
-    assert np.allclose(gc.density_sup(spec, z),
-                       gc.density_sup(spec.swapped(), z), rtol=1e-13)
+    spec = make_zeta_spec(z1=-1.0, z2=0.5, delta=0.8, theta=0.5, phi=2.0)
+    z = np.linspace(-0.05, 0.04, 501)
+    assert np.allclose(gc.HeightDensity.superposition(spec, UNIT_SCALES)(z),
+                       gc.HeightDensity.superposition(relabelled(spec),
+                                                      UNIT_SCALES)(z),
+                       rtol=1e-13)
 
 
 def test_density_nonnegative_under_destructive_phase():
     # phi = pi digs the deepest interference trough between the packets
-    spec = make_spec(z2=1.2, theta=math.pi / 4, phi=math.pi)
-    z = np.linspace(-6.0, 7.0, 2001)
-    assert np.all(gc.density_sup(spec, z) >= 0.0)
+    spec = make_zeta_spec(z2=1.2, theta=math.pi / 4, phi=math.pi)
+    z = np.linspace(-0.06, 0.07, 2001)
+    assert np.all(gc.HeightDensity.superposition(spec, UNIT_SCALES)(z) >= 0.0)
 
 
 def test_spec_validation():
@@ -171,13 +174,6 @@ def test_zero_norm_state_rejected():
         make_spec(z2=0.0, theta=math.pi / 4, phi=math.pi)
 
 
-def test_swapped_is_involution():
-    spec = make_spec(z1=0.2, z2=1.7, theta=0.3, phi=1.1)
-    again = spec.swapped().swapped()
-    assert again.z1 == spec.z1 and again.z2 == spec.z2
-    assert again.theta == pytest.approx(spec.theta, abs=1e-16)
-
-
 # ---------------------------------------------------------------------------
 # height densities
 # ---------------------------------------------------------------------------
@@ -201,9 +197,21 @@ def test_height_density_matches_pointwise_density():
     spec = make_spec(z1=0.0, z2=0.03, delta=0.008, theta=0.7, phi=2.5)
     dens = gc.HeightDensity.superposition(spec, UNIT_SCALES)
     z = np.linspace(-0.05, 0.08, 301)
-    assert np.allclose(dens(z), gc.density_sup(spec, z), rtol=1e-12)
+    # textbook |psi|^2 of cos(theta)|z1> + e^{i phi} sin(theta)|z2>, with
+    # normalized Gaussian packets exp(-(z - z_k)^2 / 2 delta^2)
+    d = spec.delta
+    g1 = np.exp(-(z - spec.z1) ** 2 / (2.0 * d**2))
+    g2 = np.exp(-(z - spec.z2) ** 2 / (2.0 * d**2))
+    psi = math.cos(spec.theta) * g1 \
+        + np.exp(1j * spec.phi) * math.sin(spec.theta) * g2
+    norm = math.sqrt(math.pi) * d * (
+        1.0 + math.cos(spec.phi) * math.sin(2.0 * spec.theta)
+        * math.exp(-(spec.z2 - spec.z1) ** 2 / (4.0 * d**2)))
+    assert np.allclose(dens(z), np.abs(psi) ** 2 / norm, rtol=1e-12)
     mix = gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)
-    assert np.allclose(mix(z), gc.density_mix(spec.mixture(), z), rtol=1e-12)
+    want = (math.cos(spec.theta) ** 2 * g1**2
+            + math.sin(spec.theta) ** 2 * g2**2) / (math.sqrt(math.pi) * d)
+    assert np.allclose(mix(z), want, rtol=1e-12)
 
 
 def test_height_density_mean():
@@ -293,10 +301,10 @@ def test_density_everywhere_nonnegative(theta, phi, dz, delta):
         -dz**2 / (4.0 * delta**2))
     if bracket < 1e-6:
         return  # effectively zero-norm; constructor rejects just below 1e-12
-    spec = gc.SuperpositionSpec(z1=0.0, z2=dz, delta=delta, theta=theta,
-                                phi=phi)
-    z = np.linspace(-4.0 * delta, dz + 4.0 * delta, 401)
-    assert np.all(gc.density_sup(spec, z) >= 0.0)
+    # drawn in packet units, scaled to heights well above zeta = -0.5
+    spec = make_zeta_spec(z1=0.0, z2=dz, delta=delta, theta=theta, phi=phi)
+    z = np.linspace(-0.04 * delta, 0.01 * dz + 0.04 * delta, 401)
+    assert np.all(gc.HeightDensity.superposition(spec, UNIT_SCALES)(z) >= 0.0)
 
 
 @given(theta=st.floats(0.05, math.pi / 2 - 0.05),
