@@ -21,7 +21,7 @@ from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     HorizonError, SuperpositionSpec,
                     _SUPPORT_PANELS, _require_finite, _require_positive,
                     _support_breaks, _support_integrals)
-from .numerics import (AccuracyError, block_rows, gauss_moment,
+from .numerics import (AccuracyError, _panel_nodes, block_rows, gauss_moment,
                        panel_quadrature, voigt_profile)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -223,10 +223,14 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
 
     The Lorentzian pole sits at x = 0 with half-width (1+zeta)/2 in x at any
     r, even where it is narrower than the float spacing of zeta itself (Earth
-    scale).  Each point's panels grade geometrically away from the pole,
-    doubling from half the narrowest half-width up to the width of one equal
-    support panel; the support breaks of :func:`_support_breaks` split them
-    too.  Points go in blocks of :func:`~gravclock.numerics.block_rows`.
+    scale).  Each point's panels are the support panels of
+    :func:`_support_breaks`, split by breaks graded geometrically away from
+    the pole, doubling from half the narrowest half-width up to the width of
+    one support panel.  A support panel that no graded break splits has the
+    same nodes in zeta for every point, so rho is evaluated there once per
+    call and shared by every point whose panel it is; split panels and the
+    panels bisected later get their own rho.  Points go in blocks of
+    :func:`~gravclock.numerics.block_rows`.
     """
     lo, hi = density.support
     zeta_breaks = _support_breaks(density)
@@ -234,27 +238,59 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
     levels = max(1, math.ceil(math.log2(r * (hi - lo) / _SUPPORT_PANELS / h0)))
     steps = h0 * 2.0 ** np.arange(levels + 1)
     graded = np.r_[-steps[::-1], 0.0, steps]
+    # Support panel k of point i holds the graded breaks first[i, k] up to
+    # (not including) last[i, k], strictly inside it.
+    x_breaks = r * zeta_breaks - nu[:, None]
+    first = np.searchsorted(graded, x_breaks[:, :-1], side="right")
+    last = np.searchsorted(graded, x_breaks[:, 1:], side="left")
+    n_support = zeta_breaks.size - 1
+    # rho on the nodes of every support panel that some point leaves whole
+    zeta_nodes = _panel_nodes(zeta_breaks[:-1], zeta_breaks[1:])
+    rho_whole = np.empty(zeta_nodes.shape)
+    whole = (first == last).any(axis=0)
+    if whole.any():
+        rho_whole[whole] = density(zeta_nodes[whole].ravel()).reshape(
+            -1, zeta_nodes.shape[1])
+
     step = block_rows(zeta_breaks.size + graded.size - 1)
     p = np.empty_like(nu)
     for start in range(0, len(nu), step):
         nus = nu[start:start + step]
-        x = r * zeta_breaks - nus[:, None]
-        x = np.concatenate(
-            (x, np.clip(graded, x[:, :1], x[:, -1:])), axis=1)
-        x.sort(axis=1)
-        a, b = x[:, :-1], x[:, 1:]
-        keep = b > a
-        row = np.broadcast_to(np.arange(len(nus))[:, None], a.shape)[keep]
+        firsts, lasts = first[start:start + step], last[start:start + step]
+        xb = x_breaks[start:start + step]
+        # Each support panel of each row (`panel`, flat) is cut into
+        # `pieces` by the graded breaks inside it: piece i runs from graded
+        # break firsts + i - 1 to firsts + i, the end ones from and to its
+        # support breaks.
+        pieces = (lasts - firsts + 1).ravel()
+        panel = np.repeat(np.arange(pieces.size), pieces)
+        piece = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces,
+                                                  pieces)
+        end = firsts.ravel()[panel] + piece
+        a = np.where(piece == 0, xb[:, :-1].ravel()[panel], graded[end - 1])
+        b = np.where(piece == pieces[panel] - 1, xb[:, 1:].ravel()[panel],
+                     graded[np.minimum(end, graded.size - 1)])
+        row = panel // n_support
 
-        def line(x, row, nus=nus):
+        def line(x, row, rho=None, nus=nus):
             zeta = (nus[row][:, None] + x) / r
+            if rho is None:
+                rho = density(zeta.ravel()).reshape(zeta.shape)
             gam = 1.0 + zeta
-            rho = density(zeta.ravel()).reshape(zeta.shape)
             return (rho * gam / (2.0 * math.pi * r)
                     / (0.25 * gam**2 + x**2))[..., None]
 
-        p[start:start + step] = panel_quadrature(line, a[keep], b[keep], row,
-                                                 len(nus))[:, 0]
+        x0 = _panel_nodes(a, b)
+        rho = None
+        shared = pieces[panel] == 1
+        if shared.any():
+            rho = rho_whole[panel % n_support]
+            own = np.flatnonzero(~shared)
+            if own.size:
+                zeta = (nus[row[own]][:, None] + x0[own]) / r
+                rho[own] = density(zeta.ravel()).reshape(zeta.shape)
+        p[start:start + step] = panel_quadrature(
+            line, a, b, row, len(nus), y0=line(x0, row, rho))[:, 0]
     return np.maximum(p, 0.0)
 
 

@@ -323,16 +323,27 @@ class HeightDensity:
 
         ``pdf`` must be vectorized: every integral over it calls it on 1-D
         float arrays of heights, thousands of quadrature nodes at a time,
-        and it must return an array of the same shape.  With ``check``
-        (default), verifies nonnegativity on a 2001-point scan grid and unit
-        mass within 1e-12 by the panel quadrature engine, whose own error
-        bound is ~1e-13 of the mass.
+        and it must return an array of the same shape.  A line evaluates it
+        once per call on the support panels that some point leaves whole,
+        shared by all such points, and per point only on the panels split
+        near the point's Lorentzian pole or bisected later.  With ``check``
+        (default), refuses a pdf that is not finite or is negative on a
+        2001-point scan grid, naming the first non-finite height, and
+        verifies unit mass within 1e-12 by the panel quadrature engine,
+        whose own error bound is ~1e-13 of the mass.  Unchecked, a
+        non-finite value raises AccuracyError from the first integral.
         """
         dens = cls(kind="sampled", support=(float(support[0]), float(support[1])),
                    pdf=pdf)
         if check:
             grid = np.linspace(dens.support[0], dens.support[1], 2001)
             vals = np.asarray(pdf(grid), dtype=float)
+            finite = np.isfinite(vals)
+            if not finite.all():
+                at = np.argmin(finite)
+                raise ConfigurationError(
+                    f"sampled pdf is {float(vals[at])!r} at zeta = "
+                    f"{float(grid[at])!r}; it must be finite on its support")
             if np.any(vals < -1e-12 * max(vals.max(initial=0.0), 1.0)):
                 raise ConfigurationError("sampled pdf takes negative values")
             mass = _support_integrals(dens,

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .model import ConfigurationError, HorizonError, ROOT_PI
 
@@ -65,6 +64,7 @@ _GH_MAX_ORDER = 200
 def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights normalized so that sum(w * f(x)) integrates f
     against the standard Gaussian exp(-x^2)/sqrt(pi)."""
+    from numpy.polynomial.hermite import hermgauss  # only on a cache miss
     x, w = hermgauss(order)
     return x, w / ROOT_PI
 
@@ -117,24 +117,44 @@ def block_rows(n_panels: int) -> int:
     return max(1, _NODE_BLOCK // (len(_GK_NODES) * n_panels))
 
 
-def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, row: np.ndarray):
-    """K15 value and |K15 - G7| of each panel [a, b] of integral ``row``."""
+def _panel_nodes(a, b) -> np.ndarray:
+    """The 15 Kronrod nodes of each panel [a, b], shape (panels, 15)."""
     half = 0.5 * (b - a)
-    x = 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
-    y = f(x, row)
+    return 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
+
+
+def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, row: np.ndarray,
+                   y: np.ndarray | None = None):
+    """K15 value and |K15 - G7| of each panel [a, b] of integral ``row``,
+    from the integrand values ``y`` at its nodes (f's when omitted)."""
+    if y is None:
+        y = f(_panel_nodes(a, b), row)
+    half = 0.5 * (b - a)
     kronrod = np.einsum("pnm,n->pm", y, _GK_KRONROD) * half[:, None]
-    gauss = np.einsum("pnm,n->pm", y, _GK_GAUSS) * half[:, None]
-    return kronrod, np.abs(kronrod - gauss)
+    err = np.abs(kronrod - np.einsum("pnm,n->pm", y, _GK_GAUSS)
+                 * half[:, None])
+    finite = np.isfinite(kronrod) & np.isfinite(err)
+    if not finite.all():
+        bad = np.unravel_index(np.argmin(finite), finite.shape)
+        value, bound = float(kronrod[bad]), float(err[bad])
+        raise AccuracyError(
+            f"panel quadrature integral {row[bad[0]]} is non-finite: panel "
+            f"[{float(a[bad[0]])!r}, {float(b[bad[0]])!r}] gives {value!r} "
+            f"with error bound {bound!r}", estimate=value, bound=bound)
+    return kronrod, err
 
 
-def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
+def panel_quadrature(f, a, b, row, n_rows: int,
+                     y0: np.ndarray | None = None) -> np.ndarray:
     """Error-controlled composite Gauss-Kronrod integrals over panels.
 
     Integral ``i`` is the sum over the panels [a[j], b[j]] with row[j] = i
     (``row`` nondecreasing; an integral without panels is 0).
     ``f(x, row)`` gets the nodes x of shape (panels, 15) with the row of each
     panel and returns shape (panels, 15, m): m integrands sharing the nodes.
-    Returns shape (n_rows, m).
+    Returns shape (n_rows, m).  A caller that already holds the integrands
+    at the starting panels' nodes :func:`_panel_nodes` passes them as ``y0``;
+    ``f`` then only sees bisected panels.
 
     Each panel's error bound is |K15 - G7|.  The tolerance of a component
     is _PANEL_REL_TOL times its |value|, floored at _PANEL_REL_TOL times
@@ -144,11 +164,12 @@ def panel_quadrature(f, a, b, row, n_rows: int) -> np.ndarray:
     its largest-error panels (at most _MAX_SPLITS per round) are bisected
     until the rest would fit in half that tolerance.  After _MAX_ROUNDS
     rounds the worst integral raises AccuracyError with its estimate and
-    bound.
+    bound.  A non-finite panel value or bound raises AccuracyError at once,
+    naming its integral.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     row = np.asarray(row)
-    val, err = _gauss_kronrod(f, a, b, row)
+    val, err = _gauss_kronrod(f, a, b, row, y0)
     out = np.zeros((n_rows, val.shape[1]))
     for rounds in range(_MAX_ROUNDS + 1):
         starts = np.flatnonzero(np.diff(row, prepend=-1))

@@ -277,6 +277,25 @@ def test_from_callable_checks():
                                    check=False)
 
 
+def test_from_callable_refuses_non_finite_values():
+    """NaN fails every comparison, so the negativity scan alone lets it
+    through; the scan names the first height where the pdf is not finite."""
+    grid = np.linspace(-0.2, 0.2, 2001)
+    with pytest.raises(gc.ConfigurationError,
+                       match=r"nan at zeta = -0\.2;"):
+        gc.HeightDensity.from_callable(
+            lambda z: np.full(np.shape(z), np.nan), (-0.2, 0.2))
+    spike = float(grid[1234])
+
+    def spiked(z):
+        z = np.asarray(z, dtype=float)
+        return np.where(z == spike, np.inf, 2.5)
+
+    with pytest.raises(gc.ConfigurationError) as info:
+        gc.HeightDensity.from_callable(spiked, (-0.2, 0.2))
+    assert f"inf at zeta = {spike!r};" in str(info.value)
+
+
 def test_sampled_density_mean_not_defined():
     dens = gc.HeightDensity.from_callable(
         lambda z: np.full_like(np.asarray(z, dtype=float), 2.5),
