@@ -11,8 +11,8 @@ from .experiments import (LineCase, SweepSpec, figure1_default_panels,
                           optimal_state_scan, term_magnitude_report)
 from .model import (C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
-                    HorizonError, MixtureSpec, PhysicalParams,
-                    SuperpositionSpec, dipole_from_gamma0, gamma0_from_dipole)
+                    HorizonError, MixtureSpec, SuperpositionSpec,
+                    gamma0_from_dipole)
 from .numerics import (AccuracyError, IntegrationError, ModeGrid, OracleRun,
                        ValidityError, gauss_moment, line_fwhm, line_peak,
                        oracle_spectrum, single_pole_summary,
@@ -24,12 +24,12 @@ __all__ = [
     "C_LIGHT", "EPS0", "HBAR", "STANDARD_GRAVITY",
     "AccuracyError", "ConfigurationError", "DimensionlessScales",
     "HeightDensity", "HorizonError", "IntegrationError", "KhandelwalParams",
-    "LineCase", "MixtureSpec", "ModeGrid", "OracleRun", "PhysicalParams",
-    "SuperpositionSpec", "SweepSpec", "ValidityError", "decay_rates",
-    "dipole_from_gamma0", "figure1_default_panels", "figure1_sweep",
-    "figure2_default_cases", "figure2_lines", "gamma0_from_dipole",
-    "gammaq_closed_grid", "gauss_moment", "khandelwal_tcoh_full",
-    "khandelwal_tcoh_reduced", "line_fwhm", "line_peak", "lorentzian_line",
+    "LineCase", "MixtureSpec", "ModeGrid", "OracleRun", "SuperpositionSpec",
+    "SweepSpec", "ValidityError", "decay_rates", "figure1_default_panels",
+    "figure1_sweep", "figure2_default_cases", "figure2_lines",
+    "gamma0_from_dipole", "gammaq_closed_grid", "gauss_moment",
+    "khandelwal_tcoh_full", "khandelwal_tcoh_reduced", "line_fwhm",
+    "line_peak", "lorentzian_line",
     "optimal_state_scan", "oracle_spectrum", "quantum_correction",
     "single_pole_summary", "spectrum", "survival_probability",
     "term_magnitude_report", "total_rate", "validate_single_pole",

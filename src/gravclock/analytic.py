@@ -20,7 +20,7 @@ from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, SuperpositionSpec,
                     _SUPPORT_PANELS, _require_finite, _require_positive,
-                    _support_breaks, _support_integrals)
+                    _square, _support_breaks, _support_integrals)
 from .numerics import (AccuracyError, _panel_nodes, block_rows, gauss_moment,
                        panel_quadrature, voigt_profile)
 
@@ -359,7 +359,7 @@ def khandelwal_tcoh_full(kp: KhandelwalParams, z1: float, z2: float, *,
     n = 1.0 + 2.0 * math.cos(kp.phi) * root * e_overlap
     if n < _NORM_FLOOR:
         raise ConfigurationError("state norm N vanishes for these parameters")
-    sv2 = (kp.sigma_v / c) ** 2
+    sv2 = _square(kp.sigma_v / c)
     b1 = x * x * sv2
     b2 = -g * dz * (1.0 - 2.0 * kp.alpha_w) / c**2
     base3 = -(2.0 / hbar) * sv2 * dz * (kp.p_bar - kp.m * g * kp.t)

@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -19,17 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, experiments, numerics, serialize
-from .model import (C_LIGHT, STANDARD_GRAVITY, ConfigurationError,
-                    HeightDensity, HorizonError, MixtureSpec, PhysicalParams,
-                    SuperpositionSpec)
+from .model import (C_LIGHT, HBAR, STANDARD_GRAVITY, ConfigurationError,
+                    DimensionlessScales, HeightDensity, HorizonError,
+                    MixtureSpec, SuperpositionSpec, gamma0_from_dipole)
 
 # The default parameters, used where a config has no ``params``: Earth's
 # gravity and the 267.4 nm intercombination line of the aluminium ion, whose
 # decay rate follows from the pinned ratio r = Omega/Gamma0 = 1.5e17.
 _EARTH_R = 1.5e17
 _EARTH_OMEGA = 7.045e15
-_EARTH_PARAMS = dict(g=STANDARD_GRAVITY, c=C_LIGHT, omega=_EARTH_OMEGA,
-                     gamma0=_EARTH_OMEGA / _EARTH_R)
+_EARTH = DimensionlessScales(g=STANDARD_GRAVITY, c=C_LIGHT,
+                             omega=_EARTH_OMEGA,
+                             gamma0=_EARTH_OMEGA / _EARTH_R)
 
 _DEFAULT_STATE = {"zeta1": 0.0, "zeta2": 0.02, "delta_zeta": 0.01,
                   "theta_rad": math.pi / 8, "phi_rad": 0.0,
@@ -89,7 +89,7 @@ _POSITIVE = dict(lo=0.0, lo_open=True)
 
 # Every config key and its default.  Top-level entries are keys; nested
 # dicts are sections.  ``params`` and ``state`` have no defaults section of
-# their own (_EARTH_PARAMS and _DEFAULT_STATE stand in); their tables follow.
+# their own (_EARTH and _DEFAULT_STATE stand in); their tables follow.
 CONFIG_SCHEMA = {
     "out": _Key("."),
     "rate": {
@@ -139,11 +139,6 @@ CONFIG_SCHEMA = {
         "z2_m": _Key(None),
     },
 }
-
-# The config key of each PhysicalParams field.
-_PARAM_FIELDS = {"g": "g", "c": "c", "omega": "omega_rad_s",
-                 "gamma0": "gamma0_s", "dipole": "dipole_Cm"}
-_FIELD_NAME = re.compile(r"\b(?:%s)\b" % "|".join(_PARAM_FIELDS))
 
 _PARAMS = {
     "g": _Key(STANDARD_GRAVITY, **_POSITIVE),
@@ -224,42 +219,36 @@ def _merge_state(sec) -> dict:
     return _merge("state", sec, table)
 
 
-def _packet(sec: dict) -> list:
-    """Both heights and the spread of a checked state section, in its own
-    unit."""
-    return [sec[k] for k in (_ZETA_PACKET if "zeta1" in sec
-                             else _METER_PACKET)]
-
-
-def _physical_params(sec: dict) -> PhysicalParams:
-    """The parameters of a checked ``params`` section; their cross-key
-    errors name the config keys."""
+def _scales(sec: dict) -> DimensionlessScales:
+    """The scales of a checked ``params`` section, Gamma0 derived from
+    ``dipole_Cm`` where that is the key given."""
+    g, c, omega = (float(sec[k]) for k in ("g", "c", "omega_rad_s"))
+    gamma0, dipole = sec["gamma0_s"], sec["dipole_Cm"]
+    if gamma0 is None and dipole is None:
+        _bad("params", "one of gamma0_s or dipole_Cm is required")
+    if gamma0 is not None and dipole is not None:
+        _bad("params", "gamma0_s and dipole_Cm are mutually exclusive")
+    if gamma0 is None:
+        gamma0 = gamma0_from_dipole(float(dipole), omega, c=c)
+        if gamma0 == 0.0:
+            _bad("params.dipole_Cm", "too small: the derived gamma0_s "
+                                     "underflows to 0")
+    gamma0 = float(gamma0)
+    if omega / gamma0 < 1.0:
+        _bad("params", f"omega_rad_s/gamma0_s = {omega / gamma0:.3g} < 1; "
+                       "the emitter must be underdamped for the line-shape "
+                       "treatment to make sense")
     try:
-        return PhysicalParams(**{
-            field: None if sec[key] is None else float(sec[key])
-            for field, key in _PARAM_FIELDS.items()})
+        return DimensionlessScales(g=g, c=c, omega=omega, gamma0=gamma0)
     except ConfigurationError as exc:
-        _bad("params", _FIELD_NAME.sub(lambda m: _PARAM_FIELDS[m[0]],
-                                       str(exc)))
-
-
-def _state_spec(sec: dict, packet) -> SuperpositionSpec | MixtureSpec:
-    """The spec of a checked state section whose heights and spread are
-    ``packet``, in whichever unit the caller gives them."""
-    z1, z2, delta, theta = (float(x) for x in (*packet, sec["theta_rad"]))
-    try:
-        if sec["kind"] == "mixture":
-            return MixtureSpec(z1=z1, z2=z2, delta=delta, theta=theta)
-        return SuperpositionSpec(z1=z1, z2=z2, delta=delta, theta=theta,
-                                 phi=float(sec["phi_rad"]))
-    except ConfigurationError as exc:
-        _bad("state", str(exc))
+        _bad("params", str(exc))
 
 
 def validate_config(cfg: dict) -> dict:
     """Check a config against CONFIG_SCHEMA and the params and state tables
     and return it completed with their defaults (and the reference state);
-    raises ConfigurationError naming the offending field."""
+    raises ConfigurationError naming the offending field.  The rules that
+    join several keys are checked where :class:`_Env` resolves them."""
     if not isinstance(cfg, dict):
         raise ConfigurationError("config root must be a JSON object")
     for key in cfg:
@@ -268,11 +257,7 @@ def validate_config(cfg: dict) -> dict:
     merged = {}
     if "params" in cfg:
         merged["params"] = _merge("params", cfg["params"], _PARAMS)
-        _physical_params(merged["params"])
-    state = merged["state"] = _merge_state(cfg.get("state", _DEFAULT_STATE))
-    # a zeta-form spec in zeta units: the norm and the angle ranges do not
-    # depend on the height unit
-    _state_spec(state, _packet(state))
+    merged["state"] = _merge_state(cfg.get("state", _DEFAULT_STATE))
     for name, spec in CONFIG_SCHEMA.items():
         if isinstance(spec, _Key):
             merged[name] = spec.check(name, cfg[name]) if name in cfg \
@@ -290,23 +275,28 @@ class _Env:
 
     def __init__(self, cfg: dict, args: argparse.Namespace):
         self.cfg = cfg
-        self.params = (_physical_params(cfg["params"]) if "params" in cfg
-                       else PhysicalParams(**_EARTH_PARAMS))
-        self.scales = self.params.scales()
+        self.scales = _scales(cfg["params"]) if "params" in cfg else _EARTH
         sec = cfg["state"]
-        packet = _packet(sec)
         if "zeta1" in sec:
-            packet = [float(self.scales.height_m(x)) for x in packet]
-        self.spec = _state_spec(sec, packet)
+            packet = [self.scales.height_m(sec[k]) for k in _ZETA_PACKET]
+        else:
+            packet = [sec[k] for k in _METER_PACKET]
+        z1, z2, delta, theta = (float(x) for x in (*packet, sec["theta_rad"]))
         # The horizon rule lives in HeightDensity.  Building the density
         # here, once the params have set the scales, applies it to both
         # state forms on every command.
-        build = (HeightDensity.superposition
-                 if isinstance(self.spec, SuperpositionSpec)
-                 else HeightDensity.mixture)
         try:
-            self.density = build(self.spec, self.scales)
-        except HorizonError as exc:
+            if sec["kind"] == "mixture":
+                self.spec = MixtureSpec(z1=z1, z2=z2, delta=delta,
+                                        theta=theta)
+                self.density = HeightDensity.mixture(self.spec, self.scales)
+            else:
+                self.spec = SuperpositionSpec(z1=z1, z2=z2, delta=delta,
+                                              theta=theta,
+                                              phi=float(sec["phi_rad"]))
+                self.density = HeightDensity.superposition(self.spec,
+                                                           self.scales)
+        except (ConfigurationError, HorizonError) as exc:
             _bad("state", str(exc))
         self.out = self._resolve_out(cfg, args)
 
@@ -431,23 +421,27 @@ def cmd_figures(env: _Env) -> int:
 
 def cmd_tcoh(env: _Env) -> int:
     sec = env.cfg["tcoh"]
-    p = env.params
+    g, c = env.scales.g, env.scales.c
     sigma_z = sec["sigma_z_m"]
     if sigma_z is None:
-        sigma_z = 1e-18 * p.c**2 / p.g
+        sigma_z = 1e-18 * c**2 / g
     mass = sec["mass_kg"]
     sigma_v = sec["sigma_v_m_s"]
     if sigma_v is None:
-        sigma_v = p.hbar / (mass * sigma_z)
+        # inf, as in IEEE arithmetic, where mass * sigma_z underflows
+        sigma_v = HBAR / (mass * sigma_z) if mass * sigma_z else math.inf
     z1 = sec["z1_m"]
     z2 = z1 + sigma_z if sec["z2_m"] is None else sec["z2_m"]
-    kp = analytic.KhandelwalParams(
-        sigma_z=sigma_z, sigma_v=sigma_v, p_bar=sec["p_bar"],
-        alpha_w=sec["alpha_w"], phi=sec["phi_rad"], t=sec["t_s"], m=mass)
-    full = analytic.khandelwal_tcoh_full(kp, z1, z2, g=p.g, c=p.c,
-                                         hbar=p.hbar)
-    reduced = analytic.khandelwal_tcoh_reduced(kp, z1, z2, g=p.g, c=p.c)
-    report = experiments.term_magnitude_report(g=p.g, c=p.c, hbar=p.hbar)
+    try:
+        kp = analytic.KhandelwalParams(
+            sigma_z=sigma_z, sigma_v=sigma_v, p_bar=sec["p_bar"],
+            alpha_w=sec["alpha_w"], phi=sec["phi_rad"], t=sec["t_s"],
+            m=mass)
+        full = analytic.khandelwal_tcoh_full(kp, z1, z2, g=g, c=c)
+        reduced = analytic.khandelwal_tcoh_reduced(kp, z1, z2, g=g, c=c)
+    except ConfigurationError as exc:
+        _bad("tcoh", str(exc))
+    report = experiments.term_magnitude_report(g=g, c=c)
     serialize.dump_json(env.out / "tcoh.json", {
         "term1": full.term1, "term2": full.term2, "term3": full.term3,
         "n_factor": full.n_factor, "tcoh_s": full.tcoh,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .analytic import SpectrumResult, gammaq_closed_grid, spectrum
 from .model import C_LIGHT, HBAR, STANDARD_GRAVITY, ConfigurationError, \
-    HeightDensity
+    HeightDensity, _square
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def term_magnitude_report(*, g: float = STANDARD_GRAVITY,
     sigma_z = 1e-18 * c**2 / g
     dz = sigma_z
     sigma_v = hbar / (mass * sigma_z)
-    sv2c2 = (sigma_v / c) ** 2
+    sv2c2 = _square(sigma_v / c)
     term1 = sv2c2
     term2 = g * dz / c**2
     term3 = (2.0 / hbar) * sv2c2 * dz * (mass * g * t)

@@ -56,72 +56,31 @@ def _require_positive(name: str, value: float) -> float:
     return value
 
 
-def gamma0_from_dipole(dipole: float, omega: float, *, hbar: float = HBAR,
-                       c: float = C_LIGHT, eps0: float = EPS0) -> float:
+def _square(x: float) -> float:
+    """x**2, or inf where Python's float power raises OverflowError
+    instead of overflowing as IEEE arithmetic does."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def gamma0_from_dipole(dipole: float, omega: float, *,
+                       c: float = C_LIGHT) -> float:
     """Flat-space decay rate of a 1+1D emitter with dipole moment ``dipole``.
 
-    Returns Omega d^2 / (2 hbar c eps0).  A zero dipole is allowed here and
-    gives rate zero; :class:`PhysicalParams` itself rejects it because every
-    dimensionless scale divides by Gamma0.
+    Returns Omega d^2 / (2 hbar c eps0), inf past float range.  A zero
+    dipole is allowed here and gives rate zero; the CLI rejects it, because
+    every dimensionless scale divides by Gamma0.
     """
     _require_finite("dipole", dipole)
     if dipole < 0.0:
         raise ConfigurationError(f"dipole must be >= 0, got {dipole!r}")
     _require_positive("omega", omega)
-    return omega * dipole**2 / (2.0 * hbar * c * eps0)
-
-
-def dipole_from_gamma0(gamma0: float, omega: float, *, hbar: float = HBAR,
-                       c: float = C_LIGHT, eps0: float = EPS0) -> float:
-    """Inverse of :func:`gamma0_from_dipole`."""
-    _require_positive("gamma0", gamma0)
-    _require_positive("omega", omega)
-    return math.sqrt(2.0 * hbar * c * eps0 * gamma0 / omega)
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Dimensionful constants and atom parameters.
-
-    Exactly one of ``gamma0`` / ``dipole`` must be supplied; the other is
-    derived.
-    """
-
-    g: float
-    c: float
-    omega: float
-    gamma0: float | None = None
-    dipole: float | None = None
-    hbar: float = HBAR
-    eps0: float = EPS0
-
-    def __post_init__(self) -> None:
-        for name in ("g", "c", "omega", "hbar", "eps0"):
-            _require_positive(name, getattr(self, name))
-        if self.gamma0 is None and self.dipole is None:
-            raise ConfigurationError("one of gamma0 or dipole is required")
-        if self.gamma0 is not None and self.dipole is not None:
-            raise ConfigurationError("gamma0 and dipole are mutually exclusive")
-        if self.gamma0 is None:
-            _require_positive("dipole", self.dipole)
-            object.__setattr__(self, "gamma0", gamma0_from_dipole(
-                self.dipole, self.omega, hbar=self.hbar, c=self.c, eps0=self.eps0))
-        else:
-            _require_positive("gamma0", self.gamma0)
-            object.__setattr__(self, "dipole", dipole_from_gamma0(
-                self.gamma0, self.omega, hbar=self.hbar, c=self.c, eps0=self.eps0))
-        if self.omega / self.gamma0 < 1.0:
-            raise ConfigurationError(
-                f"omega/gamma0 = {self.omega / self.gamma0:.3g} < 1; the emitter "
-                "must be underdamped for the line-shape treatment to make sense")
-
-    @property
-    def r(self) -> float:
-        return self.omega / self.gamma0
-
-    def scales(self) -> "DimensionlessScales":
-        return DimensionlessScales(g=self.g, c=self.c, omega=self.omega,
-                                   gamma0=self.gamma0)
+    try:
+        return omega * dipole**2 / (2.0 * HBAR * c * EPS0)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf if dipole else 0.0
 
 
 @dataclass(frozen=True)
@@ -137,6 +96,9 @@ class DimensionlessScales:
     def __post_init__(self) -> None:
         for name in ("g", "c", "omega", "gamma0"):
             _require_positive(name, getattr(self, name))
+        if _square(self.c) == math.inf:
+            raise ConfigurationError(
+                f"c = {self.c!r} overflows when squared")
 
     @property
     def r(self) -> float:
@@ -192,7 +154,13 @@ class SuperpositionSpec:
     @property
     def overlap(self) -> float:
         """Packet overlap exp(-(z1-z2)^2 / 4 delta^2)."""
-        return math.exp(-((self.z1 - self.z2) ** 2) / (4.0 * self.delta**2))
+        try:
+            return math.exp(-((self.z1 - self.z2) ** 2)
+                            / (4.0 * self.delta**2))
+        except (OverflowError, ZeroDivisionError):
+            raise ConfigurationError(
+                f"packet separation {self.z2 - self.z1!r} or spread "
+                f"{self.delta!r} leaves float range when squared") from None
 
     @property
     def interference_weight(self) -> float:

@@ -139,6 +139,33 @@ BAD_CONFIGS = [
      "params: omega_rad_s/gamma0_s = 0.5 < 1"),
     # an integer too large for a float
     ({"survival": {"n_points": 10**400}}, "survival.n_points"),
+    ({"params": {"omega_rad_s": 1e15, "gamma0_s": 1.0, "g": 0.0}},
+     "params.g: must be > 0"),
+    ({"params": {"omega_rad_s": 1e15, "gamma0_s": 1.0, "c": 0.0}},
+     "params.c: must be > 0"),
+    ({"params": {"omega_rad_s": 0.0, "gamma0_s": 1.0}},
+     "params.omega_rad_s: must be > 0"),
+    # past float range: each row reaches a Python float ** or / that
+    # raises where IEEE arithmetic would give inf or 0
+    ({"params": {"omega_rad_s": 1e15, "dipole_Cm": 1e200}},
+     "params: omega_rad_s/gamma0_s = 0 < 1"),
+    ({"params": {"omega_rad_s": 1e15, "dipole_Cm": 1e-29, "c": 1e-300}},
+     "omega_rad_s/gamma0_s = 0 < 1; the emitter must be underdamped"),
+    ({"params": {"omega_rad_s": 1e15, "dipole_Cm": 1e-200}},
+     "params.dipole_Cm: too small"),
+    ({"params": {**UNIT_PARAMS, "c": 1e200}, "state": METER_STATE},
+     "params: c = 1e+200 overflows when squared"),
+    ({"params": {**UNIT_PARAMS, "c": 1e160}},
+     "params: c = 1e+160 overflows when squared"),
+    ({"state": {**METER_STATE, "z2_m": 1e200}},
+     "state: packet separation 1e+200"),
+    ({"state": {**METER_STATE, "z2_m": 0.0, "delta_m": 1e-200}},
+     "state: packet separation 0.0"),
+    # the spread in zeta, g * delta / c**2, underflows to 0
+    ({"params": {**UNIT_PARAMS, "g": 1e-300, "c": 1e100},
+      "state": METER_STATE}, "state: bad support interval (0.0, 0.0)"),
+    ({"tcoh": {"sigma_z_m": 1e-200, "mass_kg": 1e-200}},
+     "tcoh: sigma_v must be finite"),
 ]
 
 
@@ -147,7 +174,8 @@ BAD_CONFIGS = [
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, cfg,
                                                 needle):
     path = write_cfg(tmp_path, cfg)
-    code, out, err = run(capsys, ["rate", "--config", path,
+    command = "tcoh" if "tcoh" in cfg else "rate"
+    code, out, err = run(capsys, [command, "--config", path,
                                   "--out", str(tmp_path)])
     assert code == 2
     assert out == ""
@@ -485,6 +513,101 @@ def test_tcoh_report(tmp_path, capsys):
     assert ref["term2"] == pytest.approx(1e-18, rel=1e-12)
     assert payload["n_factor"] > 0.0
     assert payload["tcoh_s"] > 0.0
+
+
+# (sigma_v/c)**2 overflows in the bracket, then in the reference magnitudes
+NON_FINITE_TCOH = [
+    ({"tcoh": {"sigma_v_m_s": 1e300}}, "term1"),
+    ({"params": {"g": 1e30, "c": 1e-40, "omega_rad_s": 2.0, "gamma0_s": 1.0},
+      "tcoh": {"sigma_v_m_s": 1.0}}, "reference_magnitudes.term1"),
+]
+
+
+@pytest.mark.parametrize("cfg,field", NON_FINITE_TCOH,
+                         ids=[field for _, field in NON_FINITE_TCOH])
+def test_tcoh_overflow_exits_3_naming_the_field(tmp_path, capsys, cfg,
+                                                field):
+    path = write_cfg(tmp_path, cfg)
+    code, out, err = run(capsys, ["tcoh", "--config", path,
+                                  "--out", str(tmp_path)])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {field}: non-finite value inf\n"
+    assert not (tmp_path / "tcoh.json").exists()
+
+
+def test_dipole_config_matches_its_gamma0(tmp_path, capsys):
+    """A ``dipole_Cm`` config and the same config with the derived
+    ``gamma0_s`` in its place give byte-identical files."""
+    omega, dipole, c = 1e6, 1e-21, 1e4
+    outs = []
+    for key, value in (("dipole_Cm", dipole),
+                       ("gamma0_s", gc.gamma0_from_dipole(dipole, omega,
+                                                          c=c))):
+        out = tmp_path / key
+        out.mkdir()
+        cfg = write_cfg(tmp_path, {"params": {"omega_rad_s": omega,
+                                              key: value, "c": c}})
+        for command in ("rate", "tcoh"):
+            assert run(capsys, [command, "--config", cfg,
+                                "--out", str(out)])[0] == 0
+        outs.append([(out / name).read_bytes()
+                     for name in ("rate.json", "tcoh.json")])
+    assert outs[0] == outs[1]
+
+
+RATE_FIELDS = {"gamma_sup", "gamma_cl", "gammaQ_inv", "method"}
+TCOH_FIELDS = {"term1", "term2", "term3", "n_factor", "tcoh_s",
+               "reduced_gammaQ", "reference_magnitudes"}
+
+
+def extreme_config(rng):
+    """Params, a meter-form state and tcoh keys with magnitudes
+    log-uniform in [1e-300, 1e300]; the state and each tcoh key are
+    present or not at random."""
+    def mag():
+        return float(10.0 ** rng.uniform(-300.0, 300.0))
+
+    def signed():
+        return mag() * float(rng.choice((-1.0, 1.0)))
+
+    params = {"g": mag(), "c": mag(), "omega_rad_s": mag(),
+              str(rng.choice(("gamma0_s", "dipole_Cm"))): mag()}
+    z1 = signed()
+    state = {"z1_m": z1, "z2_m": z1 + signed(), "delta_m": mag(),
+             "theta_rad": float(rng.uniform(0.0, math.pi / 2)),
+             "phi_rad": float(rng.uniform(0.0, 2.0 * math.pi))}
+    tcoh = {key: draw() for key, draw in (
+        ("sigma_z_m", mag), ("sigma_v_m_s", mag), ("mass_kg", mag),
+        ("t_s", mag), ("p_bar", signed), ("z1_m", signed),
+        ("z2_m", signed)) if rng.random() < 0.5}
+    cfg = {"params": params, "tcoh": tcoh}
+    if rng.random() < 0.7:
+        cfg["state"] = state
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extreme_configs_exit_cleanly(tmp_path, capsys):
+    """No config crashes: every run exits 0, 2 naming a config section,
+    or 3 naming a field of the file it would have written."""
+    rng = np.random.default_rng(20261019)
+    path = tmp_path / "cfg.json"
+    codes = set()
+    for _ in range(200):
+        path.write_text(json.dumps(extreme_config(rng)))
+        for command, fields in (("rate", RATE_FIELDS),
+                                ("tcoh", TCOH_FIELDS)):
+            code, _, err = run(capsys, [command, "--config", str(path),
+                                        "--out", str(tmp_path)])
+            codes.add(code)
+            if code == 0:
+                continue
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            where = err.removeprefix("error: ").partition(": ")[0]
+            names = {2: {"params", "state", "tcoh"}, 3: fields}[code]
+            assert where.split(".")[0] in names, err
+    assert codes == {0, 2, 3}
 
 
 def test_empty_config_means_defaults(tmp_path, capsys):

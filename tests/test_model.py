@@ -33,40 +33,10 @@ def test_gamma0_from_dipole_formula():
     want = 5e15 * (1e-30) ** 2 / (2.0 * gc.HBAR * gc.C_LIGHT * gc.EPS0)
     assert got == pytest.approx(want, rel=1e-15)
     assert gc.gamma0_from_dipole(0.0, 5e15) == 0.0
-
-
-def test_dipole_gamma0_roundtrip():
-    omega = 7.045e15
-    d = gc.dipole_from_gamma0(4.7e-2, omega)
-    assert gc.gamma0_from_dipole(d, omega) == pytest.approx(4.7e-2, rel=1e-14)
-
-
-def test_params_require_exactly_one_of_gamma0_dipole():
-    with pytest.raises(gc.ConfigurationError):
-        gc.PhysicalParams(g=9.8, c=3e8, omega=1e15)
-    with pytest.raises(gc.ConfigurationError):
-        gc.PhysicalParams(g=9.8, c=3e8, omega=1e15, gamma0=1.0, dipole=1e-30)
-
-
-def test_params_derive_the_missing_one():
-    p = gc.PhysicalParams(g=9.8, c=3e8, omega=1e15, gamma0=2.0)
-    assert p.dipole > 0.0
-    q = gc.PhysicalParams(g=9.8, c=3e8, omega=1e15, dipole=p.dipole)
-    assert q.gamma0 == pytest.approx(2.0, rel=1e-14)
-    assert q.r == pytest.approx(5e14, rel=1e-14)
-
-
-def test_params_reject_overdamped_emitter():
-    with pytest.raises(gc.ConfigurationError):
-        gc.PhysicalParams(g=9.8, c=3e8, omega=1.0, gamma0=2.0)
-
-
-def test_params_reject_nonpositive_constants():
-    for field in ("g", "c", "omega"):
-        kwargs = dict(g=9.8, c=3e8, omega=1e15, gamma0=1.0)
-        kwargs[field] = 0.0
-        with pytest.raises(gc.ConfigurationError):
-            gc.PhysicalParams(**kwargs)
+    # past float range: the square, then a denominator that underflows
+    assert gc.gamma0_from_dipole(1e200, 5e15) == math.inf
+    assert gc.gamma0_from_dipole(1e-30, 5e15, c=1e-300) == math.inf
+    assert gc.gamma0_from_dipole(0.0, 5e15, c=1e-300) == 0.0
 
 
 def test_scales_conversions():
@@ -83,6 +53,12 @@ def test_scales_reject_nonpositive():
         gc.DimensionlessScales(g=0.0, c=1.0, omega=2.0, gamma0=1.0)
 
 
+def test_scales_reject_c_whose_square_overflows():
+    """zeta and height_m divide and multiply by c**2."""
+    with pytest.raises(gc.ConfigurationError, match="overflows"):
+        gc.DimensionlessScales(g=1.0, c=1e155, omega=2.0, gamma0=1.0)
+
+
 # ---------------------------------------------------------------------------
 # two-packet states
 # ---------------------------------------------------------------------------
@@ -94,6 +70,14 @@ def test_norm_constant_closed_form():
     assert spec.overlap == pytest.approx(math.exp(-1.0), rel=1e-15)
     assert spec.norm_bracket == pytest.approx(1.0 + math.exp(-1.0),
                                               rel=1e-15)
+
+
+@pytest.mark.parametrize("z2,delta", [(1e200, 1.0), (0.0, 1e-200)])
+def test_spec_squares_out_of_float_range_rejected(z2, delta):
+    """A separation whose square overflows, or a spread whose square
+    underflows, leaves no overlap to compute."""
+    with pytest.raises(gc.ConfigurationError, match="float range"):
+        make_spec(z2=z2, delta=delta)
 
 
 def test_density_sup_unit_mass_adaptive():
