@@ -19,8 +19,9 @@ import numpy as np
 from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, SuperpositionSpec,
-                    _SUPPORT_PANELS, _require_finite, _require_positive,
-                    _square, _support_breaks, _support_integrals)
+                    _SUPPORT_PANELS, _c_squared, _require_finite,
+                    _require_positive, _square, _support_breaks,
+                    _support_integrator)
 from .numerics import (AccuracyError, _panel_nodes, block_rows, gauss_moment,
                        panel_quadrature, voigt_profile)
 
@@ -122,8 +123,8 @@ def total_rate(density: HeightDensity) -> float:
     """
     if density.is_analytic:
         return 1.0 + density.mean()
-    return float(_support_integrals(density,
-                                    lambda z: (1.0 + z)[..., None])[0])
+    return float(_support_integrator(density)(
+        lambda z: (1.0 + z)[..., None])[0])
 
 
 def survival_probability(density: HeightDensity, s):
@@ -132,7 +133,7 @@ def survival_probability(density: HeightDensity, s):
     For a Gaussian component centered at mu the strip integral is exact:
     exp(-(1+mu) s + width^2 s^2 / 4).  Sampled densities are integrated by
     :func:`~gravclock.numerics.panel_quadrature` on one node set shared by
-    every time of a block.
+    every time of a block, with the density at its nodes evaluated once.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0):
@@ -145,10 +146,11 @@ def survival_probability(density: HeightDensity, s):
     flat = np.ravel(s_arr)
     out = np.empty(len(flat))
     step = block_rows(len(_support_breaks(density)) - 1)
+    integral = _support_integrator(density)
     for start in range(0, len(flat), step):
         times = flat[start:start + step]
-        out[start:start + step] = _support_integrals(
-            density, lambda z: np.exp(-(1.0 + z)[..., None] * times))
+        out[start:start + step] = integral(
+            lambda z: np.exp(-(1.0 + z)[..., None] * times))
     out = out.reshape(s_arr.shape)
     return out if np.ndim(s) else float(out)
 
@@ -361,7 +363,7 @@ def khandelwal_tcoh_full(kp: KhandelwalParams, z1: float, z2: float, *,
         raise ConfigurationError("state norm N vanishes for these parameters")
     sv2 = _square(kp.sigma_v / c)
     b1 = x * x * sv2
-    b2 = -g * dz * (1.0 - 2.0 * kp.alpha_w) / c**2
+    b2 = -g * dz * (1.0 - 2.0 * kp.alpha_w) / _c_squared(c)
     base3 = -(2.0 / hbar) * sv2 * dz * (kp.p_bar - kp.m * g * kp.t)
     term3 = base3 * math.tan(kp.phi)
     p3 = base3 * 2.0 * math.sin(kp.phi) * root * e_overlap

@@ -270,6 +270,21 @@ def validate_config(cfg: dict) -> dict:
     return merged
 
 
+def _check_zeta_range(scales: DimensionlessScales, packet: list) -> None:
+    """Refuse a meter-form packet that leaves float range in zeta units: a
+    height that converts to inf, or a spread whose square there is 0 or inf
+    (the closed forms divide by it)."""
+    with np.errstate(over="ignore", under="ignore"):
+        zetas = [float(scales.zeta(x)) for x in packet]
+    for key, x, z in zip(_METER_PACKET, packet, zetas):
+        spread = key == "delta_m"
+        if not (0.0 < z * z < math.inf if spread else math.isfinite(z)):
+            _bad(f"state.{key}", f"the packet leaves float range in zeta "
+                                 f"units under these params: {x!r} m is "
+                                 f"{z!r} in zeta"
+                                 + (f", squared {z * z!r}" if spread else ""))
+
+
 class _Env:
     """Everything a command needs, resolved from config + flags."""
 
@@ -282,20 +297,25 @@ class _Env:
         else:
             packet = [sec[k] for k in _METER_PACKET]
         z1, z2, delta, theta = (float(x) for x in (*packet, sec["theta_rad"]))
-        # The horizon rule lives in HeightDensity.  Building the density
-        # here, once the params have set the scales, applies it to both
-        # state forms on every command.
         try:
             if sec["kind"] == "mixture":
                 self.spec = MixtureSpec(z1=z1, z2=z2, delta=delta,
                                         theta=theta)
-                self.density = HeightDensity.mixture(self.spec, self.scales)
             else:
                 self.spec = SuperpositionSpec(z1=z1, z2=z2, delta=delta,
                                               theta=theta,
                                               phi=float(sec["phi_rad"]))
-                self.density = HeightDensity.superposition(self.spec,
-                                                           self.scales)
+        except ConfigurationError as exc:
+            _bad("state", str(exc))
+        if "zeta1" not in sec:
+            _check_zeta_range(self.scales, packet)
+        # The horizon rule lives in HeightDensity.  Building the density
+        # here, once the params have set the scales, applies it to both
+        # state forms on every command.
+        build = HeightDensity.mixture if sec["kind"] == "mixture" \
+            else HeightDensity.superposition
+        try:
+            self.density = build(self.spec, self.scales)
         except (ConfigurationError, HorizonError) as exc:
             _bad("state", str(exc))
         self.out = self._resolve_out(cfg, args)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .analytic import SpectrumResult, gammaq_closed_grid, spectrum
 from .model import C_LIGHT, HBAR, STANDARD_GRAVITY, ConfigurationError, \
-    HeightDensity, _square
+    HeightDensity, _c_squared, _square
 
 
 @dataclass(frozen=True)
@@ -231,12 +231,13 @@ def term_magnitude_report(*, g: float = STANDARD_GRAVITY,
     |p_bar - m g t| = m g t, maximal over the run time t.
     """
     mass, t = 1e-27, 1e-8
-    sigma_z = 1e-18 * c**2 / g
+    c2 = _c_squared(c)
+    sigma_z = 1e-18 * c2 / g
     dz = sigma_z
     sigma_v = hbar / (mass * sigma_z)
     sv2c2 = _square(sigma_v / c)
     term1 = sv2c2
-    term2 = g * dz / c**2
+    term2 = g * dz / c2
     term3 = (2.0 / hbar) * sv2c2 * dz * (mass * g * t)
     return {
         "term1": term1,

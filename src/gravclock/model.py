@@ -65,6 +65,14 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _c_squared(c: float) -> float:
+    """c**2, refusing a c whose square overflows."""
+    c2 = _square(c)
+    if c2 == math.inf:
+        raise ConfigurationError(f"c = {c!r} overflows when squared")
+    return c2
+
+
 def gamma0_from_dipole(dipole: float, omega: float, *,
                        c: float = C_LIGHT) -> float:
     """Flat-space decay rate of a 1+1D emitter with dipole moment ``dipole``.
@@ -96,9 +104,7 @@ class DimensionlessScales:
     def __post_init__(self) -> None:
         for name in ("g", "c", "omega", "gamma0"):
             _require_positive(name, getattr(self, name))
-        if _square(self.c) == math.inf:
-            raise ConfigurationError(
-                f"c = {self.c!r} overflows when squared")
+        _c_squared(self.c)
 
     @property
     def r(self) -> float:
@@ -314,8 +320,8 @@ class HeightDensity:
                     f"{float(grid[at])!r}; it must be finite on its support")
             if np.any(vals < -1e-12 * max(vals.max(initial=0.0), 1.0)):
                 raise ConfigurationError("sampled pdf takes negative values")
-            mass = _support_integrals(dens,
-                                      lambda z: np.ones(z.shape + (1,)))[0]
+            mass = _support_integrator(dens)(
+                lambda z: np.ones(z.shape + (1,)))[0]
             if abs(mass - 1.0) > 1e-12:
                 raise ConfigurationError(
                     f"sampled pdf mass {mass!r} differs from 1 by more than 1e-12")
@@ -376,15 +382,25 @@ def _support_breaks(density: HeightDensity) -> np.ndarray:
     return np.unique(np.r_[np.linspace(lo, hi, _SUPPORT_PANELS + 1), centers])
 
 
-def _support_integrals(density: HeightDensity, f) -> np.ndarray:
-    """Integrals of rho(zeta) f(zeta) over the support panels, by
-    :func:`~gravclock.numerics.panel_quadrature`.  ``f`` maps heights of
-    shape (panels, 15) to shape (panels, 15, m); returns shape (m,)."""
-    from .numerics import panel_quadrature  # deferred: numerics imports model
+def _support_integrator(density: HeightDensity):
+    """The integral of rho(zeta) f(zeta) over the support panels, by
+    :func:`~gravclock.numerics.panel_quadrature`, as a function of ``f``.
+    ``f`` maps heights of shape (panels, 15) to shape (panels, 15, m); an
+    integral has shape (m,).  The density is evaluated at the panels'
+    starting nodes here, once for every integral; ``f`` is called there
+    and at the nodes of bisected panels."""
+    # deferred: numerics imports model
+    from .numerics import _panel_nodes, panel_quadrature
     breaks = _support_breaks(density)
+    a, b = breaks[:-1], breaks[1:]
+    row = np.zeros(len(a), int)
+    x0 = _panel_nodes(a, b)
+    rho0 = density(x0.ravel()).reshape(x0.shape)[..., None]
 
-    def integrand(z, row):
-        return density(z.ravel()).reshape(z.shape)[..., None] * f(z)
+    def integral(f) -> np.ndarray:
+        def integrand(z, row):
+            return density(z.ravel()).reshape(z.shape)[..., None] * f(z)
 
-    return panel_quadrature(integrand, breaks[:-1], breaks[1:],
-                            np.zeros(len(breaks) - 1, int), 1)[0]
+        return panel_quadrature(integrand, a, b, row, 1, y0=rho0 * f(x0))[0]
+
+    return integral

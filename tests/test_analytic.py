@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import gravclock as gc
+from gravclock.model import _support_breaks
+from gravclock.numerics import block_rows, panel_quadrature
 from conftest import UNIT_SCALES, random_specs, relabelled
 
 
@@ -375,10 +377,12 @@ class TwoPackets:
 
     def __init__(self):
         self.calls = self.evals = 0
+        self.sizes = []
 
     def __call__(self, z):
         self.calls += 1
         self.evals += np.size(z)
+        self.sizes.append(np.size(z))
         q = (np.asarray(z, dtype=float)[..., None] - self.centers) / self.width
         return np.exp(-q * q) @ self.weights / (math.sqrt(math.pi)
                                                  * self.width)
@@ -397,6 +401,35 @@ def test_sampled_line_evaluates_shared_panels_once():
     assert pdf.evals / len(nu) <= 190
     # one call for the shared panels, one for the split ones, one per round
     assert pdf.calls <= 4
+
+
+def test_sampled_survival_evaluates_the_support_nodes_once():
+    """A 1000-point curve is 8 blocks of times on one node set; the pdf is
+    asked for its heights once, not once per block, and after
+    that only for the nodes of bisected panels.  The values are those of a
+    quadrature that evaluates every block's integrand afresh."""
+    pdf = TwoPackets()
+    dens = gc.HeightDensity.from_callable(pdf, pdf.support)
+    pdf.sizes.clear()
+    s = np.linspace(0.0, 10.0, 1000)
+    got = gc.survival_probability(dens, s)
+    breaks = _support_breaks(dens)
+    n_nodes = 15 * (len(breaks) - 1)
+    assert pdf.sizes[0] == n_nodes
+    assert n_nodes not in pdf.sizes[1:]
+    step = block_rows(len(breaks) - 1)
+    assert len(s) > 7 * step
+
+    def block(times):
+        def f(z, row):
+            return (pdf(z.ravel()).reshape(z.shape)[..., None]
+                    * np.exp(-(1.0 + z)[..., None] * times))
+        return panel_quadrature(f, breaks[:-1], breaks[1:],
+                                   np.zeros(len(breaks) - 1, int), 1)[0]
+
+    want = np.concatenate([block(s[i:i + step])
+                           for i in range(0, len(s), step)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sampled_line_matches_scipy_quad():
@@ -550,6 +583,20 @@ def test_tcoh_validation():
                              alpha_w=0.5, phi=math.pi, t=1.0, m=1.0)
     with pytest.raises(gc.ConfigurationError, match="norm"):
         gc.khandelwal_tcoh_full(kp, 0.0, 0.0)
+
+
+def test_tcoh_full_refuses_a_c_whose_square_overflows():
+    """c**2 used to raise Python's OverflowError past c ~ 1.34e154; the
+    refusal is DimensionlessScales', and c just below it still works."""
+    kp = gc.KhandelwalParams(sigma_z=1.0, sigma_v=1.0, p_bar=0.0,
+                             alpha_w=0.25, phi=0.0, t=1.0, m=1.0)
+    with pytest.raises(gc.ConfigurationError,
+                       match=r"^c = 1e\+200 overflows when squared$"):
+        gc.khandelwal_tcoh_full(kp, 0.0, 1.0, c=1e200)
+    with pytest.raises(gc.ConfigurationError, match="overflows"):
+        gc.khandelwal_tcoh_reduced(kp, 0.0, 1.0, c=1e200)
+    res = gc.khandelwal_tcoh_full(kp, 0.0, 1.0, g=1.0, c=1e154)
+    assert res.term2 == -1.0 * 1.0 * 0.5 / 1e154**2
 
 
 @given(theta=st.floats(0.05, math.pi / 2 - 0.05),

@@ -161,14 +161,27 @@ BAD_CONFIGS = [
      "state: packet separation 1e+200"),
     ({"state": {**METER_STATE, "z2_m": 0.0, "delta_m": 1e-200}},
      "state: packet separation 0.0"),
-    # the spread in zeta, g * delta / c**2, underflows to 0
-    ({"params": {**UNIT_PARAMS, "g": 1e-300, "c": 1e100},
-      "state": METER_STATE}, "state: bad support interval (0.0, 0.0)"),
+    # the spread in zeta, g * delta / c**2, underflows to 0, or only its
+    # square does, which the closed form divides by; a height overflows
+    ({"params": {"g": 1e-300, "c": 1e100, "omega_rad_s": 1e9,
+                 "gamma0_s": 1e6},
+      "state": {**METER_STATE, "z2_m": 1.0, "delta_m": 0.5}},
+     "state.delta_m: the packet leaves float"),
+    ({"params": {"g": 1.4e-8, "c": 5.0e150, "omega_rad_s": 1e9,
+                 "gamma0_s": 1e6},
+      "state": {"z1_m": 0.0, "z2_m": 1e103, "delta_m": 4.3e102,
+                "theta_rad": 0.4, "phi_rad": 0.1}},
+     "state.delta_m: the packet leaves float range in zeta units under "
+     "these params: 4.3e+102 m is 2.408e-207 in zeta, squared 0.0"),
+    ({"params": {**UNIT_PARAMS, "g": 1e300},
+      "state": {**METER_STATE, "z2_m": 1e10}},
+     "state.z2_m: the packet leaves float range in zeta units"),
     ({"tcoh": {"sigma_z_m": 1e-200, "mass_kg": 1e-200}},
      "tcoh: sigma_v must be finite"),
 ]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cfg,needle", BAD_CONFIGS,
                          ids=[needle for _, needle in BAD_CONFIGS])
 def test_invalid_config_exits_2_and_names_field(tmp_path, capsys, cfg,

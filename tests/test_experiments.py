@@ -190,3 +190,11 @@ def test_term_magnitude_report_reference_point():
     assert rep["mass_kg"] == 1e-27
     assert rep["t_s"] == 1e-8
     assert rep["p_bar"] == 0.0
+
+
+def test_term_magnitude_report_refuses_a_c_whose_square_overflows():
+    with pytest.raises(gc.ConfigurationError,
+                       match=r"^c = 1e\+200 overflows when squared$"):
+        gc.term_magnitude_report(c=1e200)
+    rep = gc.term_magnitude_report(g=1.0, c=1e154)
+    assert rep["sigma_z_m"] == 1e-18 * 1e154**2

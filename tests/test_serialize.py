@@ -364,12 +364,21 @@ def _grids(draw):
     return axes, cols, draw(st.sampled_from([1, 9, 40, serialize._CHUNK]))
 
 
+# every chunk sliced, however short and however often its layout changes;
+# every chunk by NUL deletion, after its layout was read or without it
+_TEXT_PATHS = [{"_SLICE_ROWS": 1, "_RUN": 1},
+               {"_SLICE_ROWS": 1, "_RUN": 2**62},
+               {"_SLICE_ROWS": 2**62}]
+
+
 @pytest.mark.filterwarnings("error")
 @given(grid=_grids())
 def test_grid_tables_write_their_expanded_columns(tmp_path_factory, grid):
     """A table written from its axes has the bytes of the value-by-value
     writer on the expanded columns, and its DEBUG record reads as the plain
-    write's: a fallback axis value counts once per row it appears on."""
+    write's: a fallback axis value counts once per row it appears on.  Both
+    hold whether the chunks build their text by slicing or by deleting
+    NULs."""
     axes, cols, chunk = grid
     tmp = tmp_path_factory.mktemp("grid")
     (tmp / "grid").mkdir()
@@ -377,13 +386,39 @@ def test_grid_tables_write_their_expanded_columns(tmp_path_factory, grid):
     header = ",".join([f"a{i}" for i in range(len(axes))]
                       + [f"c{i}" for i in range(len(cols))])
     expanded = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
-    with mock.patch.object(serialize, "_CHUNK", chunk):
-        logged = _logged(tmp / "grid" / "t.csv", header, cols, axes=axes)
-        assert logged == _logged(tmp / "plain" / "t.csv", header,
-                                 expanded + cols)
     reference_write_csv(tmp / "ref.csv", header, cols, axes=axes)
-    assert (tmp / "grid" / "t.csv").read_bytes() == \
-        (tmp / "ref.csv").read_bytes()
+    records = []
+    for path in _TEXT_PATHS:
+        with mock.patch.multiple(serialize, _CHUNK=chunk, **path):
+            logged = _logged(tmp / "grid" / "t.csv", header, cols, axes=axes)
+            assert logged == _logged(tmp / "plain" / "t.csv", header,
+                                     expanded + cols)
+        records.append(logged)
+        for kind in ("grid", "plain"):
+            assert (tmp / kind / "t.csv").read_bytes() == \
+                (tmp / "ref.csv").read_bytes()
+    assert len(set(records)) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@given(cols=st.integers(1, 60).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.sampled_from(_GRID_EDGES), _edge_doubles(),
+                       _ties()), min_size=n, max_size=n),
+    min_size=1, max_size=4)),
+    chunk=st.sampled_from([1, 9, 40, serialize._CHUNK]))
+def test_plain_tables_take_either_text_path(tmp_path_factory, cols, chunk):
+    """Columns mixing signs, signed zeros, 3-digit exponents and values the
+    % fallback formats give the reference bytes and one DEBUG record,
+    whether each chunk is sliced or has its NULs deleted."""
+    tmp = tmp_path_factory.mktemp("plain")
+    header = ",".join(f"c{i}" for i in range(len(cols)))
+    reference_write_csv(tmp / "ref.csv", header, cols)
+    records = []
+    for path in _TEXT_PATHS:
+        with mock.patch.multiple(serialize, _CHUNK=chunk, **path):
+            records.append(_logged(tmp / "t.csv", header, cols))
+        assert (tmp / "t.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+    assert len(set(records)) == 1
 
 
 @pytest.mark.filterwarnings("error")
