@@ -15,8 +15,7 @@ from .model import (C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
                     gamma0_from_dipole)
 from .numerics import (AccuracyError, IntegrationError, ModeGrid, OracleRun,
                        ValidityError, gauss_moment, line_fwhm, line_peak,
-                       oracle_spectrum, single_pole_summary,
-                       validate_single_pole, ww_simulate)
+                       oracle_spectrum, ww_simulate)
 
 __version__ = "0.1.0"
 
@@ -31,7 +30,6 @@ __all__ = [
     "khandelwal_tcoh_full", "khandelwal_tcoh_reduced", "line_fwhm",
     "line_peak", "lorentzian_line",
     "optimal_state_scan", "oracle_spectrum", "quantum_correction",
-    "single_pole_summary", "spectrum", "survival_probability",
-    "term_magnitude_report", "total_rate", "validate_single_pole",
-    "ww_simulate",
+    "spectrum", "survival_probability", "term_magnitude_report",
+    "total_rate", "ww_simulate",
 ]

@@ -525,12 +525,15 @@ class ModeGrid:
         """Poincare recurrence time of the discrete comb, 2*pi/dnu."""
         return TWO_PI / self.dnu
 
-    def margin_linewidths(self, zeta: float, r: float) -> float:
-        u = r * zeta
-        return min(u - self.nu_min, self.nu_max - u) / (1.0 + zeta)
+    @property
+    def trusted_s(self) -> float:
+        """How long the comb stands in for the continuum: 0.8 of its
+        recurrence time."""
+        return 0.8 * self.recurrence_s
 
     def require_contains(self, zeta: float, r: float) -> None:
-        m = self.margin_linewidths(zeta, r)
+        u = r * zeta
+        m = min(u - self.nu_min, self.nu_max - u) / (1.0 + zeta)
         if m < _MIN_MARGIN_LW:
             raise ConfigurationError(
                 f"mode window margin around the shifted line is {m:.1f} local "
@@ -578,6 +581,28 @@ class OracleRun:
     fitted_rate: float
     fit_residual: float
     max_unitarity_defect: float
+
+    def single_pole_deviation(self, up_to: float | None = None
+                              ) -> tuple[float, float, bool]:
+        """How well exp(-(1+zeta)s) tracks |alpha|^2.
+
+        Returns the largest relative deviation, the s it was taken up to and
+        whether the comb's trusted horizon (``ModeGrid.trusted_s``) cut the
+        comparison short of ``up_to`` (default: the whole run).  Where the
+        exponential underflows to 0 the deviation is inf, without a warning.
+        """
+        horizon = float(self.times[-1])
+        if up_to is not None:
+            if up_to <= 0.0:
+                raise ConfigurationError("up_to must be > 0")
+            horizon = min(horizon, up_to)
+        cap = min(horizon, self.grid.trusted_s)
+        truncated = cap < horizon - 1e-12
+        mask = self.times <= cap + 1e-12
+        model = np.exp(-(1.0 + self.zeta) * self.times[mask])
+        with np.errstate(divide="ignore", over="ignore"):
+            dev = float(np.max(np.abs(self.alpha_sq[mask] - model) / model))
+        return dev, cap, truncated
 
 
 def _coupling_line(coupling: str, grid: ModeGrid, u: float, gam: float,
@@ -913,8 +938,7 @@ def _alpha_trajectory(d: np.ndarray, lam: np.ndarray, w: np.ndarray,
 
 
 def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
-                coupling: str = "flat",
-                coupling_scale: float = 1.0) -> OracleRun:
+                coupling: str = "flat") -> OracleRun:
     """Solve the one-excitation amplitude equations on a mode comb exactly.
 
     In the frame rotating at the shifted line u = r*zeta the equations are
@@ -941,8 +965,8 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     correlations beyond (``_mode_amplitudes``); both match the dense sums to
     ~1e-14.  The run aborts if the sum rule sum_k w_k = 1 or unitarity
     |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.  Each
-    coupled run logs one DEBUG record to the ``gravclock.numerics`` logger:
-    the modes and the passes of the root solve.
+    run logs one DEBUG record to the ``gravclock.numerics`` logger: the
+    modes and the passes of the root solve.
     """
     if zeta <= -1.0:
         raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
@@ -950,8 +974,6 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
         raise ConfigurationError(f"r must be > 0, got {r!r}")
     if s_max <= 0.0:
         raise ConfigurationError(f"s_max must be > 0, got {s_max!r}")
-    if coupling_scale < 0.0:
-        raise ConfigurationError("coupling_scale must be >= 0")
     grid.require_contains(zeta, r)
 
     gam = 1.0 + zeta
@@ -961,31 +983,21 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     n_steps = math.ceil(s_max * 4.0 * detuning / math.pi)
     t_arr = np.linspace(0.0, s_max, n_steps + 1)
 
-    if coupling_scale == 0.0:
-        # decoupled atom: nothing moves
-        a_arr = np.ones_like(t_arr)
-        beta_sq = np.zeros(grid.n_modes)
-        defect = 0.0
-    else:
-        p, q = coupling_scale**2 * p, coupling_scale**2 * q
-        _, d, lam, w, passes = _comb_eigen(grid, u, p, q)
-        _log.debug("mode comb: %d modes, %d Newton passes", grid.n_modes,
-                   passes)
-        alpha = _alpha_trajectory(d, lam, w, t_arr, grid.nu_min - u,
-                                  grid.dnu)
-        a_arr = alpha.real**2 + alpha.imag**2
-        a_arr[0] = 1.0  # the initial condition, exactly
-        c = _mode_amplitudes(d, w * np.exp(-1j * s_max * lam))
-        g_sq = p + q * (grid.nus - u)
-        beta_sq = g_sq / grid.dnu**2 * (c.real**2 + c.imag**2)
-        defect = max(abs(math.fsum(w) - 1.0),
-                     abs(a_arr[-1] + math.fsum(beta_sq) - 1.0))
-        if not defect <= _MAX_DEFECT:
-            raise IntegrationError(
-                f"sum-rule/unitarity defect {defect:.3e} exceeds "
-                f"{_MAX_DEFECT:g}")
+    _, d, lam, w, passes = _comb_eigen(grid, u, p, q)
+    _log.debug("mode comb: %d modes, %d Newton passes", grid.n_modes, passes)
+    alpha = _alpha_trajectory(d, lam, w, t_arr, grid.nu_min - u, grid.dnu)
+    a_arr = alpha.real**2 + alpha.imag**2
+    a_arr[0] = 1.0  # the initial condition, exactly
+    c = _mode_amplitudes(d, w * np.exp(-1j * s_max * lam))
+    g_sq = p + q * (grid.nus - u)
+    beta_sq = g_sq / grid.dnu**2 * (c.real**2 + c.imag**2)
+    defect = max(abs(math.fsum(w) - 1.0),
+                 abs(a_arr[-1] + math.fsum(beta_sq) - 1.0))
+    if not defect <= _MAX_DEFECT:
+        raise IntegrationError(
+            f"sum-rule/unitarity defect {defect:.3e} exceeds {_MAX_DEFECT:g}")
 
-    fit_hi = min(5.0, 0.8 * grid.recurrence_s, s_max)
+    fit_hi = min(5.0, grid.trusted_s, s_max)
     mask = (t_arr >= 0.5) & (t_arr <= fit_hi)
     if int(mask.sum()) >= 8:
         logs = np.log(a_arr[mask])
@@ -1055,58 +1067,3 @@ def line_fwhm(nu: np.ndarray, p: np.ndarray) -> float:
         return float(nu[i_out] + f * (nu[i_in] - nu[i_out]))
 
     return crossing(hi_i + 1, hi_i) - crossing(lo_i - 1, lo_i)
-
-
-@dataclass(frozen=True)
-class SinglePoleReport:
-    """How well exp(-(1+zeta)s) tracks the mode-comb truth."""
-
-    zeta: float
-    r: float
-    fitted_rate: float
-    fit_residual: float
-    max_rel_deviation: float
-    compare_s_max: float
-    truncated: bool
-    run: OracleRun
-
-
-def validate_single_pole(zeta: float | None = None, r: float | None = None,
-                         grid: ModeGrid | None = None, s_max: float = 12.0,
-                         *, coupling: str = "flat",
-                         compare_up_to: float | None = None,
-                         run: OracleRun | None = None) -> SinglePoleReport:
-    """Compare |alpha|^2 against the exponential law.
-
-    Either pass a finished ``run`` or the parameters to make one.  Comparison
-    stops at 0.8 of the comb's recurrence time; if that cuts the requested
-    horizon short the report says so via ``truncated``.
-    """
-    if run is None:
-        if zeta is None or r is None:
-            raise ConfigurationError("need either a run or (zeta, r)")
-        if grid is None:
-            grid = ModeGrid.for_line(zeta, r)
-        run = ww_simulate(zeta, r, grid, s_max, coupling=coupling)
-    horizon = float(run.times[-1])
-    if compare_up_to is not None:
-        if compare_up_to <= 0.0:
-            raise ConfigurationError("compare_up_to must be > 0")
-        horizon = min(horizon, compare_up_to)
-    cap = min(horizon, 0.8 * run.grid.recurrence_s)
-    truncated = cap < horizon - 1e-12
-    mask = run.times <= cap + 1e-12
-    model = np.exp(-(1.0 + run.zeta) * run.times[mask])
-    dev = float(np.max(np.abs(run.alpha_sq[mask] - model) / model))
-    return SinglePoleReport(zeta=run.zeta, r=run.r,
-                            fitted_rate=run.fitted_rate,
-                            fit_residual=run.fit_residual,
-                            max_rel_deviation=dev, compare_s_max=cap,
-                            truncated=truncated, run=run)
-
-
-def single_pole_summary(report: SinglePoleReport) -> dict:
-    return {"zeta": report.zeta, "r": report.r,
-            "fitted_rate": report.fitted_rate,
-            "fit_residual": report.fit_residual,
-            "max_deviation_single_pole": report.max_rel_deviation}

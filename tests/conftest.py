@@ -53,15 +53,15 @@ def oracle_trio():
     """Mode-comb runs at r = 1e3 for zeta in {0, 0.25, 0.5}.
 
     Default windows (+-100 local linewidths), s_max = 12 so the emitted
-    spectrum is ripple-free, exponential-law comparison capped at s = 5.
-    Session-scoped: these runs carry several of the slow checks.
+    spectrum is ripple-free.  Session-scoped: these runs carry several of
+    the slow checks.
     """
-    return {zeta: gc.validate_single_pole(zeta, 1e3, s_max=12.0,
-                                          compare_up_to=5.0)
+    return {zeta: gc.ww_simulate(zeta, 1e3, gc.ModeGrid.for_line(zeta, 1e3),
+                                 12.0)
             for zeta in (0.0, 0.25, 0.5)}
 
 
 @pytest.fixture(scope="session")
 def oracle_r1e4():
     """Finer-comb run (r = 1e4): the single-pole error should shrink."""
-    return gc.validate_single_pole(0.0, 1e4, s_max=12.0, compare_up_to=5.0)
+    return gc.ww_simulate(0.0, 1e4, gc.ModeGrid.for_line(0.0, 1e4), 12.0)

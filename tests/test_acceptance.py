@@ -138,18 +138,20 @@ def test_c06_oracle_decay_matches_single_pole(request):
     t0 = time.perf_counter()
     trio = request.getfixturevalue("oracle_trio")
     finer = request.getfixturevalue("oracle_r1e4")
-    for zeta, report in trio.items():
-        grid = report.run.grid
+    for zeta, run in trio.items():
+        grid = run.grid
         u = 1e3 * zeta
         assert grid.n_modes >= 8001
         assert grid.nu_min <= u - 100.0 and grid.nu_max >= u + 100.0
-        assert report.compare_s_max == pytest.approx(5.0)
-        assert not report.truncated
-        assert report.max_rel_deviation <= 0.02
-        assert report.fitted_rate == pytest.approx(1.0 + zeta, rel=0.02)
-        assert report.run.max_unitarity_defect <= 1e-6
-    assert finer.max_rel_deviation < trio[0.0].max_rel_deviation
-    assert finer.run.max_unitarity_defect <= 1e-6
+        deviation, s_cap, truncated = run.single_pole_deviation(5.0)
+        assert s_cap == pytest.approx(5.0)
+        assert not truncated
+        assert deviation <= 0.02
+        assert run.fitted_rate == pytest.approx(1.0 + zeta, rel=0.02)
+        assert run.max_unitarity_defect <= 1e-6
+    assert finer.single_pole_deviation(5.0)[0] \
+        < trio[0.0].single_pole_deviation(5.0)[0]
+    assert finer.max_unitarity_defect <= 1e-6
     assert time.perf_counter() - t0 < 15.0
 
 
@@ -158,8 +160,8 @@ def test_c07_oracle_emitted_spectrum(request):
     mode spacing, with FWHM equal to the local linewidth within 10%."""
     trio = request.getfixturevalue("oracle_trio")
     finer = request.getfixturevalue("oracle_r1e4")
-    runs = [(zeta, 1e3, rep.run) for zeta, rep in trio.items()]
-    runs.append((0.0, 1e4, finer.run))
+    runs = [(zeta, 1e3, run) for zeta, run in trio.items()]
+    runs.append((0.0, 1e4, finer))
     for zeta, r, run in runs:
         line = gc.oracle_spectrum(run)
         assert line.total_mass > 0.99

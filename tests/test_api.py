@@ -27,4 +27,7 @@ def test_readme_library_sketch_runs():
     exec(compile(code, str(README), "exec"), ns)
     assert ns["gc"].quantum_correction(ns["spec"], ns["scales"]) \
         == pytest.approx(1.4597e-3, rel=1e-4)
-    assert ns["report"].fitted_rate == pytest.approx(1.25, rel=0.01)
+    assert ns["run"].fitted_rate == pytest.approx(1.25, rel=0.01)
+    deviation, s_cap, truncated = ns["run"].single_pole_deviation(5.0)
+    assert deviation == pytest.approx(0.014, abs=1e-3)
+    assert (s_cap, truncated) == (5.0, False)

@@ -452,22 +452,43 @@ def test_oracle_writes_run_and_summary(tmp_path, capsys):
     modes = (tmp_path / "oracle_modes.csv").read_text().splitlines()
     assert modes[0] == "nu,beta_sq"
     summary = json.loads((tmp_path / "oracle_summary.json").read_text())
-    assert set(summary) == {"zeta", "r", "fitted_rate", "fit_residual",
-                            "max_deviation_single_pole"}
+    assert list(summary) == ["zeta", "r", "fitted_rate", "fit_residual",
+                             "max_deviation_single_pole"]
     assert summary["fitted_rate"] == pytest.approx(1.3, rel=0.02)
     assert summary["max_deviation_single_pole"] < 0.05
 
 
-def test_oracle_too_short_to_fit_exits_3(tmp_path, capsys):
-    """A run shorter than the fit window has no fitted rate: the command
-    fails naming the field instead of writing NaN into the JSON."""
-    cfg = write_cfg(tmp_path, {"oracle": {"zeta": 0, "r": 100,
-                                          "s_max": 0.4}})
+def test_oracle_notes_truncation_at_the_recurrence(tmp_path, capsys):
+    """A run longer than 0.8 of the comb's recurrence time is compared only
+    up to there, and the command says so."""
+    cfg = write_cfg(tmp_path, {"oracle": {
+        "zeta": -0.9, "r": 100.0, "halfwidth_linewidths": 30.0,
+        "dnu": 0.05, "s_max": 110.0, "compare_up_to": None}})
+    code, out, err = run(capsys, ["oracle", "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert code == 0
+    assert err == ""
+    assert out.endswith(" up to s=100.531 (comparison truncated at the "
+                        "comb recurrence)\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("oracle, field", [
+    # shorter than the fit window: no fitted rate
+    ({"zeta": 0, "r": 100, "s_max": 0.4}, "fitted_rate"),
+    # exp(-(1+zeta)s) underflows to 0 inside the comparison
+    ({"zeta": 4.0, "r": 100.0, "halfwidth_linewidths": 25.0, "dnu": 0.03,
+      "s_max": 160.0, "compare_up_to": None}, "max_deviation_single_pole"),
+], ids=["fit_window", "underflow"])
+def test_oracle_too_short_to_fit_exits_3(tmp_path, capsys, oracle, field):
+    """A summary field that comes out non-finite fails the command, naming
+    the field, instead of writing NaN or inf into the JSON."""
+    cfg = write_cfg(tmp_path, {"oracle": oracle})
     code, out, err = run(capsys, ["oracle", "--config", cfg,
                                   "--out", str(tmp_path)])
     assert code == 3
     assert out == ""
-    assert err.startswith("error: fitted_rate: non-finite")
+    assert err.startswith(f"error: {field}: non-finite")
     assert not (tmp_path / "oracle_summary.json").exists()
 
 

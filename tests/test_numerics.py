@@ -294,7 +294,11 @@ def test_mode_grid_basics():
     nus = grid.nus
     assert len(nus) == 8001
     assert nus[0] == -100.0 and nus[-1] == 100.0
-    assert grid.margin_linewidths(0.0, 1e3) == pytest.approx(100.0)
+    # the margin is counted in local linewidths: line at u = 75, 25 from the
+    # top edge, is 20 linewidths of 1.25
+    grid.require_contains(0.0, 1e3)
+    with pytest.raises(gc.ConfigurationError, match=r"is 20\.0 local"):
+        grid.require_contains(0.25, 300.0)
 
 
 def test_mode_grid_validation():
@@ -364,12 +368,6 @@ def test_ww_simulate_emission_is_unitary():
     run = toy_run(s_max=6.0)
     emitted = float(np.sum(run.beta_sq_final))
     assert emitted + run.alpha_sq[-1] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_ww_simulate_zero_coupling_freezes_the_atom():
-    run = toy_run(s_max=2.0, coupling_scale=0.0)
-    assert np.allclose(run.alpha_sq, 1.0, atol=1e-12)
-    assert run.fitted_rate == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ww_simulate_tilted_coupling_close_to_flat():
@@ -764,11 +762,14 @@ def test_too_weak_coupling_fails_loudly():
     """At 1e-8 of the golden-rule coupling the roots below the line sit
     within 1e-16 of the next mode up, where d rounds to 1: an error naming
     the cause, not divide-by-zero warnings and a NaN defect."""
+    from gravclock.numerics import _comb_eigen, _coupling_line
     grid = gc.ModeGrid.for_line(0.1, 100.0)
+    u = 100.0 * 0.1
+    p, q = _coupling_line("flat", grid, u, 1.1, 100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(gc.IntegrationError, match="too weak"):
-            gc.ww_simulate(0.1, 100.0, grid, 5.0, coupling_scale=1e-8)
+            _comb_eigen(grid, u, 1e-16 * p, 1e-16 * q)
 
 
 def test_unsettled_roots_fail_loudly(monkeypatch):
@@ -884,14 +885,14 @@ def synthetic_run(s_end: float, n_modes: int = 4001) -> gc.OracleRun:
                         fit_residual=0.0, max_unitarity_defect=0.0)
 
 
-def test_validate_single_pole_on_synthetic_run():
-    report = gc.validate_single_pole(run=synthetic_run(5.0))
-    assert report.max_rel_deviation < 1e-12
-    assert not report.truncated
-    assert report.compare_s_max == pytest.approx(5.0)
+def test_single_pole_deviation_on_synthetic_run():
+    deviation, s_cap, truncated = synthetic_run(5.0).single_pole_deviation()
+    assert deviation < 1e-12
+    assert not truncated
+    assert s_cap == pytest.approx(5.0)
 
 
-def test_validate_single_pole_truncates_at_recurrence():
+def test_single_pole_deviation_truncates_at_recurrence():
     # dnu = 0.05 -> recurrence 125.7; 0.8 of it cuts a 110-long run short
     grid = gc.ModeGrid(nu_min=-100.0, nu_max=100.0, n_modes=4001)
     times = np.linspace(0.0, 110.0, 2201)
@@ -899,20 +900,11 @@ def test_validate_single_pole_truncates_at_recurrence():
                        times=times, alpha_sq=np.exp(-times),
                        beta_sq_final=np.zeros(4001), fitted_rate=1.0,
                        fit_residual=0.0, max_unitarity_defect=0.0)
-    report = gc.validate_single_pole(run=run)
-    assert report.truncated
-    assert report.compare_s_max == pytest.approx(0.8 * grid.recurrence_s)
+    _, s_cap, truncated = run.single_pole_deviation()
+    assert truncated
+    assert s_cap == pytest.approx(0.8 * grid.recurrence_s)
 
 
-def test_validate_single_pole_argument_rules():
+def test_single_pole_deviation_refuses_nonpositive_horizon():
     with pytest.raises(gc.ConfigurationError):
-        gc.validate_single_pole()
-    with pytest.raises(gc.ConfigurationError):
-        gc.validate_single_pole(run=synthetic_run(5.0), compare_up_to=0.0)
-
-
-def test_single_pole_summary_keys():
-    summary = gc.single_pole_summary(
-        gc.validate_single_pole(run=synthetic_run(5.0)))
-    assert set(summary) == {"zeta", "r", "fitted_rate", "fit_residual",
-                            "max_deviation_single_pole"}
+        synthetic_run(5.0).single_pole_deviation(0.0)
