@@ -14,8 +14,8 @@ from .model import (C_LIGHT, EPS0, HBAR, STANDARD_GRAVITY,
                     HorizonError, MixtureSpec, SuperpositionSpec,
                     gamma0_from_dipole)
 from .numerics import (AccuracyError, IntegrationError, ModeGrid, OracleRun,
-                       ValidityError, gauss_moment, line_fwhm, line_peak,
-                       oracle_spectrum, ww_simulate)
+                       ValidityError, line_fwhm, line_peak, oracle_spectrum,
+                       ww_simulate)
 
 __version__ = "0.1.0"
 
@@ -26,9 +26,8 @@ __all__ = [
     "LineCase", "MixtureSpec", "ModeGrid", "OracleRun", "SuperpositionSpec",
     "SweepSpec", "ValidityError", "decay_rates", "figure1_default_panels",
     "figure1_sweep", "figure2_default_cases", "figure2_lines",
-    "gamma0_from_dipole", "gammaq_closed_grid", "gauss_moment",
-    "khandelwal_tcoh_full", "khandelwal_tcoh_reduced", "line_fwhm",
-    "line_peak", "lorentzian_line",
+    "gamma0_from_dipole", "gammaq_closed_grid", "khandelwal_tcoh_full",
+    "khandelwal_tcoh_reduced", "line_fwhm", "line_peak", "lorentzian_line",
     "optimal_state_scan", "oracle_spectrum", "quantum_correction",
     "spectrum", "survival_probability", "term_magnitude_report",
     "total_rate", "ww_simulate",

@@ -22,7 +22,7 @@ from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     _SUPPORT_PANELS, _c_squared, _require_finite,
                     _require_positive, _square, _support_breaks,
                     _support_integrator)
-from .numerics import (AccuracyError, _panel_nodes, block_rows, gauss_moment,
+from .numerics import (AccuracyError, _panel_nodes, block_rows,
                        panel_quadrature, voigt_profile)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -64,55 +64,41 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                        method: str = "closed-form") -> float:
     """Rate excess of the coherent state over its matched mixture.
 
-    The closed form is :func:`gammaq_closed_grid` at this one state.  The
-    quadrature path, an independent check on it, integrates (1 + zeta)
-    against the density difference written in its exact component form --
-    pointwise subtraction of the two densities cancels catastrophically at
-    the precision this is compared to.
+    ``"closed-form"`` is :func:`gammaq_closed_grid` at this one state, from
+    the packet separation.  ``"quadrature"`` takes the difference of the two
+    densities' first moments component by component, from the three
+    absolute centers: (A/B) * (zeta_mid - cos^2 theta zeta1
+    - sin^2 theta zeta2).  It is the same algebra in another rounding, not
+    an independent check.  The moments are of zeta, not 1 + zeta: adding 1
+    would round Earth-scale heights (zeta ~ 1e-16) away.
     """
-    width = float(scales.zeta(sup.delta))
     if method == "closed-form":
         dz = float(scales.zeta(sup.z2 - sup.z1))
+        width = float(scales.zeta(sup.delta))
         return float(gammaq_closed_grid(sup.theta, sup.phi, dz, width))
     if method != "quadrature":
         raise ConfigurationError(
             f"method must be closed-form|quadrature, got {method!r}")
     z1 = float(scales.zeta(sup.z1))
     z2 = float(scales.zeta(sup.z2))
-    mid = 0.5 * (z1 + z2)
-
-    def f(z):
-        return 1.0 + z
-
-    bracket = (gauss_moment(f, mid, width)
-               - math.cos(sup.theta) ** 2 * gauss_moment(f, z1, width)
-               - math.sin(sup.theta) ** 2 * gauss_moment(f, z2, width))
-    return sup.interference_weight / sup.norm_bracket * bracket
+    moment = (0.5 * (z1 + z2) - math.cos(sup.theta) ** 2 * z1
+              - math.sin(sup.theta) ** 2 * z2)
+    return sup.interference_weight / sup.norm_bracket * moment
 
 
 def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
                 method: str = "closed-form") -> RateResult:
-    """Both states' rates plus their difference.
+    """Both states' mean rates <1 + zeta> plus their difference.
 
-    gammaQ_inv goes through the difference path of :func:`quantum_correction`,
-    not through subtracting the two rates -- at Earth gravity the difference
-    sits ~18 digits below the rates themselves.
+    Only gammaQ_inv follows ``method``, through :func:`quantum_correction`
+    rather than by subtracting the two rates -- at Earth gravity the
+    difference sits ~18 digits below the rates themselves.
     """
-    dens_sup = HeightDensity.superposition(sup, scales)
-    dens_mix = HeightDensity.mixture(sup.mixture(), scales)
-    if method == "closed-form":
-        gamma_sup = 1.0 + dens_sup.mean()
-        gamma_cl = 1.0 + dens_mix.mean()
-    elif method == "quadrature":
-        gamma_sup, gamma_cl = (d.component_sum(
-            lambda mu: gauss_moment(lambda z: 1.0 + z, mu, d.width))
-            for d in (dens_sup, dens_mix))
-    else:
-        raise ConfigurationError(
-            f"method must be closed-form|quadrature, got {method!r}")
-    gq = quantum_correction(sup, scales, method=method)
-    return RateResult(gamma_sup=float(gamma_sup), gamma_cl=float(gamma_cl),
-                      gammaQ_inv=float(gq), method=method)
+    return RateResult(
+        gamma_sup=1.0 + HeightDensity.superposition(sup, scales).mean(),
+        gamma_cl=1.0 + HeightDensity.mixture(sup.mixture(), scales).mean(),
+        gammaQ_inv=quantum_correction(sup, scales, method=method),
+        method=method)
 
 
 def total_rate(density: HeightDensity) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -53,35 +53,6 @@ class IntegrationError(RuntimeError):
 
 class ValidityError(RuntimeError):
     """A result was requested outside the regime where it means anything."""
-
-
-_GH_ORDER = 80           # default Gauss-Hermite order
-# numpy's hermgauss returns NaN weights from order 372 and costs O(order^2).
-_GH_MAX_ORDER = 200
-
-
-@lru_cache(maxsize=64)
-def gauss_hermite_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights normalized so that sum(w * f(x)) integrates f
-    against the standard Gaussian exp(-x^2)/sqrt(pi)."""
-    from numpy.polynomial.hermite import hermgauss  # only on a cache miss
-    x, w = hermgauss(order)
-    return x, w / ROOT_PI
-
-
-def gauss_moment(f, center: float, width: float,
-                 order: int = _GH_ORDER) -> float:
-    """Integral of f against one normalized Gaussian component
-    exp(-(zeta-center)^2/width^2) / (sqrt(pi) width), by Gauss-Hermite
-    quadrature of the given order (an int in [2, 200])."""
-    if width <= 0.0:
-        raise ConfigurationError(f"width must be > 0, got {width!r}")
-    if not (isinstance(order, int) and 2 <= order <= _GH_MAX_ORDER):
-        raise ConfigurationError(f"order must be an int in "
-                                 f"[2, {_GH_MAX_ORDER}], got {order!r}")
-    x, w = gauss_hermite_nodes(order)
-    vals = np.asarray(f(center + width * x), dtype=float)
-    return float(w @ vals)
 
 
 # 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1]

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
 import gravclock as gc
+from gravclock.cli import _EARTH
 from gravclock.model import _support_breaks
 from gravclock.numerics import block_rows, panel_quadrature
 from conftest import UNIT_SCALES, random_specs, relabelled
@@ -44,11 +45,30 @@ def test_quantum_correction_quadrature_matches_closed():
         assert quad_v == pytest.approx(closed, rel=1e-11)
 
 
-def test_quantum_correction_gh_and_adaptive_agree():
-    """Order-80 Gauss-Hermite against adaptive quadpack moments of the same
-    component form."""
+@given(z1=st.floats(-100.0, 100.0), delta=st.floats(0.01, 1.0),
+       ratio=st.floats(0.5, 4.0), sign=st.sampled_from((-1.0, 1.0)),
+       theta=st.floats(0.1, math.pi / 2 - 0.1),
+       phi=st.floats(0.0, 2.0 * math.pi, exclude_max=True))
+def test_quantum_correction_quadrature_matches_closed_at_earth_scale(
+        z1, delta, ratio, sign, theta, phi):
+    """Meter-form states under the CLI's Earth scales (zeta ~ 1e-16 per
+    meter), clear of the zero manifolds as in ``random_specs``.  The moment
+    route works from absolute heights, so its rounding grows with height
+    over separation."""
+    assume(abs(theta - math.pi / 4) >= 0.1 and abs(math.cos(phi)) >= 0.3)
+    spec = gc.SuperpositionSpec(z1=z1, z2=z1 + sign * ratio * delta,
+                                delta=delta, theta=theta, phi=phi)
+    c = gc.quantum_correction(spec, _EARTH)
+    q = gc.quantum_correction(spec, _EARTH, method="quadrature")
+    height = max(abs(spec.z1), abs(spec.z2)) / abs(spec.z2 - spec.z1)
+    assert abs(q - c) <= 1e-14 * (1.0 + height) * abs(c)
+
+
+def test_quantum_correction_moments_and_adaptive_agree():
+    """The quadrature method's first moments against adaptive quadpack
+    moments of the same component form."""
     spec = make_spec(theta=0.6, phi=2.8)
-    gh = gc.quantum_correction(spec, UNIT_SCALES, method="quadrature")
+    got = gc.quantum_correction(spec, UNIT_SCALES, method="quadrature")
     w = spec.delta
 
     def moment(mu):
@@ -60,7 +80,7 @@ def test_quantum_correction_gh_and_adaptive_agree():
         moment(0.5 * (spec.z1 + spec.z2))
         - math.cos(spec.theta) ** 2 * moment(spec.z1)
         - math.sin(spec.theta) ** 2 * moment(spec.z2))
-    assert ad == pytest.approx(gh, rel=1e-11)
+    assert ad == pytest.approx(got, rel=1e-11)
 
 
 def test_quantum_correction_antisymmetric_in_theta():

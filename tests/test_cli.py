@@ -83,6 +83,31 @@ def test_rate_meter_and_zeta_forms_agree(tmp_path, capsys):
         (out_m / "rate.json").read_bytes()
 
 
+@pytest.mark.parametrize("z1_m", [0.0, 1000.0])
+def test_rate_quadrature_keeps_earth_scale_heights(tmp_path, capsys, z1_m):
+    """Under the Earth default scales, 1 m apart is zeta ~ 1e-16, which
+    rounds away against 1 + zeta; the quadrature method must still give
+    the closed form's excess."""
+    state = {"z1_m": z1_m, "z2_m": z1_m + 1.0, "delta_m": 0.5,
+             "theta_rad": 0.3927, "phi_rad": 0.0}
+    got = {}
+    for method in ("closed-form", "quadrature"):
+        out = tmp_path / method
+        out.mkdir()
+        cfg = write_cfg(tmp_path, {"state": state,
+                                   "rate": {"method": method}})
+        code, printed, err = run(capsys, ["rate", "--config", cfg,
+                                          "--out", str(out)])
+        assert (code, err) == (0, "")
+        got[method] = (json.loads((out / "rate.json").read_text())
+                       ["gammaQ_inv"], float(printed))
+    closed = got["closed-form"]
+    # abs=0: approx's default absolute floor, 1e-12, would pass anything here
+    assert closed[0] == pytest.approx(7.96359681976e-18, rel=1e-11, abs=0.0)
+    for value, want in zip(got["quadrature"], closed):
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_rate_rejects_mixture_state(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"state": {"zeta1": 0.0, "zeta2": 0.02,
                                          "delta_zeta": 0.01,
@@ -293,7 +318,7 @@ def test_missing_output_directory(tmp_path, capsys):
 
 
 def test_bad_global_flags(tmp_path, capsys):
-    # no --quad-order: the Gauss-Hermite order of rate quadrature is fixed
+    # no --quad-order: rate quadrature has no order to set
     cfg = write_cfg(tmp_path, {"rate": {"method": "quadrature"}})
     with pytest.raises(SystemExit) as exc:
         cli.main(["rate", "--quad-order", "80", "--config", cfg,

@@ -23,47 +23,14 @@ from conftest import UNIT_SCALES, random_specs
 # ---------------------------------------------------------------------------
 
 
-def test_gauss_moment_order_validation():
-    def one(z):
-        return np.ones_like(z)
-
-    # 40.0 must be a real int; numpy's nodes turn NaN from order 372
-    for bad in (1, 40.0, 201, 400):
-        with pytest.raises(gc.ConfigurationError, match="order"):
-            gc.gauss_moment(one, 0.0, 1.0, bad)
-    assert gc.gauss_moment(one, 0.0, 1.0, 200) == pytest.approx(1.0,
-                                                                rel=1e-14)
-
-
-def test_gauss_moment_polynomial_exactness():
-    """Gauss-Hermite of order n is exact for polynomials below degree 2n."""
-    mu, w = 0.7, 0.3
-    got = gc.gauss_moment(lambda z: (z - mu) ** 4, mu, w, 6)
-    assert got == pytest.approx(0.75 * w**4, rel=1e-14)
-    assert gc.gauss_moment(lambda z: np.ones_like(z), mu, w, 6) \
-        == pytest.approx(1.0, rel=1e-15)
-
-
 def adaptive(f, lo, hi, points=None):
     """Adaptive quadpack reference at the tolerances the library once used."""
     return quad(f, lo, hi, points=points, epsabs=1e-14, epsrel=1e-12,
                 limit=200)[0]
 
 
-def test_gauss_moment_adaptive_path():
-    """Gauss-Hermite against an adaptive reference and the exact 0.125."""
-    w = 0.5
-    got = gc.gauss_moment(lambda z: z * z, 0.0, w)
-    ref = adaptive(lambda z: z * z * math.exp(-(z / w) ** 2)
-                   / (math.sqrt(math.pi) * w), -12.0 * w, 12.0 * w)
-    assert got == pytest.approx(ref, rel=1e-11)
-    assert got == pytest.approx(0.125, rel=1e-11)
-    with pytest.raises(gc.ConfigurationError):
-        gc.gauss_moment(lambda z: z, 0.0, -1.0)
-
-
-def test_decay_rates_gh_vs_adaptive():
-    """Both rates of the quadrature path against adaptive integrals of
+def test_decay_rates_quadrature_vs_adaptive():
+    """Both rates of the quadrature method against adaptive integrals of
     (1 + zeta) over each density."""
     for spec in random_specs(10):
         got = gc.decay_rates(spec, UNIT_SCALES, method="quadrature")
