@@ -20,8 +20,7 @@ from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     HorizonError, SuperpositionSpec,
                     _SUPPORT_PANELS, _c_squared, _require_finite,
-                    _require_positive, _square, _support_breaks,
-                    _support_integrator)
+                    _require_positive, _square)
 from .numerics import (AccuracyError, _panel_nodes, block_rows,
                        panel_quadrature, voigt_profile)
 
@@ -105,12 +104,12 @@ def total_rate(density: HeightDensity) -> float:
     """Mean decay rate of a height density: <1 + zeta>.
 
     Sampled densities are integrated by
-    :func:`~gravclock.numerics.panel_quadrature` on their support panels.
+    :func:`~gravclock.numerics.panel_quadrature` on their support panels,
+    with rho at their nodes from when the density was built.
     """
     if density.is_analytic:
         return 1.0 + density.mean()
-    return float(_support_integrator(density)(
-        lambda z: (1.0 + z)[..., None])[0])
+    return float(density._integral(lambda z: (1.0 + z)[..., None])[0])
 
 
 def survival_probability(density: HeightDensity, s):
@@ -119,9 +118,12 @@ def survival_probability(density: HeightDensity, s):
     For a Gaussian component centered at mu the strip integral is exact:
     exp(-(1+mu) s + width^2 s^2 / 4).  Sampled densities are integrated by
     :func:`~gravclock.numerics.panel_quadrature` on one node set shared by
-    every time of a block, with the density at its nodes evaluated once.
+    every time of a block, with rho at its nodes from when the density was
+    built.
     """
     s_arr = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s_arr)):
+        raise ConfigurationError("survival time s must be finite")
     if np.any(s_arr < 0.0):
         raise ConfigurationError("survival time s must be >= 0")
     if density.is_analytic:
@@ -131,11 +133,10 @@ def survival_probability(density: HeightDensity, s):
         return out if np.ndim(s) else float(out)
     flat = np.ravel(s_arr)
     out = np.empty(len(flat))
-    step = block_rows(len(_support_breaks(density)) - 1)
-    integral = _support_integrator(density)
+    step = block_rows(len(density._panels.breaks) - 1)
     for start in range(0, len(flat), step):
         times = flat[start:start + step]
-        out[start:start + step] = integral(
+        out[start:start + step] = density._integral(
             lambda z: np.exp(-(1.0 + z)[..., None] * times))
     out = out.reshape(s_arr.shape)
     return out if np.ndim(s) else float(out)
@@ -175,11 +176,12 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
     component order.  ``method="quadrature"`` integrates the exact kernel
     instead and works for any density: see :func:`_line_quadrature`.
     """
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be > 0, got {r!r}")
+    r = _require_positive("r", r)
     nu = np.asarray(nu_grid, dtype=float)
     if nu.ndim != 1 or len(nu) < 2 or np.any(np.diff(nu) <= 0.0):
         raise ConfigurationError("nu_grid must be 1-D and strictly increasing")
+    if not np.all(np.isfinite(nu)):
+        raise ConfigurationError("nu_grid must be finite")
     if method == "auto":
         method = "voigt" if density.is_analytic else "quadrature"
     if method == "voigt":
@@ -211,17 +213,16 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
 
     The Lorentzian pole sits at x = 0 with half-width (1+zeta)/2 in x at any
     r, even where it is narrower than the float spacing of zeta itself (Earth
-    scale).  Each point's panels are the support panels of
-    :func:`_support_breaks`, split by breaks graded geometrically away from
-    the pole, doubling from half the narrowest half-width up to the width of
-    one support panel.  A support panel that no graded break splits has the
-    same nodes in zeta for every point, so rho is evaluated there once per
-    call and shared by every point whose panel it is; split panels and the
-    panels bisected later get their own rho.  Points go in blocks of
+    scale).  Each point's panels are the density's support panels, split by
+    breaks graded geometrically away from the pole, doubling from half the
+    narrowest half-width up to the width of one support panel.  A support
+    panel that no graded break splits has the same nodes in zeta for every
+    point, so it takes rho from the density's own node values; split panels
+    and the panels bisected later get their own rho.  Points go in blocks of
     :func:`~gravclock.numerics.block_rows`.
     """
     lo, hi = density.support
-    zeta_breaks = _support_breaks(density)
+    zeta_breaks, _, rho_support = density._panels
     h0 = 0.25 * (1.0 + lo)
     levels = max(1, math.ceil(math.log2(r * (hi - lo) / _SUPPORT_PANELS / h0)))
     steps = h0 * 2.0 ** np.arange(levels + 1)
@@ -232,13 +233,6 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
     first = np.searchsorted(graded, x_breaks[:, :-1], side="right")
     last = np.searchsorted(graded, x_breaks[:, 1:], side="left")
     n_support = zeta_breaks.size - 1
-    # rho on the nodes of every support panel that some point leaves whole
-    zeta_nodes = _panel_nodes(zeta_breaks[:-1], zeta_breaks[1:])
-    rho_whole = np.empty(zeta_nodes.shape)
-    whole = (first == last).any(axis=0)
-    if whole.any():
-        rho_whole[whole] = density(zeta_nodes[whole].ravel()).reshape(
-            -1, zeta_nodes.shape[1])
 
     step = block_rows(zeta_breaks.size + graded.size - 1)
     p = np.empty_like(nu)
@@ -269,14 +263,11 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
                     / (0.25 * gam**2 + x**2))[..., None]
 
         x0 = _panel_nodes(a, b)
-        rho = None
-        shared = pieces[panel] == 1
-        if shared.any():
-            rho = rho_whole[panel % n_support]
-            own = np.flatnonzero(~shared)
-            if own.size:
-                zeta = (nus[row[own]][:, None] + x0[own]) / r
-                rho[own] = density(zeta.ravel()).reshape(zeta.shape)
+        rho = rho_support[panel % n_support]
+        own = np.flatnonzero(pieces[panel] > 1)
+        if own.size:
+            zeta = (nus[row[own]][:, None] + x0[own]) / r
+            rho[own] = density(zeta.ravel()).reshape(zeta.shape)
         p[start:start + step] = panel_quadrature(
             line, a, b, row, len(nus), y0=line(x0, row, rho))[:, 0]
     return np.maximum(p, 0.0)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -199,25 +200,45 @@ class MixtureSpec:
         _validate_angles(self.theta, None)
 
 
-_ANALYTIC_KINDS = ("analytic-superposition", "analytic-mixture")
-_KINDS = _ANALYTIC_KINDS + ("sampled",)
-
 # Support hint extends this many packet widths past the outermost centers;
 # the Gaussian mass beyond is ~exp(-144), far under the 1e-20 contract.
 _SUPPORT_WIDTHS = 12.0
+_SUPPORT_PANELS = 32   # equal panels across a density's support
+
+
+class _Panels(NamedTuple):
+    """A density's support panels: their ends, shape (panels + 1,); the 15
+    Kronrod nodes of each, shape (panels, 15); and rho at those nodes."""
+
+    breaks: np.ndarray
+    nodes: np.ndarray
+    rho: np.ndarray
 
 
 @dataclass(frozen=True)
 class HeightDensity:
     """Normalized height distribution in zeta units.
 
-    Analytic kinds are weighted sums of equal-width Gaussians
-    sum_m w_m exp(-(zeta-mu_m)^2/width^2) / (sqrt(pi) width); the
-    superposition kind carries a (possibly negative-weight) interference
-    component at the midpoint.  ``sampled`` wraps an arbitrary callable pdf.
+    Either a weighted sum of equal-width Gaussian components
+    sum_m w_m exp(-(zeta-mu_m)^2/width^2) / (sqrt(pi) width) -- the
+    superposition carries a (possibly negative-weight) interference
+    component at the midpoint -- or an arbitrary ``pdf`` callable
+    (:meth:`from_callable`), never both.
+
+    A ``pdf`` must be vectorized: every integral over it calls it on 1-D
+    float arrays of heights, thousands of quadrature nodes at a time, and it
+    must return an array of the same shape.  It is checked when the density
+    is built: a pdf that is not finite or is negative on a 2001-point scan
+    grid is refused, naming the first non-finite height, and unit mass is
+    verified within 1e-12 by the panel quadrature engine, whose own error
+    bound is ~1e-13 of the mass.  That check evaluates the pdf on the
+    support panels' nodes once per density; the mass check, survival curves,
+    :func:`~gravclock.analytic.total_rate` and the lines of
+    :func:`~gravclock.analytic.spectrum` all reuse those values, and call
+    the pdf again only on panels bisected later or split near a line
+    point's Lorentzian pole.
     """
 
-    kind: str
     support: tuple[float, float]
     width: float | None = None
     centers: tuple[float, ...] = ()
@@ -225,8 +246,6 @@ class HeightDensity:
     pdf: Callable | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigurationError(f"unknown density kind {self.kind!r}")
         lo, hi = (float(self.support[0]), float(self.support[1]))
         object.__setattr__(self, "support", (lo, hi))
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -235,19 +254,33 @@ class HeightDensity:
             raise HorizonError(
                 f"density support reaches zeta = {lo:.4g} <= -0.5; heights "
                 "that close to the horizon are outside this model's domain")
-        if self.kind in _ANALYTIC_KINDS:
-            if self.pdf is not None:
-                raise ConfigurationError("analytic kinds carry no pdf callable")
+        if self.pdf is None:
             if self.width is None or self.width <= 0.0:
-                raise ConfigurationError("analytic kinds need width > 0")
+                raise ConfigurationError("a density needs a pdf, or "
+                                         "Gaussian components of width > 0")
             if len(self.centers) != len(self.weights) or not self.centers:
                 raise ConfigurationError("centers/weights length mismatch")
             if abs(sum(self.weights) - 1.0) > 1e-9:
                 raise ConfigurationError(
                     f"component weights sum to {sum(self.weights)!r}, not 1")
-        else:
-            if self.pdf is None:
-                raise ConfigurationError("sampled kind requires a pdf callable")
+            return
+        if self.width is not None or self.centers or self.weights:
+            raise ConfigurationError(
+                "a density takes a pdf or Gaussian components, not both")
+        grid = np.linspace(lo, hi, 2001)
+        vals = np.asarray(self.pdf(grid), dtype=float)
+        finite = np.isfinite(vals)
+        if not finite.all():
+            at = np.argmin(finite)
+            raise ConfigurationError(
+                f"sampled pdf is {float(vals[at])!r} at zeta = "
+                f"{float(grid[at])!r}; it must be finite on its support")
+        if np.any(vals < -1e-12 * max(vals.max(initial=0.0), 1.0)):
+            raise ConfigurationError("sampled pdf takes negative values")
+        mass = self._integral(lambda z: np.ones(z.shape + (1,)))[0]
+        if abs(mass - 1.0) > 1e-12:
+            raise ConfigurationError(
+                f"sampled pdf mass {mass!r} differs from 1 by more than 1e-12")
 
     # -- constructors -------------------------------------------------------
 
@@ -262,8 +295,7 @@ class HeightDensity:
         weights = (math.cos(spec.theta) ** 2 / b,
                    math.sin(spec.theta) ** 2 / b,
                    a / b)
-        return cls(kind="analytic-superposition",
-                   support=_hint(centers, width),
+        return cls(support=_hint(centers, width),
                    width=width, centers=centers, weights=weights)
 
     @classmethod
@@ -273,7 +305,7 @@ class HeightDensity:
         width = float(scales.zeta(spec.delta))
         centers = (z1, z2)
         weights = (math.cos(spec.theta) ** 2, math.sin(spec.theta) ** 2)
-        return cls(kind="analytic-mixture", support=_hint(centers, width),
+        return cls(support=_hint(centers, width),
                    width=width, centers=centers, weights=weights)
 
     @classmethod
@@ -291,52 +323,22 @@ class HeightDensity:
         return cls.mixture(spec, _UNIT_SCALES)
 
     @classmethod
-    def from_callable(cls, pdf: Callable, support: tuple[float, float],
-                      *, check: bool = True) -> "HeightDensity":
-        """Wrap an arbitrary normalized pdf(zeta).
-
-        ``pdf`` must be vectorized: every integral over it calls it on 1-D
-        float arrays of heights, thousands of quadrature nodes at a time,
-        and it must return an array of the same shape.  A line evaluates it
-        once per call on the support panels that some point leaves whole,
-        shared by all such points, and per point only on the panels split
-        near the point's Lorentzian pole or bisected later.  With ``check``
-        (default), refuses a pdf that is not finite or is negative on a
-        2001-point scan grid, naming the first non-finite height, and
-        verifies unit mass within 1e-12 by the panel quadrature engine,
-        whose own error bound is ~1e-13 of the mass.  Unchecked, a
-        non-finite value raises AccuracyError from the first integral.
-        """
-        dens = cls(kind="sampled", support=(float(support[0]), float(support[1])),
-                   pdf=pdf)
-        if check:
-            grid = np.linspace(dens.support[0], dens.support[1], 2001)
-            vals = np.asarray(pdf(grid), dtype=float)
-            finite = np.isfinite(vals)
-            if not finite.all():
-                at = np.argmin(finite)
-                raise ConfigurationError(
-                    f"sampled pdf is {float(vals[at])!r} at zeta = "
-                    f"{float(grid[at])!r}; it must be finite on its support")
-            if np.any(vals < -1e-12 * max(vals.max(initial=0.0), 1.0)):
-                raise ConfigurationError("sampled pdf takes negative values")
-            mass = _support_integrator(dens)(
-                lambda z: np.ones(z.shape + (1,)))[0]
-            if abs(mass - 1.0) > 1e-12:
-                raise ConfigurationError(
-                    f"sampled pdf mass {mass!r} differs from 1 by more than 1e-12")
-        return dens
+    def from_callable(cls, pdf: Callable,
+                      support: tuple[float, float]) -> "HeightDensity":
+        """Wrap an arbitrary normalized, vectorized pdf(zeta); the class
+        docstring gives the contract it is checked against."""
+        return cls(support=support, pdf=pdf)
 
     # -- evaluation ---------------------------------------------------------
 
     @property
     def is_analytic(self) -> bool:
-        return self.kind in _ANALYTIC_KINDS
+        return self.pdf is None
 
     def component_sum(self, f):
         """Sum over the Gaussian components of weight * f(center), added up
         in component order; ``f`` may return scalars or arrays.  Analytic
-        kinds only."""
+        densities only."""
         if not self.is_analytic:
             raise ConfigurationError(
                 "component sums need an analytic density; sampled densities "
@@ -360,8 +362,38 @@ class HeightDensity:
                            np.asarray(self.pdf(z), dtype=float), 0.0)
         return out if np.ndim(zeta) else float(out)
 
+    @cached_property
+    def _panels(self) -> _Panels:
+        """The support panels -- equal panels across the support, split at
+        the analytic centers inside it -- with rho at their nodes, computed
+        once per density."""
+        # deferred: numerics imports model
+        from .numerics import _panel_nodes
+        lo, hi = self.support
+        centers = [mu for mu in self.centers if lo < mu < hi]
+        breaks = np.unique(np.r_[np.linspace(lo, hi, _SUPPORT_PANELS + 1),
+                                 centers])
+        nodes = _panel_nodes(breaks[:-1], breaks[1:])
+        return _Panels(breaks, nodes, self(nodes.ravel()).reshape(nodes.shape))
+
+    def _integral(self, f) -> np.ndarray:
+        """The integral of rho(zeta) f(zeta) over the support panels, by
+        :func:`~gravclock.numerics.panel_quadrature`.  ``f`` maps heights of
+        shape (panels, 15) to shape (panels, 15, m); the integral has shape
+        (m,).  ``f`` is called at the panels' nodes, with rho there taken
+        from :attr:`_panels`, and at the nodes of bisected panels."""
+        from .numerics import panel_quadrature
+        breaks, nodes, rho = self._panels
+
+        def integrand(z, row):
+            return self(z.ravel()).reshape(z.shape)[..., None] * f(z)
+
+        return panel_quadrature(integrand, breaks[:-1], breaks[1:],
+                                np.zeros(len(breaks) - 1, int), 1,
+                                y0=rho[..., None] * f(nodes))[0]
+
     def mean(self) -> float:
-        """First moment <zeta>; closed form, analytic kinds only."""
+        """First moment <zeta>; closed form, analytic densities only."""
         return float(self.component_sum(lambda mu: mu))
 
 
@@ -369,38 +401,3 @@ def _hint(centers: Iterable[float], width: float) -> tuple[float, float]:
     lo = min(centers) - _SUPPORT_WIDTHS * width
     hi = max(centers) + _SUPPORT_WIDTHS * width
     return (lo, hi)
-
-
-_SUPPORT_PANELS = 32   # equal panels across a density's support
-
-
-def _support_breaks(density: HeightDensity) -> np.ndarray:
-    """Panel ends in zeta: equal panels across the support, split at the
-    analytic centers inside it."""
-    lo, hi = density.support
-    centers = [mu for mu in density.centers if lo < mu < hi]
-    return np.unique(np.r_[np.linspace(lo, hi, _SUPPORT_PANELS + 1), centers])
-
-
-def _support_integrator(density: HeightDensity):
-    """The integral of rho(zeta) f(zeta) over the support panels, by
-    :func:`~gravclock.numerics.panel_quadrature`, as a function of ``f``.
-    ``f`` maps heights of shape (panels, 15) to shape (panels, 15, m); an
-    integral has shape (m,).  The density is evaluated at the panels'
-    starting nodes here, once for every integral; ``f`` is called there
-    and at the nodes of bisected panels."""
-    # deferred: numerics imports model
-    from .numerics import _panel_nodes, panel_quadrature
-    breaks = _support_breaks(density)
-    a, b = breaks[:-1], breaks[1:]
-    row = np.zeros(len(a), int)
-    x0 = _panel_nodes(a, b)
-    rho0 = density(x0.ravel()).reshape(x0.shape)[..., None]
-
-    def integral(f) -> np.ndarray:
-        def integrand(z, row):
-            return density(z.ravel()).reshape(z.shape)[..., None] * f(z)
-
-        return panel_quadrature(integrand, a, b, row, 1, y0=rho0 * f(x0))[0]
-
-    return integral

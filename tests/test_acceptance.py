@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import gravclock as gc
-from gravclock.model import _support_breaks
 from gravclock.numerics import panel_quadrature
 
 from conftest import UNIT_SCALES, SEED, random_specs
@@ -52,7 +51,7 @@ def difference_density_moment(spec: gc.SuperpositionSpec) -> float:
     pointwise from its components: subtracting the two densities would
     cancel.  It has zero mass, so the zeta_mid shift leaves the value alone
     and keeps it from cancelling against <zeta>."""
-    breaks = _support_breaks(gc.HeightDensity.superposition(spec, UNIT_SCALES))
+    breaks = gc.HeightDensity.superposition(spec, UNIT_SCALES)._panels.breaks
     z1, z2, w = spec.z1, spec.z2, spec.delta
     mid = 0.5 * (z1 + z2)
     c2, s2 = math.cos(spec.theta) ** 2, math.sin(spec.theta) ** 2

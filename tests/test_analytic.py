@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 import gravclock as gc
 from gravclock.cli import _EARTH
-from gravclock.model import _support_breaks
 from gravclock.numerics import block_rows, panel_quadrature
 from conftest import UNIT_SCALES, random_specs, relabelled
 
@@ -362,13 +361,12 @@ def test_top_hat_survival_and_line():
 
 
 def test_quadrature_raises_when_refinement_runs_out():
-    """A density that no panel size resolves exhausts the bisection rounds."""
+    """A density that no panel size resolves exhausts the bisection rounds
+    of its own mass check."""
     a, b = -0.003, 0.004
-    noisy = gc.HeightDensity.from_callable(
-        lambda z: (1.0 + 1e-3 * np.sin(1e13 * z)) / (b - a), (a, b),
-        check=False)
     with pytest.raises(gc.AccuracyError) as info:
-        gc.survival_probability(noisy, np.linspace(0.0, 5.0, 11))
+        gc.HeightDensity.from_callable(
+            lambda z: (1.0 + 1e-3 * np.sin(1e13 * z)) / (b - a), (a, b))
     assert 0.0 < info.value.estimate <= 1.0
     assert info.value.bound > 1e-10 * info.value.estimate
 
@@ -388,7 +386,7 @@ def test_sampled_quadrature_repeats_bit_for_bit():
 
 class TwoPackets:
     """Two Gaussian packets as a plain pdf callable, counting its calls and
-    the heights it is asked for."""
+    recording the heights it is asked for."""
 
     centers = np.array([-1e-3, 2e-3])
     weights = np.array([0.35, 0.65])
@@ -398,11 +396,13 @@ class TwoPackets:
     def __init__(self):
         self.calls = self.evals = 0
         self.sizes = []
+        self.heights = []
 
     def __call__(self, z):
         self.calls += 1
         self.evals += np.size(z)
         self.sizes.append(np.size(z))
+        self.heights.append(np.array(z, dtype=float))
         q = (np.asarray(z, dtype=float)[..., None] - self.centers) / self.width
         return np.exp(-q * q) @ self.weights / (math.sqrt(math.pi)
                                                  * self.width)
@@ -410,33 +410,36 @@ class TwoPackets:
 
 def test_sampled_line_evaluates_shared_panels_once():
     """The support panels that no graded break splits near a point's pole
-    are evaluated once per call; per point only the split ones are.
-    Evaluating every panel for every point takes ~600 heights per point
-    here."""
+    take rho from the density's own node values; per point only the split
+    ones are evaluated.  Evaluating every panel for every point takes ~600
+    heights per point here."""
     pdf = TwoPackets()
     dens = gc.HeightDensity.from_callable(pdf, pdf.support)
     pdf.calls = pdf.evals = 0
     nu = np.linspace(-12.0, 12.0, 61)
     gc.spectrum(dens, nu, 1e3)
     assert pdf.evals / len(nu) <= 190
-    # one call for the shared panels, one for the split ones, one per round
+    # one call for the split panels, one per bisection round
     assert pdf.calls <= 4
 
 
 def test_sampled_survival_evaluates_the_support_nodes_once():
-    """A 1000-point curve is 8 blocks of times on one node set; the pdf is
-    asked for its heights once, not once per block, and after
-    that only for the nodes of bisected panels.  The values are those of a
-    quadrature that evaluates every block's integrand afresh."""
+    """The pdf is asked for the support nodes once, when the density is
+    built; after that a 1000-point curve (8 blocks of times on that node
+    set), total_rate and a line ask it only for the nodes of bisected or
+    split panels.  The curve's values are those of a quadrature that
+    evaluates every block's integrand afresh."""
     pdf = TwoPackets()
     dens = gc.HeightDensity.from_callable(pdf, pdf.support)
-    pdf.sizes.clear()
+    breaks, nodes, _ = dens._panels
+    assert pdf.sizes[:2] == [2001, nodes.size]
+    pdf.heights.clear()
     s = np.linspace(0.0, 10.0, 1000)
     got = gc.survival_probability(dens, s)
-    breaks = _support_breaks(dens)
-    n_nodes = 15 * (len(breaks) - 1)
-    assert pdf.sizes[0] == n_nodes
-    assert n_nodes not in pdf.sizes[1:]
+    gc.total_rate(dens)
+    gc.spectrum(dens, np.linspace(-12.0, 12.0, 61), 1e3)
+    assert pdf.heights
+    assert not any(np.array_equal(z, nodes.ravel()) for z in pdf.heights)
     step = block_rows(len(breaks) - 1)
     assert len(s) > 7 * step
 
@@ -479,23 +482,20 @@ def test_sampled_line_matches_scipy_quad():
 
 
 def test_unchecked_non_finite_density_fails_at_once():
-    """A pdf never scanned (check=False) that returns NaN stops the first
-    quadrature round, not 40 rounds of bisection later."""
+    """A pdf that the 2001-point scan finds finite but that is NaN between
+    its points stops the mass check's first quadrature round, not 40 rounds
+    of bisection later."""
+    a, b = -0.003, 0.004
+    grid = np.linspace(a, b, 2001)
     calls = []
 
     def nan_pdf(z):
         calls.append(np.size(z))
-        return np.full(np.shape(z), np.nan)
+        return np.where(np.isin(z, grid), 1.0 / (b - a), np.nan)
 
-    dens = gc.HeightDensity.from_callable(nan_pdf, (-0.003, 0.004),
-                                          check=False)
     with pytest.raises(gc.AccuracyError, match="non-finite"):
-        gc.spectrum(dens, np.linspace(-10.0, 10.0, 41), 1e3)
-    assert 1 <= len(calls) <= 2
-    calls.clear()
-    with pytest.raises(gc.AccuracyError, match="non-finite"):
-        gc.survival_probability(dens, np.linspace(0.0, 5.0, 11))
-    assert len(calls) == 1
+        gc.HeightDensity.from_callable(nan_pdf, (a, b))
+    assert calls == [2001, 480]
 
 
 def test_spectrum_validation():
@@ -509,11 +509,34 @@ def test_spectrum_validation():
         gc.spectrum(dens, nu, 1e3, method="fft")
 
 
+NU = np.linspace(-3.0, 3.0, 11)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: gc.spectrum(d, [0.0, math.nan, 1.0], 1e3),
+    lambda d: gc.spectrum(d, [0.0, 1.0, math.inf], 1e3),
+    lambda d: gc.spectrum(d, NU, math.nan),
+    lambda d: gc.spectrum(d, NU, math.inf),
+    lambda d: gc.survival_probability(d, math.nan),
+    lambda d: gc.survival_probability(d, math.inf),
+    lambda d: gc.survival_probability(d, [0.0, math.nan, 1.0]),
+], ids=["nu-nan", "nu-inf", "r-nan", "r-inf", "s-nan", "s-inf", "s-array"])
+@pytest.mark.parametrize("sampled", [False, True], ids=["analytic",
+                                                        "sampled"])
+def test_non_finite_inputs_refused(call, sampled):
+    """Lines and survival curves refuse non-finite inputs up front, rather
+    than returning NaN or failing deep in the quadrature."""
+    dens = gc.HeightDensity.mixture_zeta(0.0, 2e-3, 1e-3, 0.5)
+    if sampled:
+        dens = gc.HeightDensity.from_callable(dens, dens.support)
+    with pytest.raises(gc.ConfigurationError, match="finite"):
+        call(dens)
+
+
 def test_spectrum_voigt_cancellation_guard():
     """Signed component sums that dip negative must raise, not return junk."""
-    dens = gc.HeightDensity(kind="analytic-mixture", support=(-0.1, 0.1),
-                            width=1e-6, centers=(0.0, 2e-4),
-                            weights=(6.0, -5.0))
+    dens = gc.HeightDensity(support=(-0.1, 0.1), width=1e-6,
+                            centers=(0.0, 2e-4), weights=(6.0, -5.0))
     nu = np.linspace(-5.0, 5.0, 201)
     with pytest.raises(gc.AccuracyError):
         gc.spectrum(dens, nu, 1e3, method="voigt")

@@ -569,7 +569,7 @@ def test_tcoh_report(tmp_path, capsys):
                             "tcoh_s", "reduced_gammaQ",
                             "reference_magnitudes"}
     ref = payload["reference_magnitudes"]
-    assert ref["term2"] == pytest.approx(1e-18, rel=1e-12)
+    assert ref["term2"] == pytest.approx(1e-18, rel=1e-12, abs=0.0)
     assert payload["n_factor"] > 0.0
     assert payload["tcoh_s"] > 0.0
 
@@ -692,7 +692,7 @@ def test_readme_config_block_is_the_defaults():
     def same(got, want):
         # README rounds alpha_w and theta_rad to six digits
         if isinstance(want, float):
-            return got == pytest.approx(want, rel=1e-6)
+            return got == pytest.approx(want, rel=1e-6, abs=0.0)
         return got == want
 
     for name, spec in cli.CONFIG_SCHEMA.items():

@@ -76,7 +76,8 @@ def test_figure1_sweep_rows_and_methods_agree():
     # including the zero-norm corner of panel c: theta = pi/4, phi = pi, dz = 0
     rows = gc.figure1_sweep(panels["c"])
     corner = rows[100 * 201]
-    assert corner[:3] == pytest.approx([math.pi / 4, math.pi, 0.0])
+    assert corner[:3] == pytest.approx([math.pi / 4, math.pi, 0.0],
+                                      rel=1e-6, abs=0.0)
     assert corner[3] == 0.0
 
 
@@ -118,9 +119,11 @@ def test_figure2_default_cases_geometry():
         assert case.zeta1 == -case.zeta2
         sep = case.zeta2 - case.zeta1
         if name == "d":
-            assert case.delta_zeta == pytest.approx(sep / 4.0)
+            assert case.delta_zeta == pytest.approx(sep / 4.0, rel=1e-6,
+                                                     abs=0.0)
         else:
-            assert case.delta_zeta == pytest.approx(sep / 2.0)
+            assert case.delta_zeta == pytest.approx(sep / 2.0, rel=1e-6,
+                                                     abs=0.0)
     assert cases["c"].zeta2 == cases["d"].zeta2 == 1e-17
     assert cases["a"].zeta2 < cases["b"].zeta2 < cases["c"].zeta2
 
@@ -181,9 +184,9 @@ def test_optimal_state_scan_validation():
 
 def test_term_magnitude_report_reference_point():
     rep = gc.term_magnitude_report()
-    assert rep["term1"] == pytest.approx(1.4732e-27, rel=1e-3)
-    assert rep["term2"] == pytest.approx(1e-18, rel=1e-12)
-    assert rep["term3"] == pytest.approx(2.5111e-29, rel=1e-3)
+    assert rep["term1"] == pytest.approx(1.4732e-27, rel=1e-3, abs=0.0)
+    assert rep["term2"] == pytest.approx(1e-18, rel=1e-12, abs=0.0)
+    assert rep["term3"] == pytest.approx(2.5111e-29, rel=1e-3, abs=0.0)
     # reference geometry: separation equals the packet spread, ~9.2 mm
     assert rep["separation_m"] == rep["sigma_z_m"]
     assert rep["sigma_z_m"] == pytest.approx(9.165e-3, rel=1e-3)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
 import gravclock as gc
-from gravclock.model import _support_integrator
 from conftest import UNIT_SCALES, random_specs, relabelled
 
 
@@ -44,7 +43,8 @@ def test_scales_conversions():
     sc = gc.DimensionlessScales(g=9.80665, c=gc.C_LIGHT, omega=7.045e15,
                                 gamma0=7.045e15 / 1.5e17)
     # one meter of height on Earth
-    assert sc.zeta(1.0) == pytest.approx(9.80665 / gc.C_LIGHT**2, rel=1e-15)
+    assert sc.zeta(1.0) == pytest.approx(9.80665 / gc.C_LIGHT**2, rel=1e-15,
+                                        abs=0.0)
     assert sc.height_m(sc.zeta(123.0)) == pytest.approx(123.0, rel=1e-12)
     assert sc.r == pytest.approx(1.5e17, rel=1e-12)
 
@@ -97,7 +97,7 @@ def test_density_mix_unit_mass_adaptive():
 
 def panel_mass(dens):
     """Mass of a density by the panel engine on its support panels."""
-    return _support_integrator(dens)(lambda z: np.ones(z.shape + (1,)))[0]
+    return dens._integral(lambda z: np.ones(z.shape + (1,)))[0]
 
 
 def test_density_normalization_on_support_panels():
@@ -165,7 +165,6 @@ def test_zero_norm_state_rejected():
 def test_height_density_superposition_components():
     spec = make_spec(z1=0.0, z2=0.02, delta=0.01, theta=math.pi / 8)
     dens = gc.HeightDensity.superposition(spec, UNIT_SCALES)
-    assert dens.kind == "analytic-superposition"
     assert dens.is_analytic
     assert dens.centers == (0.0, 0.02, 0.01)
     assert sum(dens.weights) == pytest.approx(1.0, abs=1e-15)
@@ -216,15 +215,20 @@ def test_support_crossing_minus_half_rejected():
 
 def test_height_density_weight_sum_enforced():
     with pytest.raises(gc.ConfigurationError):
-        gc.HeightDensity(kind="analytic-mixture", support=(-0.2, 1.0),
-                         width=0.1, centers=(0.0, 0.5), weights=(0.6, 0.6))
+        gc.HeightDensity(support=(-0.2, 1.0), width=0.1, centers=(0.0, 0.5),
+                         weights=(0.6, 0.6))
 
 
-def test_height_density_kind_and_pdf_rules():
-    with pytest.raises(gc.ConfigurationError):
-        gc.HeightDensity(kind="nope", support=(-1.0, 1.0))
-    with pytest.raises(gc.ConfigurationError):
-        gc.HeightDensity(kind="sampled", support=(-0.1, 0.1))  # no pdf
+def test_height_density_takes_a_pdf_or_components():
+    def flat(z):
+        return np.full(np.shape(z), 5.0)
+
+    gc.HeightDensity(support=(-0.1, 0.1), pdf=flat)
+    with pytest.raises(gc.ConfigurationError, match="not both"):
+        gc.HeightDensity(support=(-0.1, 0.1), width=0.01, centers=(0.0,),
+                         weights=(1.0,), pdf=flat)
+    with pytest.raises(gc.ConfigurationError, match="needs a pdf"):
+        gc.HeightDensity(support=(-0.1, 0.1))
 
 
 def test_from_callable_checks():
@@ -255,9 +259,9 @@ def test_from_callable_checks():
     gc.HeightDensity.from_callable(arrays_only, (-0.2, 0.2))
     with pytest.raises(gc.ConfigurationError, match="negative"):
         gc.HeightDensity.from_callable(lambda z: -pdf(z), (-0.2, 0.2))
-    # unchecked wrapping is allowed
-    gc.HeightDensity.from_callable(lambda z: 2.0 * pdf(z), (-0.2, 0.2),
-                                   check=False)
+    # the constructor itself checks: no sampled density goes unchecked
+    with pytest.raises(gc.ConfigurationError, match="mass"):
+        gc.HeightDensity(support=(-0.2, 0.2), pdf=lambda z: 2.0 * pdf(z))
 
 
 def test_from_callable_refuses_non_finite_values():
