@@ -21,8 +21,9 @@ from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     HorizonError, SuperpositionSpec,
                     _SUPPORT_PANELS, _c_squared, _require_finite,
                     _require_positive, _square)
-from .numerics import (AccuracyError, _panel_nodes, block_rows,
-                       panel_quadrature, voigt_profile)
+from .numerics import (_PANEL_REL_TOL, AccuracyError, _kronrod_pair,
+                       _panel_nodes, _require_finite_panels, block_rows,
+                       refine_panels, voigt_profile)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -174,7 +175,11 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
     :func:`~gravclock.numerics.voigt_profile` evaluates every component on a
     (components, points) array; the weighted rows are then added in
     component order.  ``method="quadrature"`` integrates the exact kernel
-    instead and works for any density: see :func:`_line_quadrature`.
+    instead and works for any density, sampled ones included: each point
+    integrates the support panels outside a near zone around its pole from
+    the density's cached node values, all points in one kernel array, and a
+    fixed set of pieces inside it with fresh rho (~100 pdf heights per
+    point on the benchmark's lines); see :func:`_line_quadrature`.
     """
     r = _require_positive("r", r)
     nu = np.asarray(nu_grid, dtype=float)
@@ -213,63 +218,112 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
 
     The Lorentzian pole sits at x = 0 with half-width (1+zeta)/2 in x at any
     r, even where it is narrower than the float spacing of zeta itself (Earth
-    scale).  Each point's panels are the density's support panels, split by
-    breaks graded geometrically away from the pole, doubling from half the
-    narrowest half-width up to the width of one support panel.  A support
-    panel that no graded break splits has the same nodes in zeta for every
-    point, so it takes rho from the density's own node values; split panels
-    and the panels bisected later get their own rho.  Points go in blocks of
-    :func:`~gravclock.numerics.block_rows`.
+    scale).  Breaks graded geometrically away from the pole, 0 and
+    +-h0*2^j for j = 0..levels, double from half the narrowest half-width
+    h0 up to H = h0*2^levels, the first step at least one support panel
+    wide (levels >= 1); (-H, H) is the point's near zone.  A point's line
+    is the sum of two parts:
+
+    * far: the density's support panels that lie wholly outside its near
+      zone.  Their nodes in zeta are the same for every point, so one
+      (points, panels, 15) kernel array over the density's cached nodes and
+      rho integrates them all, with rho (1+zeta)/2pi and (1+zeta)^2/4 formed
+      once per call, and one product with the K15 and K15 - G7 weights
+      reduces it to each panel's value and bound;
+    * near: the same pieces for every point, the graded pieces in (-H, H)
+      and the parts outside it of the two support panels across +-H, all
+      clipped to the support.  A piece clipped to zero width counts nothing
+      and asks for no rho; the others take fresh rho from one pdf call per
+      block of points.
+
+    The near pieces and the panels bisected later are all the pdf is asked
+    for: 15 heights for each of a point's 2*levels + 4 near pieces that
+    keeps a width on the support, ~100 per point in all on the benchmark's
+    two-packet lines at r ~ 1e3.  A point whose bounds add up past the
+    tolerance goes on to :func:`~gravclock.numerics.refine_panels` with its
+    far panels and near pieces, under the tolerance floor of its whole
+    block, as in :func:`~gravclock.numerics.panel_quadrature`.  Points go
+    in blocks of :func:`~gravclock.numerics.block_rows`.
     """
     lo, hi = density.support
-    zeta_breaks, _, rho_support = density._panels
+    zeta_breaks, nodes, rho = density._panels
+    n_support = zeta_breaks.size - 1
     h0 = 0.25 * (1.0 + lo)
     levels = max(1, math.ceil(math.log2(r * (hi - lo) / _SUPPORT_PANELS / h0)))
     steps = h0 * 2.0 ** np.arange(levels + 1)
-    graded = np.r_[-steps[::-1], 0.0, steps]
-    # Support panel k of point i holds the graded breaks first[i, k] up to
-    # (not including) last[i, k], strictly inside it.
-    x_breaks = r * zeta_breaks - nu[:, None]
-    first = np.searchsorted(graded, x_breaks[:, :-1], side="right")
-    last = np.searchsorted(graded, x_breaks[:, 1:], side="left")
-    n_support = zeta_breaks.size - 1
+    near = steps[-1]
+    # a point's near pieces end at: the last support break at or below -H,
+    # the graded breaks, the first support break at or above H
+    ends_at = np.concatenate(([0.0], -steps[::-1], [0.0], steps, [0.0]))
+    gam = 1.0 + nodes
+    far_weight = rho * gam / (2.0 * math.pi)
+    far_width2 = 0.25 * gam * gam
+    far_nodes = r * nodes
+    far_half = 0.5 * (zeta_breaks[1:] - zeta_breaks[:-1])
 
-    step = block_rows(zeta_breaks.size + graded.size - 1)
+    def line(x, nus):
+        """The kernel at the nodes x (panels, 15) of panels of the points
+        nus (panels,), with fresh rho."""
+        gam = nus[:, None] + x
+        gam /= r
+        y = density(gam.ravel()).reshape(gam.shape)
+        gam += 1.0
+        y *= gam
+        y /= 2.0 * math.pi * r
+        gam *= gam
+        gam *= 0.25
+        gam += x * x
+        y /= gam
+        return y
+
+    step = block_rows(n_support + ends_at.size - 1)
     p = np.empty_like(nu)
     for start in range(0, len(nu), step):
         nus = nu[start:start + step]
-        firsts, lasts = first[start:start + step], last[start:start + step]
-        xb = x_breaks[start:start + step]
-        # Each support panel of each row (`panel`, flat) is cut into
-        # `pieces` by the graded breaks inside it: piece i runs from graded
-        # break firsts + i - 1 to firsts + i, the end ones from and to its
-        # support breaks.
-        pieces = (lasts - firsts + 1).ravel()
-        panel = np.repeat(np.arange(pieces.size), pieces)
-        piece = np.arange(panel.size) - np.repeat(np.cumsum(pieces) - pieces,
-                                                  pieces)
-        end = firsts.ravel()[panel] + piece
-        a = np.where(piece == 0, xb[:, :-1].ravel()[panel], graded[end - 1])
-        b = np.where(piece == pieces[panel] - 1, xb[:, 1:].ravel()[panel],
-                     graded[np.minimum(end, graded.size - 1)])
-        row = panel // n_support
+        xb = r * zeta_breaks - nus[:, None]
+        # in place: a fresh temporary per operation made this kernel about
+        # twice as slow
+        y = np.subtract(far_nodes, nus[:, None, None])
+        y *= y
+        y += far_width2
+        np.divide(far_weight, y, out=y)
+        far_val, far_err = _kronrod_pair(y, far_half)
+        far = (xb[:, :-1] >= near) | (xb[:, 1:] <= -near)
 
-        def line(x, row, rho=None, nus=nus):
-            zeta = (nus[row][:, None] + x) / r
-            if rho is None:
-                rho = density(zeta.ravel()).reshape(zeta.shape)
-            gam = 1.0 + zeta
-            return (rho * gam / (2.0 * math.pi * r)
-                    / (0.25 * gam**2 + x**2))[..., None]
+        rows = np.arange(len(nus))
+        ends = np.tile(ends_at, (len(nus), 1))
+        ends[:, 0] = xb[rows, np.maximum((xb <= -near).sum(axis=1) - 1, 0)]
+        ends[:, -1] = xb[rows, np.minimum((xb < near).sum(axis=1), n_support)]
+        np.clip(ends, xb[:, :1], xb[:, -1:], out=ends)
+        a, b = ends[:, :-1], ends[:, 1:]
+        live = b > a
+        y = np.zeros(a.shape + (15,))
+        y[live] = line(_panel_nodes(a[live], b[live]),
+                       nus[np.nonzero(live)[0]])
+        near_val, near_err = _kronrod_pair(y, 0.5 * (b - a))
 
-        x0 = _panel_nodes(a, b)
-        rho = rho_support[panel % n_support]
-        own = np.flatnonzero(pieces[panel] > 1)
-        if own.size:
-            zeta = (nus[row[own]][:, None] + x0[own]) / r
-            rho[own] = density(zeta.ravel()).reshape(zeta.shape)
-        p[start:start + step] = panel_quadrature(
-            line, a, b, row, len(nus), y0=line(x0, row, rho))[:, 0]
+        keep = np.concatenate((far, live), axis=1)
+        val = np.concatenate((far_val, near_val), axis=1) * keep
+        err = np.concatenate((far_err, near_err), axis=1) * keep
+        total, bound = val.sum(axis=1), err.sum(axis=1)
+        floor = max(float(np.abs(total).max()), np.finfo(float).tiny)
+        done = bound <= _PANEL_REL_TOL * np.maximum(np.abs(total), floor)
+        done &= np.isfinite(total)
+        p[start:start + step] = total
+        if done.all():
+            continue
+        # the rows that miss their tolerance bisect their far panels and
+        # live near pieces
+        todo = np.flatnonzero(~done)
+        keep = keep[todo]
+        row = np.nonzero(keep)[0]
+        pa = np.concatenate((xb[todo, :-1], a[todo]), axis=1)[keep]
+        pb = np.concatenate((xb[todo, 1:], b[todo]), axis=1)[keep]
+        val, err = val[todo][keep][:, None], err[todo][keep][:, None]
+        _require_finite_panels(val, err, pa, pb, todo[row])
+        p[start + todo] = refine_panels(
+            lambda x, row: line(x, nus[todo[row]])[..., None],
+            pa, pb, row, len(todo), val, err, floor=np.array([floor]))[:, 0]
     return np.maximum(p, 0.0)
 
 

@@ -104,15 +104,35 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, row: np.ndarray,
     kronrod = np.einsum("pnm,n->pm", y, _GK_KRONROD) * half[:, None]
     err = np.abs(kronrod - np.einsum("pnm,n->pm", y, _GK_GAUSS)
                  * half[:, None])
-    finite = np.isfinite(kronrod) & np.isfinite(err)
+    _require_finite_panels(kronrod, err, a, b, row)
+    return kronrod, err
+
+
+# The K15 weights and the K15 - G7 weights side by side: y @ _GK_PAIR gives
+# a panel's Kronrod sum and its error estimate in one product.
+_GK_PAIR = np.stack((_GK_KRONROD, _GK_KRONROD - _GK_GAUSS), axis=1)
+
+
+def _kronrod_pair(y: np.ndarray, half):
+    """K15 value and |K15 - G7| of each panel, from the integrand y at its
+    nodes (shape (..., 15)) and its half-width (broadcast to shape (...))."""
+    pair = (y.reshape(-1, len(_GK_NODES)) @ _GK_PAIR).reshape(
+        y.shape[:-1] + (2,))
+    pair *= np.asarray(half)[..., None]
+    return pair[..., 0], np.abs(pair[..., 1])
+
+
+def _require_finite_panels(val, err, a, b, row) -> None:
+    """Raise AccuracyError for the first panel whose value (panels, m) or
+    bound is not finite, naming its integral and its ends."""
+    finite = np.isfinite(val) & np.isfinite(err)
     if not finite.all():
         bad = np.unravel_index(np.argmin(finite), finite.shape)
-        value, bound = float(kronrod[bad]), float(err[bad])
+        value, bound = float(val[bad]), float(err[bad])
         raise AccuracyError(
             f"panel quadrature integral {row[bad[0]]} is non-finite: panel "
             f"[{float(a[bad[0]])!r}, {float(b[bad[0]])!r}] gives {value!r} "
             f"with error bound {bound!r}", estimate=value, bound=bound)
-    return kronrod, err
 
 
 def panel_quadrature(f, a, b, row, n_rows: int,
@@ -141,13 +161,23 @@ def panel_quadrature(f, a, b, row, n_rows: int,
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     row = np.asarray(row)
     val, err = _gauss_kronrod(f, a, b, row, y0)
+    return refine_panels(f, a, b, row, n_rows, val, err)
+
+
+def refine_panels(f, a, b, row, n_rows: int, val, err,
+                  floor=None) -> np.ndarray:
+    """:func:`panel_quadrature` from the starting panels' K15 values ``val``
+    and bounds ``err``, shape (panels, m), already checked finite.  ``floor``
+    (shape (m,)) replaces the tolerance floor that these integrals would set
+    at round 0, for a caller that has settled other integrals of the same
+    call itself."""
     out = np.zeros((n_rows, val.shape[1]))
     for rounds in range(_MAX_ROUNDS + 1):
         starts = np.flatnonzero(np.diff(row, prepend=-1))
         counts = np.diff(np.r_[starts, len(row)])
         total = np.add.reduceat(val, starts)
         bound = np.add.reduceat(err, starts)
-        if rounds == 0:
+        if floor is None:
             # tiny keeps a call whose values are all 0 from dividing by 0
             floor = np.maximum(np.abs(total).max(axis=0),
                                np.finfo(float).tiny)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import gravclock as gc
 from gravclock.cli import _EARTH
+from gravclock import numerics
 from gravclock.numerics import block_rows, panel_quadrature
 from conftest import UNIT_SCALES, random_specs, relabelled
 
@@ -409,26 +410,26 @@ class TwoPackets:
 
 
 def test_sampled_line_evaluates_shared_panels_once():
-    """The support panels that no graded break splits near a point's pole
-    take rho from the density's own node values; per point only the split
-    ones are evaluated.  Evaluating every panel for every point takes ~600
-    heights per point here."""
+    """The support panels wholly outside a point's near zone take rho from
+    the density's own node values; per point only the near pieces are
+    evaluated (~110 heights here, ~126 with bisection).  Evaluating every
+    panel for every point takes ~600 heights per point here."""
     pdf = TwoPackets()
     dens = gc.HeightDensity.from_callable(pdf, pdf.support)
     pdf.calls = pdf.evals = 0
     nu = np.linspace(-12.0, 12.0, 61)
     gc.spectrum(dens, nu, 1e3)
     assert pdf.evals / len(nu) <= 190
-    # one call for the split panels, one per bisection round
+    # one call for the near pieces, one per bisection round
     assert pdf.calls <= 4
 
 
 def test_sampled_survival_evaluates_the_support_nodes_once():
     """The pdf is asked for the support nodes once, when the density is
     built; after that a 1000-point curve (8 blocks of times on that node
-    set), total_rate and a line ask it only for the nodes of bisected or
-    split panels.  The curve's values are those of a quadrature that
-    evaluates every block's integrand afresh."""
+    set), total_rate and a line ask it only for the nodes of bisected
+    panels and of a line's near pieces.  The curve's values are those of a
+    quadrature that evaluates every block's integrand afresh."""
     pdf = TwoPackets()
     dens = gc.HeightDensity.from_callable(pdf, pdf.support)
     breaks, nodes, _ = dens._panels
@@ -479,6 +480,111 @@ def test_sampled_line_matches_scipy_quad():
 
     np.testing.assert_allclose(got, [ref(n) for n in nu], rtol=2e-15,
                                atol=0.0)
+
+
+def quad_line(dens, n, r, hints=()):
+    """P(n) by scipy's adaptive quad in zeta, with the pole n/r and the
+    given heights as break points."""
+    lo, hi = dens.support
+
+    def f(z):
+        gam = 1.0 + z
+        return dens(z) * gam / (2.0 * math.pi) / (0.25 * gam**2
+                                                  + (r * z - n) ** 2)
+
+    points = [z for z in (n / r, *hints) if lo < z < hi]
+    return quad(f, lo, hi, points=points or None, epsabs=0.0, epsrel=2e-14,
+                limit=2000)[0]
+
+
+@pytest.mark.parametrize("r", [1e2, 1e3, 1e4])
+def test_top_hat_line_past_the_support_ends_and_on_its_breaks(r):
+    """rho jumps at both support ends.  The window runs three linewidths
+    past them, so near zones reach past either end, and poles sit exactly
+    on both ends and on inner support breaks.  Measured within 1.5e-15
+    relative."""
+    a, b = -0.003, 0.004
+    dens = top_hat(a, b)
+    breaks = dens._panels.breaks
+    nu = np.unique(np.r_[np.linspace(r * a - 3.0, r * b + 3.0, 41),
+                         r * breaks[[0, 5, 16, -1]]])
+    got = gc.spectrum(dens, nu, r).p_values
+    np.testing.assert_allclose(got, [quad_line(dens, n, r) for n in nu],
+                               rtol=4e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("r", [2.0**7, 2.0**13])
+def test_line_with_a_support_break_on_the_near_zone_edge(r):
+    """Dyadic ends, r and detunings make x = r*zeta - nu exact, so support
+    breaks sit exactly on +-H, the edges of the points' near zones (H as
+    in analytic._line_quadrature): such a panel belongs to the far part,
+    once.  Measured within 2.3e-16 relative."""
+    a, b = -3.0 / 1024, 4.0 / 1024
+    dens = top_hat(a, b)
+    breaks = dens._panels.breaks
+    h0 = 0.25 * (1.0 + a)
+    near = h0 * 2.0 ** max(1, math.ceil(math.log2(r * (b - a) / 32 / h0)))
+    nu = np.unique(np.r_[r * breaks[[3, 9, 20]] - near,
+                         r * breaks[[3, 9, 20]] + near])
+    x = r * breaks - nu[:, None]
+    assert np.all(np.any(x == near, axis=1) | np.any(x == -near, axis=1))
+    got = gc.spectrum(dens, nu, r).p_values
+    np.testing.assert_allclose(got, [quad_line(dens, n, r) for n in nu],
+                               rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("pdf", ["top-hat", "two-packets"])
+def test_line_of_a_support_narrower_than_one_near_zone(pdf):
+    """At r = 1e2 the near zone is (-0.5, 0.5) in x and holds the whole
+    support (0.3 and 0.03 wide): the graded pieces, clipped to the support,
+    carry the line, bisected where the packets vary faster than they.
+    Measured within 1.7e-15 relative."""
+    r = 1e2
+    if pdf == "top-hat":
+        dens, hints = top_hat(-1e-3, 2e-3), ()
+    else:
+        closed = gc.HeightDensity.mixture_zeta(0.0, 2e-5, 1e-5, 0.5)
+        dens = gc.HeightDensity.from_callable(closed, closed.support)
+        hints = closed.centers
+    lo, hi = dens.support
+    nu = np.linspace(r * lo - 1.0, r * hi + 1.0, 31)
+    got = gc.spectrum(dens, nu, r).p_values
+    np.testing.assert_allclose(
+        got, [quad_line(dens, n, r, hints) for n in nu], rtol=4e-15,
+        atol=0.0)
+
+
+@pytest.mark.parametrize("r", [1e2, 1e3, 1e4])
+def test_quadrature_line_with_poles_on_the_analytic_centers(r):
+    """method='quadrature' on a superposition, whose support panels break
+    at its three centers; poles sit on each center, and the window runs
+    five linewidths past the support.  Measured within 1e-15 relative."""
+    dens = gc.HeightDensity.superposition_zeta(0.0, 2e-3, 1e-3, 0.5, 2.0)
+    lo, hi = dens.support
+    nu = np.unique(np.r_[np.linspace(r * lo - 5.0, r * hi + 5.0, 41),
+                         r * np.array(dens.centers)])
+    got = gc.spectrum(dens, nu, r, method="quadrature").p_values
+    want = [quad_line(dens, n, r, dens.centers) for n in nu]
+    np.testing.assert_allclose(got, want, rtol=2e-15, atol=0.0)
+
+
+def test_line_points_that_miss_the_tolerance_bisect(monkeypatch):
+    """Some points of this line miss 1e-13 on their starting panels: they
+    bisect in one more pdf call.  Without bisection rounds the line raises
+    AccuracyError with the estimate and the bound of its worst point."""
+    pdf = TwoPackets()
+    dens = gc.HeightDensity.from_callable(pdf, pdf.support)
+    nu = np.linspace(-12.0, 12.0, 61)
+    pdf.calls = 0
+    line = gc.spectrum(dens, nu, 1e3).p_values
+    assert pdf.calls == 2
+    monkeypatch.setattr(numerics, "_MAX_ROUNDS", 0)
+    with pytest.raises(gc.AccuracyError, match="after 0 bisection rounds"
+                       ) as info:
+        gc.spectrum(dens, nu, 1e3)
+    estimate, bound = info.value.estimate, info.value.bound
+    assert bound > 1e-13 * estimate > 0.0
+    assert np.min(np.abs(line - estimate)) <= bound
 
 
 def test_unchecked_non_finite_density_fails_at_once():

@@ -219,6 +219,21 @@ def test_height_density_weight_sum_enforced():
                          weights=(0.6, 0.6))
 
 
+@pytest.mark.parametrize("params", [
+    {"width": math.nan, "centers": (0.0,), "weights": (1.0,)},
+    {"width": math.inf, "centers": (0.0,), "weights": (1.0,)},
+    {"width": 0.0, "centers": (0.0,), "weights": (1.0,)},
+    {"width": 0.01, "centers": (math.nan,), "weights": (1.0,)},
+    {"width": 0.01, "centers": (0.0, 0.02), "weights": (math.nan, 1.0)},
+], ids=["width-nan", "width-inf", "width-zero", "center-nan", "weight-nan"])
+def test_height_density_refuses_non_finite_components(params):
+    """NaN fails every comparison, so the width > 0 and weight-sum checks
+    alone would pass it: a NaN width built a density whose total_rate was
+    1.0 and whose rho(0) was nan."""
+    with pytest.raises(gc.ConfigurationError, match="finite"):
+        gc.HeightDensity(support=(-0.1, 0.1), **params)
+
+
 def test_height_density_takes_a_pdf_or_components():
     def flat(z):
         return np.full(np.shape(z), 5.0)
