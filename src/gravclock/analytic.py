@@ -21,9 +21,8 @@ from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     HorizonError, SuperpositionSpec,
                     _SUPPORT_PANELS, _c_squared, _require_finite,
                     _require_positive, _square)
-from .numerics import (_PANEL_REL_TOL, AccuracyError, _kronrod_pair,
-                       _panel_nodes, _require_finite_panels, block_rows,
-                       refine_panels, voigt_profile)
+from .numerics import (AccuracyError, _kronrod, _panel_nodes, block_rows,
+                       panel_quadrature, voigt_profile)
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
 
@@ -105,8 +104,9 @@ def total_rate(density: HeightDensity) -> float:
     """Mean decay rate of a height density: <1 + zeta>.
 
     Sampled densities are integrated by
-    :func:`~gravclock.numerics.panel_quadrature` on their support panels,
-    with rho at their nodes from when the density was built.
+    :func:`~gravclock.numerics.panel_quadrature` as one row of their
+    support panels, with rho at their nodes from when the density was
+    built.
     """
     if density.is_analytic:
         return 1.0 + density.mean()
@@ -118,9 +118,9 @@ def survival_probability(density: HeightDensity, s):
 
     For a Gaussian component centered at mu the strip integral is exact:
     exp(-(1+mu) s + width^2 s^2 / 4).  Sampled densities are integrated by
-    :func:`~gravclock.numerics.panel_quadrature` on one node set shared by
-    every time of a block, with rho at its nodes from when the density was
-    built.
+    :func:`~gravclock.numerics.panel_quadrature` as one row of their
+    support panels, one integrand per time of a block on the shared nodes,
+    with rho at those nodes from when the density was built.
     """
     s_arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(s_arr)):
@@ -167,7 +167,8 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
              method: str = "auto") -> SpectrumResult:
     """Emission line shape P(nu) = integral rho(zeta) L(nu; zeta) dzeta.
 
-    For analytic densities each Gaussian component convolved with the natural
+    With the default ``method="auto"``, an analytic density takes the Voigt
+    closed form: each Gaussian component convolved with the natural
     Lorentzian is a Voigt profile with Gaussian sigma = r*width/sqrt(2) and
     Lorentzian HWHM (1+mu)/2 -- exact except for freezing the slowly varying
     linewidth across one packet (relative error ~width: ~1e-17 at physical r,
@@ -175,7 +176,8 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
     :func:`~gravclock.numerics.voigt_profile` evaluates every component on a
     (components, points) array; the weighted rows are then added in
     component order.  ``method="quadrature"`` integrates the exact kernel
-    instead and works for any density, sampled ones included: each point
+    instead and works for any density; ``"auto"`` takes it for sampled
+    ones.  Each point
     integrates the support panels outside a near zone around its pole from
     the density's cached node values, all points in one kernel array, and a
     fixed set of pieces inside it with fresh rho (~100 pdf heights per
@@ -187,11 +189,10 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
         raise ConfigurationError("nu_grid must be 1-D and strictly increasing")
     if not np.all(np.isfinite(nu)):
         raise ConfigurationError("nu_grid must be finite")
-    if method == "auto":
-        method = "voigt" if density.is_analytic else "quadrature"
-    if method == "voigt":
-        if not density.is_analytic:
-            raise ConfigurationError("voigt path needs an analytic density")
+    if method not in ("auto", "quadrature"):
+        raise ConfigurationError(
+            f"method must be auto|quadrature, got {method!r}")
+    if method == "auto" and density.is_analytic:
         sigma = r * density.width / math.sqrt(2.0)
         mu = np.asarray(density.centers)[:, None]
         lines = voigt_profile(nu - r * mu, sigma, 0.5 * (1.0 + mu))
@@ -202,11 +203,8 @@ def spectrum(density: HeightDensity, nu_grid, r: float, *,
                 "voigt components cancelled below their accuracy; use "
                 "method='quadrature' for this state")
         p = np.maximum(p, 0.0)
-    elif method == "quadrature":
-        p = _line_quadrature(density, nu, r)
     else:
-        raise ConfigurationError(
-            f"method must be auto|voigt|quadrature, got {method!r}")
+        p = _line_quadrature(density, nu, r)
     mass = float(_trapz(p, nu))
     return SpectrumResult(nu_grid=nu, p_values=p, total_mass=mass,
                           low_mass=bool(mass < 0.9))
@@ -239,11 +237,13 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
     The near pieces and the panels bisected later are all the pdf is asked
     for: 15 heights for each of a point's 2*levels + 4 near pieces that
     keeps a width on the support, ~100 per point in all on the benchmark's
-    two-packet lines at r ~ 1e3.  A point whose bounds add up past the
-    tolerance goes on to :func:`~gravclock.numerics.refine_panels` with its
-    far panels and near pieces, under the tolerance floor of its whole
-    block, as in :func:`~gravclock.numerics.panel_quadrature`.  Points go
-    in blocks of :func:`~gravclock.numerics.block_rows`.
+    two-packet lines at r ~ 1e3.  Points go in blocks of
+    :func:`~gravclock.numerics.block_rows`.  A block is one call of
+    :func:`~gravclock.numerics.panel_quadrature`, one row per point: its
+    far panels, then its near pieces, with their values and bounds.  The
+    far panels inside the near zone and the zero-width pieces enter with
+    value and bound 0, which the engine neither counts nor bisects; it
+    applies the tolerance and bisects the points that miss it.
     """
     lo, hi = density.support
     zeta_breaks, nodes, rho = density._panels
@@ -287,8 +287,8 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
         y *= y
         y += far_width2
         np.divide(far_weight, y, out=y)
-        far_val, far_err = _kronrod_pair(y, far_half)
-        far = (xb[:, :-1] >= near) | (xb[:, 1:] <= -near)
+        far = ((xb[:, :-1] >= near) | (xb[:, 1:] <= -near))[..., None]
+        far_val, far_err = _kronrod(y[..., None], far_half)
 
         rows = np.arange(len(nus))
         ends = np.tile(ends_at, (len(nus), 1))
@@ -297,33 +297,17 @@ def _line_quadrature(density: HeightDensity, nu: np.ndarray,
         np.clip(ends, xb[:, :1], xb[:, -1:], out=ends)
         a, b = ends[:, :-1], ends[:, 1:]
         live = b > a
-        y = np.zeros(a.shape + (15,))
-        y[live] = line(_panel_nodes(a[live], b[live]),
-                       nus[np.nonzero(live)[0]])
-        near_val, near_err = _kronrod_pair(y, 0.5 * (b - a))
+        y = np.zeros(a.shape + (15, 1))
+        y[live, :, 0] = line(_panel_nodes(a[live], b[live]),
+                             nus[np.nonzero(live)[0]])
+        near_val, near_err = _kronrod(y, 0.5 * (b - a))
 
-        keep = np.concatenate((far, live), axis=1)
-        val = np.concatenate((far_val, near_val), axis=1) * keep
-        err = np.concatenate((far_err, near_err), axis=1) * keep
-        total, bound = val.sum(axis=1), err.sum(axis=1)
-        floor = max(float(np.abs(total).max()), np.finfo(float).tiny)
-        done = bound <= _PANEL_REL_TOL * np.maximum(np.abs(total), floor)
-        done &= np.isfinite(total)
-        p[start:start + step] = total
-        if done.all():
-            continue
-        # the rows that miss their tolerance bisect their far panels and
-        # live near pieces
-        todo = np.flatnonzero(~done)
-        keep = keep[todo]
-        row = np.nonzero(keep)[0]
-        pa = np.concatenate((xb[todo, :-1], a[todo]), axis=1)[keep]
-        pb = np.concatenate((xb[todo, 1:], b[todo]), axis=1)[keep]
-        val, err = val[todo][keep][:, None], err[todo][keep][:, None]
-        _require_finite_panels(val, err, pa, pb, todo[row])
-        p[start + todo] = refine_panels(
-            lambda x, row: line(x, nus[todo[row]])[..., None],
-            pa, pb, row, len(todo), val, err, floor=np.array([floor]))[:, 0]
+        p[start:start + step] = panel_quadrature(
+            lambda x, row: line(x, nus[row])[..., None],
+            np.concatenate((xb[:, :-1], a), axis=1),
+            np.concatenate((xb[:, 1:], b), axis=1),
+            np.concatenate((far_val * far, near_val), axis=1),
+            np.concatenate((far_err * far, near_err), axis=1))[:, 0]
     return np.maximum(p, 0.0)
 
 

@@ -100,7 +100,7 @@ CONFIG_SCHEMA = {
         "nu_min": _Key(None),
         "nu_max": _Key(None),
         "n_points": _Key(4001, lo=2),
-        "method": _Key("auto", options=("auto", "voigt", "quadrature")),
+        "method": _Key("auto", options=("auto", "quadrature")),
     },
     "survival": {
         "s_max": _Key(5.0, **_POSITIVE),

@@ -281,6 +281,10 @@ class HeightDensity:
                 "a density takes a pdf or Gaussian components, not both")
         grid = np.linspace(lo, hi, 2001)
         vals = np.asarray(self.pdf(grid), dtype=float)
+        if vals.shape != grid.shape:
+            raise ConfigurationError(
+                f"sampled pdf returns shape {vals.shape} for heights of shape "
+                f"{grid.shape}; it must return the shape it is given")
         finite = np.isfinite(vals)
         if not finite.all():
             at = np.argmin(finite)
@@ -390,19 +394,20 @@ class HeightDensity:
 
     def _integral(self, f) -> np.ndarray:
         """The integral of rho(zeta) f(zeta) over the support panels, by
-        :func:`~gravclock.numerics.panel_quadrature`.  ``f`` maps heights of
-        shape (panels, 15) to shape (panels, 15, m); the integral has shape
-        (m,).  ``f`` is called at the panels' nodes, with rho there taken
-        from :attr:`_panels`, and at the nodes of bisected panels."""
-        from .numerics import panel_quadrature
+        :func:`~gravclock.numerics.panel_quadrature` on one row of them.
+        ``f`` maps heights of shape (panels, 15) to shape (panels, 15, m);
+        the integral has shape (m,).  ``f`` is called at the panels' nodes,
+        with rho there taken from :attr:`_panels`, and at the nodes of
+        bisected panels."""
+        from .numerics import _kronrod, panel_quadrature
         breaks, nodes, rho = self._panels
+        a, b = breaks[None, :-1], breaks[None, 1:]
 
         def integrand(z, row):
             return self(z.ravel()).reshape(z.shape)[..., None] * f(z)
 
-        return panel_quadrature(integrand, breaks[:-1], breaks[1:],
-                                np.zeros(len(breaks) - 1, int), 1,
-                                y0=rho[..., None] * f(nodes))[0]
+        val, err = _kronrod((rho[..., None] * f(nodes))[None], 0.5 * (b - a))
+        return panel_quadrature(integrand, a, b, val, err)[0]
 
     def mean(self) -> float:
         """First moment <zeta>; closed form, analytic densities only."""

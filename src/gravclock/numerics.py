@@ -89,23 +89,9 @@ def block_rows(n_panels: int) -> int:
 
 
 def _panel_nodes(a, b) -> np.ndarray:
-    """The 15 Kronrod nodes of each panel [a, b], shape (panels, 15)."""
+    """The 15 Kronrod nodes of each panel [a, b], shape a.shape + (15,)."""
     half = 0.5 * (b - a)
-    return 0.5 * (a + b)[:, None] + half[:, None] * _GK_NODES
-
-
-def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, row: np.ndarray,
-                   y: np.ndarray | None = None):
-    """K15 value and |K15 - G7| of each panel [a, b] of integral ``row``,
-    from the integrand values ``y`` at its nodes (f's when omitted)."""
-    if y is None:
-        y = f(_panel_nodes(a, b), row)
-    half = 0.5 * (b - a)
-    kronrod = np.einsum("pnm,n->pm", y, _GK_KRONROD) * half[:, None]
-    err = np.abs(kronrod - np.einsum("pnm,n->pm", y, _GK_GAUSS)
-                 * half[:, None])
-    _require_finite_panels(kronrod, err, a, b, row)
-    return kronrod, err
+    return 0.5 * (a + b)[..., None] + half[..., None] * _GK_NODES
 
 
 # The K15 weights and the K15 - G7 weights side by side: y @ _GK_PAIR gives
@@ -113,39 +99,43 @@ def _gauss_kronrod(f, a: np.ndarray, b: np.ndarray, row: np.ndarray,
 _GK_PAIR = np.stack((_GK_KRONROD, _GK_KRONROD - _GK_GAUSS), axis=1)
 
 
-def _kronrod_pair(y: np.ndarray, half):
-    """K15 value and |K15 - G7| of each panel, from the integrand y at its
-    nodes (shape (..., 15)) and its half-width (broadcast to shape (...))."""
-    pair = (y.reshape(-1, len(_GK_NODES)) @ _GK_PAIR).reshape(
-        y.shape[:-1] + (2,))
-    pair *= np.asarray(half)[..., None]
+def _kronrod(y: np.ndarray, half):
+    """K15 values and |K15 - G7| bounds of panels, shape (..., m), from the
+    integrands y at their nodes, shape (..., 15, m), and their half-widths
+    (broadcast to shape (...))."""
+    pair = np.swapaxes(y, -1, -2).reshape(-1, len(_GK_NODES)) @ _GK_PAIR
+    pair = pair.reshape(y.shape[:-2] + (y.shape[-1], 2))
+    pair *= np.asarray(half)[..., None, None]
     return pair[..., 0], np.abs(pair[..., 1])
 
 
 def _require_finite_panels(val, err, a, b, row) -> None:
-    """Raise AccuracyError for the first panel whose value (panels, m) or
-    bound is not finite, naming its integral and its ends."""
+    """Raise AccuracyError for the first panel whose value or bound (shape
+    a.shape + (m,)) is not finite, naming its integral (``row`` along the
+    first axis) and its ends."""
     finite = np.isfinite(val) & np.isfinite(err)
     if not finite.all():
         bad = np.unravel_index(np.argmin(finite), finite.shape)
+        panel = bad[:-1]
         value, bound = float(val[bad]), float(err[bad])
         raise AccuracyError(
-            f"panel quadrature integral {row[bad[0]]} is non-finite: panel "
-            f"[{float(a[bad[0]])!r}, {float(b[bad[0]])!r}] gives {value!r} "
+            f"panel quadrature integral {row[panel[0]]} is non-finite: panel "
+            f"[{float(a[panel])!r}, {float(b[panel])!r}] gives {value!r} "
             f"with error bound {bound!r}", estimate=value, bound=bound)
 
 
-def panel_quadrature(f, a, b, row, n_rows: int,
-                     y0: np.ndarray | None = None) -> np.ndarray:
+def panel_quadrature(f, a, b, val=None, err=None) -> np.ndarray:
     """Error-controlled composite Gauss-Kronrod integrals over panels.
 
-    Integral ``i`` is the sum over the panels [a[j], b[j]] with row[j] = i
-    (``row`` nondecreasing; an integral without panels is 0).
-    ``f(x, row)`` gets the nodes x of shape (panels, 15) with the row of each
-    panel and returns shape (panels, 15, m): m integrands sharing the nodes.
-    Returns shape (n_rows, m).  A caller that already holds the integrands
-    at the starting panels' nodes :func:`_panel_nodes` passes them as ``y0``;
-    ``f`` then only sees bisected panels.
+    Integral ``i`` is the sum over the panels [a[i, j], b[i, j]] of row i;
+    ``a`` and ``b`` have shape (rows, panels).  ``f(x, row)`` gets the nodes
+    x of shape (k, 15) of k panels with the row of each and returns shape
+    (k, 15, m): m integrands sharing the nodes.  Returns shape (rows, m).
+    A caller that already holds the starting panels' K15 values and bounds
+    (:func:`_kronrod`) passes them as ``val`` and ``err``, shape
+    (rows, panels, m); ``f`` then only sees bisected panels.  A panel whose
+    value and bound are both 0 counts nothing and is never bisected, so
+    rows may be padded with such panels.
 
     Each panel's error bound is |K15 - G7|.  The tolerance of a component
     is _PANEL_REL_TOL times its |value|, floored at _PANEL_REL_TOL times
@@ -153,37 +143,27 @@ def panel_quadrature(f, a, b, row, n_rows: int,
     round 0 (the floor is what lets tails and near-zero rows pass).  While
     an integral's bounds sum past the tolerance of any of its m components,
     its largest-error panels (at most _MAX_SPLITS per round) are bisected
-    until the rest would fit in half that tolerance.  After _MAX_ROUNDS
-    rounds the worst integral raises AccuracyError with its estimate and
-    bound.  A non-finite panel value or bound raises AccuracyError at once,
-    naming its integral.
+    until the rest would fit in half that tolerance: the left half keeps
+    the panel's place and the right half goes into a new column.  After
+    _MAX_ROUNDS rounds the worst integral raises AccuracyError with its
+    estimate and bound.  A non-finite starting or bisected panel value or
+    bound raises AccuracyError at once, naming its integral.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    row = np.asarray(row)
-    val, err = _gauss_kronrod(f, a, b, row, y0)
-    return refine_panels(f, a, b, row, n_rows, val, err)
-
-
-def refine_panels(f, a, b, row, n_rows: int, val, err,
-                  floor=None) -> np.ndarray:
-    """:func:`panel_quadrature` from the starting panels' K15 values ``val``
-    and bounds ``err``, shape (panels, m), already checked finite.  ``floor``
-    (shape (m,)) replaces the tolerance floor that these integrals would set
-    at round 0, for a caller that has settled other integrals of the same
-    call itself."""
-    out = np.zeros((n_rows, val.shape[1]))
+    rows = np.arange(a.shape[0])
+    if val is None:
+        y = f(_panel_nodes(a, b).reshape(-1, len(_GK_NODES)),
+              np.repeat(rows, a.shape[1]))
+        val, err = _kronrod(y.reshape(a.shape + y.shape[1:]), 0.5 * (b - a))
+    _require_finite_panels(val, err, a, b, rows)
+    total, bound = val.sum(axis=1), err.sum(axis=1)
+    # tiny keeps a call whose values are all 0 from dividing by 0
+    floor = np.abs(total).max(axis=0, initial=np.finfo(float).tiny)
+    out = np.empty_like(total)
     for rounds in range(_MAX_ROUNDS + 1):
-        starts = np.flatnonzero(np.diff(row, prepend=-1))
-        counts = np.diff(np.r_[starts, len(row)])
-        total = np.add.reduceat(val, starts)
-        bound = np.add.reduceat(err, starts)
-        if floor is None:
-            # tiny keeps a call whose values are all 0 from dividing by 0
-            floor = np.maximum(np.abs(total).max(axis=0),
-                               np.finfo(float).tiny)
         tol = _PANEL_REL_TOL * np.maximum(np.abs(total), floor)
         done = np.all(bound <= tol, axis=1)
-        out[row[starts[done]]] = total[done]
+        out[rows[done]] = total[done]
         if done.all():
             return out
         if rounds == _MAX_ROUNDS:
@@ -193,30 +173,40 @@ def refine_panels(f, a, b, row, n_rows: int, val, err,
                 f"tolerance {tol[worst]:.3e} after {_MAX_ROUNDS} bisection "
                 "rounds", estimate=float(total[worst]),
                 bound=float(bound[worst]))
-        live = np.repeat(~done, counts)
-        a, b, row, val, err = a[live], b[live], row[live], val[live], err[live]
-        counts = counts[~done]
+        live = ~done
+        rows, a, b = rows[live], a[live], b[live]
+        val, err = val[live], err[live]
         # Panels sorted by score within each integral; splitting those whose
         # score, added to every smaller one, exceeds 1/2 leaves the rest
         # within half the tolerance.  Scores clip at 1 without changing
         # that choice, which keeps the running sums exact enough.
-        score = np.max(err / np.repeat(tol[~done], counts, axis=0), axis=1)
-        order = np.lexsort((score, row))
-        run = np.cumsum(np.minimum(score[order], 1.0))
-        ends = np.cumsum(counts)
-        before = np.repeat(np.r_[0.0, run[ends[:-1] - 1]], counts)
-        rank_from_top = np.repeat(ends, counts) - 1 - np.arange(len(order))
-        split = np.empty(len(order), dtype=bool)
-        split[order] = (run - before > 0.5) & (rank_from_top < _MAX_SPLITS)
-        reps = 1 + split
-        first = (np.cumsum(reps) - reps)[split]
-        mid = 0.5 * (a + b)[split]
-        a, b, row = np.repeat(a, reps), np.repeat(b, reps), np.repeat(row, reps)
-        val, err = np.repeat(val, reps, axis=0), np.repeat(err, reps, axis=0)
-        b[first], a[first + 1] = mid, mid
-        child = np.stack((first, first + 1), axis=1).ravel()
-        val[child], err[child] = _gauss_kronrod(f, a[child], b[child],
-                                                row[child])
+        score = np.max(err / tol[live][:, None, :], axis=2)
+        n = score.shape[1]
+        # order: flat indices of each row's panels, by ascending score
+        order = np.argsort(score, axis=1)
+        order += np.arange(0, score.size, n)[:, None]
+        run = np.cumsum(np.minimum(score.ravel()[order], 1.0), axis=1)
+        split = np.zeros(score.size, dtype=bool)
+        split[order] = (run > 0.5) & (np.arange(n) >= n - _MAX_SPLITS)
+        i, j = np.divmod(np.flatnonzero(split), n)
+        # the right half of a row's k-th bisected panel goes to new column k
+        col = np.arange(len(i)) - np.searchsorted(i, i)
+        left, right = a[i, j], b[i, j]
+        mid = 0.5 * (left + right)
+        ca, cb = np.concatenate((left, mid)), np.concatenate((mid, right))
+        crow = np.concatenate((rows[i], rows[i]))
+        cval, cerr = _kronrod(f(_panel_nodes(ca, cb), crow), 0.5 * (cb - ca))
+        _require_finite_panels(cval, cerr, ca, cb, crow)
+        b[i, j] = mid
+        val[i, j], err[i, j] = cval[:len(i)], cerr[:len(i)]
+        grown = []
+        for old, right_half in zip((a, b, val, err),
+                                   (mid, right, cval[len(i):], cerr[len(i):])):
+            column = np.zeros((len(rows), col.max() + 1) + old.shape[2:])
+            column[i, col] = right_half
+            grown.append(np.concatenate((old, column), axis=1))
+        a, b, val, err = grown
+        total, bound = val.sum(axis=1), err.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

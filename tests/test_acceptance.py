@@ -64,8 +64,8 @@ def difference_density_moment(spec: gc.SuperpositionSpec) -> float:
         diff = gauss(z, mid) - c2 * gauss(z, z1) - s2 * gauss(z, z2)
         return ((z - mid) * scale * diff)[..., None]
 
-    return float(panel_quadrature(f, breaks[:-1], breaks[1:],
-                                  np.zeros(len(breaks) - 1, int), 1)[0, 0])
+    return float(panel_quadrature(f, breaks[None, :-1],
+                                  breaks[None, 1:])[0, 0])
 
 
 def test_c02_closed_form_vs_quadrature():

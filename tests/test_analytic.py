@@ -260,7 +260,7 @@ def test_spectrum_voigt_equals_quadrature_at_narrow_width():
     """With a narrow packet the frozen-linewidth error is negligible."""
     dens = gc.HeightDensity.mixture_zeta(-2e-3, 2e-3, 1e-5, math.pi / 4)
     nu = np.linspace(-4.0, 4.0, 41)
-    v = gc.spectrum(dens, nu, 1e3, method="voigt")
+    v = gc.spectrum(dens, nu, 1e3)
     q = gc.spectrum(dens, nu, 1e3, method="quadrature")
     assert np.allclose(v.p_values, q.p_values, rtol=1e-4)
 
@@ -269,7 +269,7 @@ def test_spectrum_voigt_close_to_quadrature_at_desk_width():
     dens = gc.HeightDensity.superposition_zeta(-2e-3, 2e-3, 1e-3,
                                                math.pi / 4, 0.0)
     nu = np.linspace(-4.0, 4.0, 21)
-    v = gc.spectrum(dens, nu, 1e3, method="voigt")
+    v = gc.spectrum(dens, nu, 1e3)
     q = gc.spectrum(dens, nu, 1e3, method="quadrature")
     assert np.allclose(v.p_values, q.p_values, rtol=2e-2,
                        atol=1e-4 * v.p_values.max())
@@ -285,7 +285,7 @@ def test_spectrum_batches_the_voigt_components(r):
                                                math.pi / 5, 0.4)
     sigma = r * dens.width / math.sqrt(2.0)
     nu = np.linspace(-6.0, 6.0, 301) * r * dens.width
-    got = gc.spectrum(dens, nu, r, method="voigt").p_values
+    got = gc.spectrum(dens, nu, r).p_values
     ref = dens.component_sum(
         lambda mu: voigt_profile(nu - r * mu, sigma, 0.5 * (1.0 + mu)))
     eps = np.finfo(float).eps
@@ -311,7 +311,9 @@ def test_spectrum_sampled_density_uses_quadrature():
     auto = gc.spectrum(sampled, nu, 1e3)
     ref = gc.spectrum(closed, nu, 1e3, method="quadrature")
     assert np.allclose(auto.p_values, ref.p_values, rtol=1e-8)
-    with pytest.raises(gc.ConfigurationError, match="analytic"):
+    # "auto" is the only name of the Voigt path
+    with pytest.raises(gc.ConfigurationError,
+                       match=r"method must be auto\|quadrature, got 'voigt'"):
         gc.spectrum(sampled, nu, 1e3, method="voigt")
 
 
@@ -324,7 +326,7 @@ def test_spectrum_quadrature_holds_the_earth_scale_line():
                                                0.0)
     nu = np.linspace(*_line_window(dens, _EARTH_R), 4001)
     q = gc.spectrum(dens, nu, _EARTH_R, method="quadrature")
-    v = gc.spectrum(dens, nu, _EARTH_R, method="voigt")
+    v = gc.spectrum(dens, nu, _EARTH_R)
     assert q.total_mass >= 0.999
     assert np.max(np.abs(q.p_values - v.p_values)) <= 1e-9 * v.p_values.max()
 
@@ -448,8 +450,7 @@ def test_sampled_survival_evaluates_the_support_nodes_once():
         def f(z, row):
             return (pdf(z.ravel()).reshape(z.shape)[..., None]
                     * np.exp(-(1.0 + z)[..., None] * times))
-        return panel_quadrature(f, breaks[:-1], breaks[1:],
-                                   np.zeros(len(breaks) - 1, int), 1)[0]
+        return panel_quadrature(f, breaks[None, :-1], breaks[None, 1:])[0]
 
     want = np.concatenate([block(s[i:i + step])
                            for i in range(0, len(s), step)])
@@ -645,7 +646,7 @@ def test_spectrum_voigt_cancellation_guard():
                             centers=(0.0, 2e-4), weights=(6.0, -5.0))
     nu = np.linspace(-5.0, 5.0, 201)
     with pytest.raises(gc.AccuracyError):
-        gc.spectrum(dens, nu, 1e3, method="voigt")
+        gc.spectrum(dens, nu, 1e3)
 
 
 # ---------------------------------------------------------------------------

@@ -133,6 +133,8 @@ BAD_CONFIGS = [
      "state.phi_rad"),
     ({"spectrum": {"nu_min": 2.0, "nu_max": 1.0}}, "spectrum.nu_max"),
     ({"spectrum": {"n_points": 4001.5}}, "spectrum.n_points"),
+    # the Voigt path is what "auto" takes for every CLI density
+    ({"spectrum": {"method": "voigt"}}, "spectrum.method"),
     ({"oracle": {"zeta": -1.5}}, "oracle.zeta"),
     ({"oracle": {"coupling": "quadratic"}}, "oracle.coupling"),
     ({"sweep": {"panel": "d"}}, "sweep.panel"),

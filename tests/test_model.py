@@ -246,6 +246,22 @@ def test_height_density_takes_a_pdf_or_components():
         gc.HeightDensity(support=(-0.1, 0.1))
 
 
+@pytest.mark.parametrize("pdf", [
+    lambda z: np.full((np.size(z), 1), 100.0),
+    lambda z: np.full(np.size(z) - 1, 100.0),
+    lambda z: 100.0,
+], ids=["column", "short", "scalar"])
+def test_from_callable_refuses_a_pdf_of_the_wrong_shape(pdf):
+    """Each of these is 100 on the scan grid of (0, 0.01), a unit mass, but
+    not of the grid's shape: refused when built, naming both shapes, not
+    with a numpy error from the first quadrature (or, for the scalar, not
+    at all)."""
+    with pytest.raises(gc.ConfigurationError,
+                       match=r"returns shape \(.*\) for heights of shape "
+                             r"\(2001,\)"):
+        gc.HeightDensity.from_callable(pdf, (0.0, 0.01))
+
+
 def test_from_callable_checks():
     width = 0.01
 

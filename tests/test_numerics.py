@@ -53,14 +53,14 @@ def test_panel_quadrature_rows_components_and_refinement():
         return 1.0 / (eps[row][:, None, None] ** 2
                       + x[..., None] ** 2 * np.array([1.0, 4.0]))
 
-    got = panel_quadrature(f, [-1.0, -1.0], [1.0, 1.0], [0, 1], 2)
+    got = panel_quadrature(f, [[-1.0], [-1.0]], [[1.0], [1.0]])
     want = 2.0 * np.arctan(np.multiply.outer(1.0 / eps, [1.0, 2.0])) \
         / (eps[:, None] * [1.0, 2.0])
     assert np.allclose(got, want, rtol=1e-10, atol=0.0)
     # The tolerance scales with the integrand: no absolute floor lets a
     # tiny copy through unrefined.
-    tiny = panel_quadrature(lambda x, row: 1e-20 * f(x, row), [-1.0, -1.0],
-                            [1.0, 1.0], [0, 1], 2)
+    tiny = panel_quadrature(lambda x, row: 1e-20 * f(x, row),
+                            [[-1.0], [-1.0]], [[1.0], [1.0]])
     assert np.allclose(tiny, 1e-20 * got, rtol=1e-12, atol=0.0)
 
 
@@ -70,9 +70,70 @@ def test_accuracy_error_carries_estimate_and_bound():
     from gravclock.numerics import panel_quadrature
     with pytest.raises(gc.AccuracyError) as err:
         panel_quadrature(lambda x, row: np.cos(1e6 * x * x)[..., None],
-                         [0.0], [12.0], [0], 1)
+                         [[0.0]], [[12.0]])
     assert math.isfinite(err.value.estimate)
     assert err.value.bound > 0.0
+
+
+def _starting_panels(f, a, b):
+    """The K15 values and bounds of the panels a, b of shape (rows, panels)
+    that a caller hands to panel_quadrature."""
+    from gravclock.numerics import _kronrod, _panel_nodes
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    x = _panel_nodes(a, b).reshape(-1, 15)
+    y = f(x, np.repeat(np.arange(a.shape[0]), a.shape[1]))
+    return _kronrod(y.reshape(a.shape + y.shape[1:]), 0.5 * (b - a))
+
+
+def test_panel_quadrature_skips_rows_of_zero_panels():
+    """Row 0's panels have value and bound 0: the row integrates to 0 and f
+    never sees them, while row 1 bisects its peak."""
+    from gravclock.numerics import panel_quadrature
+    seen = []
+
+    def f(x, row):
+        seen.append(row)
+        return 1.0 / (1e-6 + x[..., None] ** 2)
+
+    a, b = [[-1.0, 0.0], [-1.0, 0.0]], [[0.0, 1.0], [0.0, 1.0]]
+    val, err = _starting_panels(f, a, b)
+    val[0], err[0] = 0.0, 0.0
+    seen.clear()
+    got = panel_quadrature(f, a, b, val, err)
+    assert got[0, 0] == 0.0
+    assert got[1, 0] == pytest.approx(2e3 * math.atan(1e3), rel=1e-12)
+    assert seen and all(np.all(row == 1) for row in seen)
+
+
+def test_panel_quadrature_refuses_non_finite_starting_values():
+    from gravclock.numerics import panel_quadrature
+    a, b = [[0.0, 1.0, 2.0], [0.0, 0.5, 2.0]], [[1.0, 2.0, 3.0],
+                                                 [0.5, 2.0, 3.0]]
+    val, err = np.ones((2, 3, 1)), np.zeros((2, 3, 1))
+    val[1, 1, 0] = math.nan
+    with pytest.raises(gc.AccuracyError,
+                       match=r"integral 1 is non-finite: panel \[0.5, 2.0\]"):
+        panel_quadrature(lambda x, row: np.ones(x.shape + (1,)), a, b,
+                         val, err)
+
+
+def test_panel_quadrature_bisects_at_most_max_splits_per_round():
+    """200 starting panels of cos(1e6 x^2) on [0, 12] miss the tolerance on
+    nearly all of them; each bisection round still hands f at most
+    _MAX_SPLITS panels, both halves of each."""
+    from gravclock import numerics
+    sizes = []
+
+    def f(x, row):
+        sizes.append(len(x))
+        return np.cos(1e6 * x * x)[..., None]
+
+    breaks = np.linspace(0.0, 12.0, 201)
+    with pytest.raises(gc.AccuracyError):
+        numerics.panel_quadrature(f, breaks[None, :-1], breaks[None, 1:])
+    assert sizes[0] == 200
+    assert len(sizes) == numerics._MAX_ROUNDS + 1
+    assert max(sizes[1:]) == 2 * numerics._MAX_SPLITS
 
 
 _NO_SCIPY = """

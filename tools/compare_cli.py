@@ -13,7 +13,12 @@ Each run of ``RUNS`` writes its command's files into ``OUT/<run>/``, plus
 defaults (all seven commands on an empty config), the README examples, a
 ``spectrum`` with ``"method": "quadrature"`` at desk scale (r = 1e3) and at
 Earth scale (the defaults), and ``oracle`` runs with flat and tilted
-couplings.  All of them take a few seconds.
+couplings.  Every CLI density is analytic, so the library runs of
+``SAMPLED`` cover the sampled-density paths: each pdf callable is built
+with ``HeightDensity.from_callable`` and writes a line at r = 1e3
+(``spectrum.csv``), a survival curve (``survival.csv``) and its
+``total_rate`` (``rate.json``) into ``OUT/sampled_<name>/`` through
+``gravclock.serialize``.  All of them take a few seconds.
 
 With ``--against REF`` every file under OUT or REF is reported as
 ``identical`` (same bytes) or with the largest absolute and relative
@@ -37,7 +42,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from gravclock import cli  # noqa: E402
+import numpy as np  # noqa: E402
+
+import gravclock as gc  # noqa: E402
+from gravclock import cli, serialize  # noqa: E402
 
 COMMANDS = ("rate", "spectrum", "survival", "oracle", "sweep", "figures",
             "tcoh")
@@ -56,6 +64,43 @@ RUNS = (
      {**_DESK, "spectrum": {"method": "quadrature"}}),
     ("oracle_tilted", "oracle", {"oracle": {"coupling": "tilted"}}),
 )
+
+
+def _two_packets(z):
+    """Packets of weights 0.35 and 0.65 at -1e-3 and 2e-3, width 8e-4."""
+    q = (np.asarray(z, dtype=float)[..., None] - [-1e-3, 2e-3]) / 8e-4
+    return np.exp(-q * q) @ [0.35, 0.65] / (np.sqrt(np.pi) * 8e-4)
+
+
+def _top_hat(z):
+    return np.full(np.shape(z), 1.0 / 7e-3)
+
+
+# name, pdf callable, support; r = 1e3 for the lines
+SAMPLED = (
+    ("two_packets", _two_packets, (-1e-3 - 12 * 8e-4, 2e-3 + 12 * 8e-4)),
+    ("top_hat", _top_hat, (-3e-3, 4e-3)),
+)
+
+
+def run_sampled(out: Path) -> None:
+    """Write the line, survival curve and total rate of every SAMPLED pdf
+    into out/sampled_<name>/."""
+    r = 1e3
+    for name, pdf, (lo, hi) in SAMPLED:
+        run_dir = out / f"sampled_{name}"
+        run_dir.mkdir(parents=True, exist_ok=True)
+        density = gc.HeightDensity.from_callable(pdf, (lo, hi))
+        nu = np.linspace(r * lo - 10.0, r * hi + 10.0, 121)
+        serialize.write_csv(run_dir / "spectrum.csv", "nu,p",
+                            [nu, gc.spectrum(density, nu, r).p_values])
+        s = np.linspace(0.0, 6.0, 61)
+        serialize.write_csv(run_dir / "survival.csv", "s,p",
+                            [s, gc.survival_probability(density, s)])
+        serialize.dump_json(run_dir / "rate.json",
+                            {"total_rate": gc.total_rate(density)})
+        print(f"sampled_{name}: written", flush=True)
+
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
@@ -127,6 +172,7 @@ def main(argv=None) -> int:
                         help="glob of files below OUT allowed to differ")
     args = parser.parse_args(argv)
     run_all(args.out)
+    run_sampled(args.out)
     if args.against is None:
         return 0
     return compare(args.out, args.against, args.expect)
