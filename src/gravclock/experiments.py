@@ -12,7 +12,7 @@ import numpy as np
 
 from .analytic import SpectrumResult, gammaq_closed_grid, spectrum
 from .model import C_LIGHT, HBAR, STANDARD_GRAVITY, ConfigurationError, \
-    HeightDensity, _c_squared, _square
+    HeightDensity, _c_squared, _require_positive, _square
 
 
 @dataclass(frozen=True)
@@ -134,82 +134,69 @@ def figure2_default_cases(*, n_points: int = 4001) -> dict[str, LineCase]:
 # ---------------------------------------------------------------------------
 
 
-def _golden_max(f, lo: float, hi: float) -> float:
-    """Deterministic golden-section maximizer on [lo, hi], 40 steps."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(40):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+# dz/delta_zeta of the reported ridge point: where the ridge's value falls
+# 1e-3 short of the supremum (40-digit mpmath).  The closed form's rounding
+# grows like 1/B toward the zero-norm corner; here B = 1.33e-3 and it
+# costs ~2e-14 relative.
+_RHO_STAR = 0.051674677730008036
+
+
+def _ridge_theta(rho: float) -> float:
+    """theta on the ridge of |gammaQ| at phi = pi, separation rho widths.
+
+    The ridge cubic E s^3 - 2 s^2 + 1 = 0, s = sin(2 theta), is solved for
+    u = 1 - s, as e + (1 - 3e) u + (1 + 3e) u^2 - (1 + e) u^3 = 0 with
+    e = E - 1, so that u keeps its relative precision as rho -> 0.  Newton
+    starts from u = 0 (s = 1)."""
+    e = math.expm1(-0.25 * rho * rho)
+    a, b, c = 1.0 - 3.0 * e, 1.0 + 3.0 * e, 1.0 + e
+    u = 0.0
+    for _ in range(60):
+        step = ((e + u * (a + u * (b - c * u)))
+                / (a + u * (2.0 * b - 3.0 * c * u)))
+        u -= step
+        if abs(step) <= 1e-15 * u:
+            break
+    # 2 theta = pi/2 - acos(1 - u), and acos(1 - u) = 2 asin(sqrt(u/2))
+    return math.pi / 4 - math.asin(math.sqrt(0.5 * u))
 
 
 def optimal_state_scan(delta_zeta: float) -> dict:
-    """Search the state family for the largest |rate excess|.
+    """The largest |rate excess| over the two-packet family, in closed form.
 
-    The separation axis is dz/delta_zeta, so the closed form factorizes as
-    gammaQ = delta_zeta * F(ratio, theta, phi) and the maximum is exactly
-    proportional to the packet width.  A coarse grid (31 log-spaced ratios
-    in [0.05, 4], 51 thetas in [pi/8, 3pi/8], 41 phis in [0, 2pi]) first,
-    then two rounds of coordinate-wise golden-section refinement; fully
-    deterministic.
+    With rho = dz/delta_zeta the excess is delta_zeta * F(rho, theta, phi),
+    so everything scales exactly with the packet width.  Its largest values
+    lie at phi = pi, where, with s = sin(2 theta) and E = exp(-rho^2/4),
 
-    The optimum must land at phi = pi with nearly overlapping packets --
-    that's asserted, not assumed.
+        |gammaQ| / delta_zeta = (rho/2) sqrt(1 - s^2) s E / (1 - s E).
+
+    For each rho this is largest on the ridge E s^3 - 2 s^2 + 1 = 0, whose
+    one root in (0, 1) lies near 1 - rho^2/4.  Along the ridge the value
+    rises monotonically as rho -> 0, with a relative shortfall that tends
+    to 3 rho^2 / 8, toward the supremum ``sup_gammaQ`` = delta_zeta/sqrt(2),
+    the packet's standard deviation in zeta.  There is no interior maximum:
+    the supremum sits at the zero-norm corner B = 1 - s E -> 0 and is never
+    reached.
+
+    The other keys describe one stated ridge point: rho* = ``_RHO_STAR``,
+    where the shortfall is 1e-3 (B = 1.33e-3; closer to the corner the
+    closed form's 1/B cancellation would lose digits), theta* from the
+    ridge cubic and phi* = pi.  ``ratio_to_quarter_delta`` is
+    max_gammaQ/(delta_zeta/4); it tends to 2 sqrt(2) at the supremum.
     """
-    if not delta_zeta > 0.0:
-        raise ConfigurationError("delta_zeta must be > 0")
-    ratios = np.geomspace(0.05, 4.0, 31)
-    thetas = np.linspace(math.pi / 8, 3 * math.pi / 8, 51)
-    phis = np.linspace(0.0, 2.0 * math.pi, 41)
-
-    def f_abs(ratio, theta, phi):
-        return np.abs(gammaq_closed_grid(theta, phi, ratio, 1.0))
-
-    vals = f_abs(ratios[:, None, None], thetas[None, :, None],
-                 phis[None, None, :])
-    i, j, k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    ratio_b, theta_b, phi_b = float(ratios[i]), float(thetas[j]), float(phis[k])
-
-    def bracket(grid: np.ndarray, idx: int) -> tuple[float, float]:
-        lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, len(grid) - 1)]
-        return float(lo), float(hi)
-
-    r_lo, r_hi = bracket(ratios, i)
-    t_lo, t_hi = bracket(thetas, j)
-    p_lo, p_hi = bracket(phis, k)
-    for _ in range(2):
-        ratio_b = _golden_max(lambda v: f_abs(v, theta_b, phi_b), r_lo, r_hi)
-        theta_b = _golden_max(lambda v: f_abs(ratio_b, v, phi_b), t_lo, t_hi)
-        phi_b = _golden_max(lambda v: f_abs(ratio_b, theta_b, v), p_lo, p_hi)
-    best = float(f_abs(ratio_b, theta_b, phi_b))
-
-    if abs(phi_b - math.pi) > 0.2:
-        raise RuntimeError(
-            f"scan postcondition: optimum phi = {phi_b:.4f}, expected ~pi")
-    if ratio_b > 1.0:
-        raise RuntimeError(
-            f"scan postcondition: optimal separation {ratio_b:.3f} widths; "
-            "expected nearly overlapping packets")
-
-    max_gamma = delta_zeta * best
+    _require_positive("delta_zeta", delta_zeta)
+    theta = _ridge_theta(_RHO_STAR)
+    # evaluated at unit width, so that no width over- or underflows dz^2
+    max_gamma = delta_zeta * abs(float(
+        gammaq_closed_grid(theta, math.pi, _RHO_STAR, 1.0)))
     return {
         "max_gammaQ": max_gamma,
-        "theta_star": theta_b,
-        "phi_star": phi_b,
-        "dz_star": ratio_b * delta_zeta,
+        "sup_gammaQ": delta_zeta / math.sqrt(2.0),
+        "theta_star": theta,
+        "phi_star": math.pi,
+        "dz_star": _RHO_STAR * delta_zeta,
         "ratio_to_quarter_delta": max_gamma / (0.25 * delta_zeta),
-        "sep_ratio_star": ratio_b,
+        "sep_ratio_star": _RHO_STAR,
         "delta_zeta": delta_zeta,
     }
 

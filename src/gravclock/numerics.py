@@ -29,7 +29,8 @@ from functools import cache
 
 import numpy as np
 
-from .model import ConfigurationError, HorizonError, ROOT_PI
+from .model import ConfigurationError, HorizonError, ROOT_PI, \
+    _require_finite, _require_positive
 
 TWO_PI = 2.0 * math.pi
 _EPS = float(np.finfo(float).eps)
@@ -542,17 +543,20 @@ class ModeGrid:
         as the pole approximation gets better.  Desk-scale r only; pass the
         width explicitly for r > 1e5 (the default would be absurd there).
         """
-        if zeta <= -1.0:
+        if _require_finite("zeta", zeta) <= -1.0:
             raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
+        _require_positive("r", r)
         gam = 1.0 + zeta
         if halfwidth_linewidths is None:
             if r > 1e5:
                 raise ConfigurationError(
                     "no default window for r > 1e5; pass halfwidth_linewidths")
             halfwidth_linewidths = max(30.0, 0.1 * r)
+        _require_positive("halfwidth_linewidths", halfwidth_linewidths)
         half = halfwidth_linewidths * gam
         if dnu is None:
             dnu = 0.025 if half <= 400.0 else _MAX_DNU
+        _require_positive("dnu", dnu)
         n_intervals = math.ceil(2.0 * half / dnu)
         u = r * zeta
         return cls(nu_min=u - half, nu_max=u + half, n_modes=n_intervals + 1)
@@ -959,12 +963,10 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     run logs one DEBUG record to the ``gravclock.numerics`` logger: the
     modes and the passes of the root solve.
     """
-    if zeta <= -1.0:
+    if _require_finite("zeta", zeta) <= -1.0:
         raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
-    if r <= 0.0:
-        raise ConfigurationError(f"r must be > 0, got {r!r}")
-    if s_max <= 0.0:
-        raise ConfigurationError(f"s_max must be > 0, got {s_max!r}")
+    _require_positive("r", r)
+    _require_positive("s_max", s_max)
     grid.require_contains(zeta, r)
 
     gam = 1.0 + zeta

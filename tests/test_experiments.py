@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import gravclock as gc
 from conftest import UNIT_SCALES, random_specs
+from gravclock.experiments import _ridge_theta
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +150,11 @@ def test_figure2_lines_balanced_case_is_symmetric():
 
 def test_optimal_state_scan_output():
     res = gc.optimal_state_scan(0.01)
-    assert set(res) == {"max_gammaQ", "theta_star", "phi_star", "dz_star",
-                        "ratio_to_quarter_delta", "sep_ratio_star",
+    assert set(res) == {"max_gammaQ", "sup_gammaQ", "theta_star", "phi_star",
+                        "dz_star", "ratio_to_quarter_delta", "sep_ratio_star",
                         "delta_zeta"}
+    assert res["sup_gammaQ"] == 0.01 / math.sqrt(2.0)
+    assert res["max_gammaQ"] < res["sup_gammaQ"]
     assert res["phi_star"] == pytest.approx(math.pi, abs=1e-3)
     assert res["sep_ratio_star"] < 0.5  # nearly overlapping packets
     assert res["max_gammaQ"] > 0.0
@@ -175,6 +180,80 @@ def test_optimal_state_scan_proportional_to_width():
 def test_optimal_state_scan_validation():
     with pytest.raises(gc.ConfigurationError):
         gc.optimal_state_scan(0.0)
+    with pytest.raises(gc.ConfigurationError, match="delta_zeta"):
+        gc.optimal_state_scan(math.inf)
+
+
+def test_optimal_state_scan_reports_the_stated_ridge_point():
+    """rho* is where the ridge falls 1e-3 short of the supremum.  The value
+    at the reported (theta*, rho*) matches 40-digit mpmath there to the
+    closed form's rounding, which grows like 1/B (B = 1.33e-3)."""
+    res = gc.optimal_state_scan(0.01)
+    assert res["phi_star"] == math.pi
+    rho = mpmath.mpf(res["sep_ratio_star"])
+    two_theta = 2 * mpmath.mpf(res["theta_star"])
+    with mpmath.workdps(40):
+        shortfall = 1 - mpmath.sqrt(2) * _ridge_mp(rho)[1]
+        se = mpmath.sin(two_theta) * mpmath.exp(-rho**2 / 4)
+        exact = float(rho / 2 * mpmath.cos(two_theta) * se / (1 - se))
+    assert float(shortfall) == pytest.approx(1e-3, rel=1e-14)
+    assert res["max_gammaQ"] / 0.01 == pytest.approx(exact, rel=1e-13)
+    assert res["max_gammaQ"] / 0.01 > 0.7050523  # the old grid search's value
+
+
+# ---------------------------------------------------------------------------
+# the supremum of the rate excess and the ridge toward it
+# ---------------------------------------------------------------------------
+
+
+def _ridge_mp(rho):
+    """(s, |gammaQ|/delta_zeta) on the ridge at phi = pi, in mpmath at the
+    working precision."""
+    rho = mpmath.mpf(rho)
+    e = mpmath.exp(-rho**2 / 4)
+    s = mpmath.findroot(lambda v: e * v**3 - 2 * v**2 + 1, 1 - rho**2 / 4)
+    return s, rho / 2 * mpmath.sqrt(1 - s**2) * s * e / (1 - s * e)
+
+
+def test_ridge_against_mpmath():
+    """The ridge cubic's root and the closed form on it, against 40-digit
+    mpmath; the value rises toward 1/sqrt(2) as rho falls, with a relative
+    shortfall -> 3 rho^2 / 8."""
+    values = []
+    for rho in (1.0, 0.3, 0.1, 0.01, 1e-3):
+        with mpmath.workdps(40):
+            s_exact, v_exact = _ridge_mp(rho)
+            theta_exact = mpmath.asin(s_exact) / 2
+        theta = _ridge_theta(rho)
+        assert theta == pytest.approx(float(theta_exact), rel=5e-16, abs=0.0)
+        v = abs(float(gc.gammaq_closed_grid(theta, math.pi, rho, 1.0)))
+        # rounding of B = 1 - s E ~ rho^2 / 2 costs up to ~eps / B
+        assert v == pytest.approx(float(v_exact), rel=1e-15 / rho**2)
+        values.append(v)
+        shortfall = 1.0 - math.sqrt(2.0) * v
+        if rho <= 0.1:
+            assert shortfall == pytest.approx(3.0 * rho**2 / 8.0, rel=1e-2)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[-1] < 1.0 / math.sqrt(2.0)
+
+
+@given(rho=st.floats(1e-4, 10.0), theta=st.floats(0.0, math.pi / 2),
+       phi=st.floats(0.0, 2.0 * math.pi), delta_zeta=st.floats(1e-6, 1e3),
+       near_ridge=st.booleans(), d_theta=st.floats(-1.0, 1.0),
+       d_phi=st.floats(-1e-3, 1e-3))
+def test_rate_excess_never_exceeds_the_supremum(rho, theta, phi, delta_zeta,
+                                                near_ridge, d_theta, d_phi):
+    """|gammaQ| <= delta_zeta/sqrt(2) over all states.  Near-ridge draws put
+    theta within ~rho^2 of the ridge and phi near pi.  The allowance is the
+    closed form's rounding near the zero-norm corner: at most 0.69 eps/rho^2
+    measured over 2e6 near-ridge draws with rho in [1e-4, 3e-3]."""
+    if near_ridge:
+        theta = _ridge_theta(rho) + d_theta * min(rho * rho, 0.1)
+        phi = math.pi + d_phi
+    value = abs(float(gc.gammaq_closed_grid(theta, phi, rho * delta_zeta,
+                                            delta_zeta)))
+    allowance = 4e-16 / rho**2
+    assert value <= delta_zeta / math.sqrt(2.0) * (1.0 + allowance)
 
 
 # ---------------------------------------------------------------------------

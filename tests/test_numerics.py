@@ -846,6 +846,34 @@ def test_ww_simulate_validation():
         gc.ww_simulate(0.0, 100.0, grid, 1.0)  # line far from the window
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda g: gc.ww_simulate(0.3, 100.0, g, math.nan), "s_max"),
+    (lambda g: gc.ww_simulate(0.3, 100.0, g, math.inf), "s_max"),
+    (lambda g: gc.ww_simulate(0.3, math.nan, g, 1.0), "r"),
+    (lambda g: gc.ww_simulate(0.3, math.inf, g, 1.0), "r"),
+    (lambda g: gc.ww_simulate(math.nan, 100.0, g, 1.0), "zeta"),
+    (lambda g: gc.ModeGrid.for_line(0.3, 100.0, dnu=0.0), "dnu"),
+    (lambda g: gc.ModeGrid.for_line(0.3, 100.0, dnu=math.nan), "dnu"),
+    (lambda g: gc.ModeGrid.for_line(0.3, 100.0, dnu=-0.01), "dnu"),
+    (lambda g: gc.ModeGrid.for_line(0.3, 100.0, halfwidth_linewidths=0.0),
+     "halfwidth_linewidths"),
+    (lambda g: gc.ModeGrid.for_line(0.3, 100.0, halfwidth_linewidths=math.inf),
+     "halfwidth_linewidths"),
+    (lambda g: gc.ModeGrid.for_line(0.3, math.nan), "r"),
+    (lambda g: gc.ModeGrid.for_line(0.3, -100.0), "r"),
+    (lambda g: gc.ModeGrid.for_line(math.nan, 100.0), "zeta"),
+], ids=["ww_s_max_nan", "ww_s_max_inf", "ww_r_nan", "ww_r_inf", "ww_zeta_nan",
+        "grid_dnu_zero", "grid_dnu_nan", "grid_dnu_negative",
+        "grid_halfwidth_zero", "grid_halfwidth_inf", "grid_r_nan",
+        "grid_r_negative", "grid_zeta_nan"])
+def test_oracle_entry_points_refuse_bad_numbers(call, name):
+    """Non-finite or non-positive scalars are refused with a
+    ConfigurationError naming the argument, not a raw Python error."""
+    grid = gc.ModeGrid.for_line(0.3, 100.0)
+    with pytest.raises(gc.ConfigurationError, match=f"^{name} must be"):
+        call(grid)
+
+
 def test_mode_doubling_leaves_rate_unchanged():
     """Halving dnu at fixed window must not move the fitted rate."""
     zeta, r = 0.3, 100.0

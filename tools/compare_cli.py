@@ -18,7 +18,9 @@ couplings.  Every CLI density is analytic, so the library runs of
 with ``HeightDensity.from_callable`` and writes a line at r = 1e3
 (``spectrum.csv``), a survival curve (``survival.csv``) and its
 ``total_rate`` (``rate.json``) into ``OUT/sampled_<name>/`` through
-``gravclock.serialize``.  All of them take a few seconds.
+``gravclock.serialize``.  No command runs ``optimal_state_scan`` either, so
+its result at delta_zeta = 0.01 goes to ``OUT/optimal_state/scan.json``.
+All of them take a few seconds.
 
 With ``--against REF`` every file under OUT or REF is reported as
 ``identical`` (same bytes) or with the largest absolute and relative
@@ -102,6 +104,14 @@ def run_sampled(out: Path) -> None:
         print(f"sampled_{name}: written", flush=True)
 
 
+def run_scan(out: Path) -> None:
+    """Write optimal_state_scan(0.01) into out/optimal_state/scan.json."""
+    run_dir = out / "optimal_state"
+    run_dir.mkdir(parents=True, exist_ok=True)
+    serialize.dump_json(run_dir / "scan.json", gc.optimal_state_scan(0.01))
+    print("optimal_state: written", flush=True)
+
+
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -173,6 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run_all(args.out)
     run_sampled(args.out)
+    run_scan(args.out)
     if args.against is None:
         return 0
     return compare(args.out, args.against, args.expect)
