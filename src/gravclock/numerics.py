@@ -15,10 +15,10 @@ closed-form sum on the uniform comb.  Inside each gap between modes that
 equation is a fixed point d = arccot(y(d))/pi with a smooth y, and beyond
 each end of the comb the fixed point d = 1/(pi*y), so a few vectorized,
 bracketed Newton passes find all the roots.  The trajectory and
-the final mode amplitudes are sums over all eigenvalues; FFTs evaluate both
-in O(n log n) (a chirp-z transform and far-field Cauchy sums).  The
-closed-form exponential decay law is checked against that solution rather
-than against itself.
+the final mode amplitudes are sums over all eigenvalues; one FFT each
+evaluates them in O(n log n) after a Gaussian split (a gridded non-uniform
+FFT and a split Cauchy kernel).  The closed-form exponential decay law is
+checked against that solution rather than against itself.
 """
 from __future__ import annotations
 
@@ -477,12 +477,19 @@ _MAX_DEFECT = 1e-6       # largest sum-rule or unitarity defect of a run
 # close a bracket 2^20 gaps wide to adjacent floats around any |d| >= 2^-60
 # within 20 + 60 + 52 passes.
 _MAX_PASSES = 200
-_NEAR = 16               # gaps on each side of a mode summed directly
-# The far-field and Taylor series stop where a term falls below this share
-# of the leading one: an eighth of the unit roundoff.
+# A Gaussian tail is dropped below this share of its peak: an eighth of the
+# unit roundoff.
 _SERIES_TOL = 2.0**-56
-# Far-field terms: they fall like (1/2)/(_NEAR + 1/2) = 1/33 per order.
-_FAR_TERMS = math.ceil(math.log(_SERIES_TOL) / math.log(0.5 / (_NEAR + 0.5)))
+# Taps on either side of a root's cell in the trajectory's Gaussian gridding
+# at oversampling 2: aliasing leaves ~exp(-2 pi _TAPS/3) of sum|w|, 2.3e-14.
+_TAPS = 15
+# The mode amplitudes' kernel split: its width a in gaps, the gaps summed
+# directly (to exp(-x^2/a^2) = _SERIES_TOL) and the nodes interpolating the
+# rest.  a and _NODES are measured: within 1.5e-14 of the dense sums at any
+# phase step between gaps, where a = 5 and 20 nodes reach 1e-10.
+_SPLIT = 6.0
+_LOCAL = math.ceil(_SPLIT * math.sqrt(-math.log(_SERIES_TOL)))
+_NODES = 28
 
 
 @dataclass(frozen=True)
@@ -819,57 +826,9 @@ def _fft_len(n: int) -> int:
     return best
 
 
-def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Cauchy sums c_m = sum_k z_k / ((j_k - m) + d_k) over the n modes m.
-
-    The roots come as ``_comb_eigen`` returns them: one below the comb, one
-    in each gap j = 0..n-2, one above.  Within _NEAR gaps of a mode the sum
-    is direct, with the integer part of each distance formed first so d_k
-    keeps full precision next to the poles.  Farther out, with i = j - m,
-
-        1/(i + d) = sum_p (1/2 - d)^p / (i + 1/2)^(p+1),   |i| > _NEAR,
-
-    whose terms fall at least like (1/33)^p; each term is one FFT
-    correlation of z (1/2 - d)^p with a fixed kernel, summed in the
-    frequency domain before one inverse FFT (Dutt & Rokhlin 1993).  The two
-    roots outside the comb are summed directly.
-    """
-    n = len(d) - 1
-    m = np.arange(n, dtype=float)
-    c = z[0] / (d[0] - m) + z[-1] / ((n - 1.0 - m) + d[-1])
-    zg, dg = z[1:-1], d[1:-1]
-    for i in range(-min(_NEAR, n - 1), min(_NEAR, n - 2) + 1):
-        # gaps j = m + i with 0 <= j <= n-2 and 0 <= m < n
-        lo, hi = max(0, i), min(n - 1, n + i)
-        c[lo - i:hi - i] += zg[lo:hi] / (i + dg[lo:hi])
-    if n - 1 <= _NEAR:
-        return c
-    # Correlation as a convolution with the kernel at m - j in
-    # [-(n-2), n-1], stored circularly; length 2n-2 keeps the wanted
-    # outputs m < n free of wrap-around.
-    size = _fft_len(2 * n - 2)
-    lag = np.arange(2 - n, n)
-    inv = np.where(np.abs(lag) > _NEAR, 1.0 / (0.5 - lag), 0.0)
-    kern, kernel = inv.copy(), np.zeros(size)
-    x = np.stack((zg.real, zg.imag))
-    shrink = 0.5 - dg
-    for p in range(_FAR_TERMS):
-        kernel[lag] = kern
-        term = np.fft.rfft(x, size) * np.fft.rfft(kernel)
-        acc = term if p == 0 else acc + term
-        x *= shrink
-        kern *= inv
-    far = np.fft.irfft(acc, size)[:, :n]
-    return c + (far[0] + 1j * far[1])
-
-
-def _taylor_terms(x: float) -> int:
-    """Terms of the exponential series within _SERIES_TOL for |arg| <= x."""
-    p, term = 0, 1.0
-    while term > _SERIES_TOL:
-        p += 1
-        term *= x / p
-    return p
+def _grid_len(samples: int) -> int:
+    """Trajectory grid cells: twice the 2*samples frequencies, 5-smooth."""
+    return _fft_len(4 * samples)
 
 
 def _alpha_trajectory(d: np.ndarray, lam: np.ndarray, w: np.ndarray,
@@ -878,58 +837,115 @@ def _alpha_trajectory(d: np.ndarray, lam: np.ndarray, w: np.ndarray,
     """alpha(s) = sum_k w_k exp(-i lam_k s) on the uniform grid ``times``.
 
     The roots come as ``_comb_eigen`` returns them, lam_k = lam0 +
-    dnu*(j_k + d_k).  The time axis is cut into chunks of at most 2/dnu;
-    exp(-i lam_k t_c) at the centre t_c of a chunk goes into the weights.
-    With the gap index j counted from a central gap J and t = t_c + l*h,
-    a root inside the comb then adds
-
-        w_k exp(-i nu_c l h) exp(-i dnu h j l) exp(-i dnu (d_k - 1/2) l h)
-
-    with nu_c = lam0 + dnu*(J + 1/2).  The middle factor is a chirp-z
-    transform: jl = (j^2 + l^2 - (l-j)^2)/2 makes it one FFT convolution
-    (Bluestein).  The last is a Taylor series in -i dnu l h whose argument
-    stays within 1/2 on a chunk; each term is one such convolution.  The
-    two roots outside the comb are evaluated directly.
+    dnu*(j_k + d_k).  alpha(l h) is a type-1 non-uniform FFT of the phases
+    lam_k h (Greengard & Lee 2004): each weight is spread over a periodic
+    grid of M >= 4(L+1) cells, for the samples 0..L, by a Gaussian on the
+    _TAPS cells either side of its own, made of one exp(-beta o^2) at its
+    offset o from that cell and powers of exp(2 beta o); one real FFT of
+    the grid gives alpha(l h) exp(-l^2 tau), which is divided out.  A gap
+    root's cell comes from (j_k, d_k) with dnu h M/(2 pi) split in two
+    (``_split``), so it keeps full precision where its terms cancel.
     """
-    n_gaps = len(d) - 2
-    h = times[1] - times[0]
-    theta = dnu * h
-    half = min(math.floor(1.0 / theta), math.ceil((len(times) - 1) / 2))
-    width = 2 * half + 1
-    steps = np.arange(-half, half + 1, dtype=float)
-    tau = h * steps
-    gap = np.arange(n_gaps, dtype=float) - (n_gaps - 1) // 2
-    # nu_c with dnu split in two 26-bit halves: each product with the
-    # half-integer is exact, so nu_c keeps full precision although its
-    # terms nearly cancel.  Its rounding would shift every phase alike.
-    mid = 0.5 - gap[0]
-    dnu_hi, dnu_lo = _split(dnu)
-    nu_c = (lam0 + dnu_hi * mid) + dnu_lo * mid
-    chirp_in = np.exp(-0.5j * theta * gap * gap)
-    chirp_out = np.exp(-1j * nu_c * tau - 0.5j * theta * steps * steps)
-    lags = np.arange(-half - gap[-1], half - gap[0] + 1)
-    size = _fft_len(len(lags))
-    kernel = np.zeros(size, dtype=complex)
-    kernel[:len(lags)] = np.exp(0.5j * theta * lags * lags)
-    kernel = np.fft.fft(kernel)
-    offset = 0.5 - d[1:-1]
-    terms = _taylor_terms(0.5 * dnu * half * h)
-    alpha = np.empty(len(times), dtype=complex)
-    for start in range(0, len(times), width):
-        t = times[start:start + width]
-        wk = w[1:-1] * np.exp(-1j * (h * (start + half)) * lam[1:-1])
-        wk *= chirp_in
-        coef = np.ones(len(t), dtype=complex)
-        acc = np.zeros(len(t), dtype=complex)
-        for p in range(terms):
-            conv = np.fft.ifft(np.fft.fft(wk, size) * kernel)
-            acc += coef * conv[n_gaps - 1:n_gaps - 1 + len(t)]
-            wk *= offset
-            coef *= (1j * dnu / (p + 1)) * tau[:len(t)]
-        alpha[start:start + len(t)] = (
-            chirp_out[:len(t)] * acc + w[0] * np.exp(-1j * lam[0] * t)
-            + w[-1] * np.exp(-1j * lam[-1] * t))
-    return alpha
+    samples, size = len(times), _grid_len(len(times))
+    per_lam = (times[1] - times[0]) * size / TWO_PI   # cells per unit lam
+    step = dnu * per_lam
+    step_hi, step_lo = _split(step)
+    j = np.arange(len(d) - 2.0)
+    pos = lam * per_lam
+    pos[1:-1] = (lam0 * per_lam + step_hi * j) + (step_lo * j
+                                                 + step * d[1:-1])
+    cell = np.rint(pos)
+    off = pos - cell
+    cell = (cell % size).astype(np.intp)
+    beta = 0.75 * math.pi / _TAPS
+    up = w * np.exp(-beta * off * off)
+    rise = np.exp(2.0 * beta * off)
+    down, fall = up.copy(), 1.0 / rise
+    # padded[_TAPS + c] collects cell c; the taps may wrap more than once
+    padded = np.zeros(size + 2 * _TAPS)
+    padded[_TAPS:_TAPS + size] = np.bincount(cell, up, minlength=size)
+    for m in range(1, _TAPS + 1):
+        tap = math.exp(-beta * m * m)
+        up *= rise
+        down *= fall
+        padded[_TAPS + m:_TAPS + m + size] += tap * np.bincount(
+            cell, up, minlength=size)
+        padded[_TAPS - m:_TAPS - m + size] += tap * np.bincount(
+            cell, down, minlength=size)
+    grid = np.bincount((np.arange(len(padded)) - _TAPS) % size, padded,
+                       minlength=size)
+    tau = math.pi**2 / (beta * size * size)
+    ell = np.arange(samples, dtype=float)
+    return np.fft.rfft(grid)[:samples] * (
+        math.sqrt(math.pi / tau) / size * np.exp(tau * ell * ell))
+
+
+def _cauchy_len(n: int) -> int:
+    """The mode amplitudes' FFT length on n modes; 0 if none is needed."""
+    return 0 if n - 1 <= _LOCAL else _fft_len(2 * n + _NODES)
+
+
+def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Cauchy sums c_m = sum_k z_k / ((j_k - m) + d_k) over the n modes m.
+
+    The roots come as ``_comb_eigen`` returns them: one below the comb, one
+    in each gap j = 0..n-2, one above.  The outer two are summed directly,
+    and so is every root on a comb of at most _LOCAL gaps.  Otherwise the
+    kernel splits at x = (j - m) + d (Lindbo & Tornberg 2011) into
+    exp(-x^2/a^2)/x, summed directly over |j - m| <= _LOCAL with the
+    integer part of each distance formed first so d keeps full precision
+    next to the poles, and a smooth rest.  Interpolated in d on integer
+    nodes q (barycentric Lagrange), the rest puts z_k L_q(d_k) at the
+    lags j_k + q -- one shifted add per node -- and one FFT correlation
+    with S(l) = (1 - exp(-l^2/a^2))/l sums it.
+    """
+    n = len(d) - 1
+    m = np.arange(n, dtype=float)
+    c = z[0] / (d[0] - m) + z[-1] / ((n - 1.0 - m) + d[-1])
+    zg, dg = z[1:-1], d[1:-1]
+    if n - 1 <= _LOCAL:
+        # gaps j = m + i with 0 <= j <= n-2 and 0 <= m < n
+        for i in range(1 - n, n - 1):
+            lo, hi = max(0, i), min(n - 1, n + i)
+            c[lo - i:hi - i] += zg[lo:hi] / (i + dg[lo:hi])
+        return c
+    x = np.stack((zg.real, zg.imag))
+    out = np.zeros((2, n))
+    inv_a2 = _SPLIT**-2
+    # exp(-(i + d)^2/a^2) = exp(-d^2/a^2) exp(-2d/a^2)^i exp(-i^2/a^2)
+    ratio = np.exp(-2.0 * inv_a2 * dg)
+    for offsets, step in ((range(_LOCAL + 1), ratio),
+                          (range(-1, -_LOCAL - 1, -1), 1.0 / ratio)):
+        power = np.exp(-inv_a2 * dg * dg)
+        for i in offsets:
+            if i:
+                power *= step
+            lo, hi = max(0, i), min(n - 1, n + i)
+            f = dg[lo:hi] + i
+            np.divide(math.exp(-i * i * inv_a2), f, out=f)
+            f *= power[lo:hi]
+            out[:, lo - i:hi - i] += x[:, lo:hi] * f
+    # L_q(d) = prod_p (d - p) weight_q/(d - q), weight_q = 1/prod_{p != q}
+    # (q - p) over the nodes p, q = q0 .. q0 + _NODES - 1
+    q0 = 1 - _NODES // 2
+    x *= math.prod(dg - q for q in range(q0, q0 + _NODES))
+    size = _cauchy_len(n)
+    y = np.zeros((2, size))
+    for k in range(_NODES):
+        weight = (-1)**(_NODES - 1 - k) / (math.factorial(k)
+                                             * math.factorial(_NODES - 1 - k))
+        f = dg - (q0 + k)
+        np.divide(weight, f, out=f)
+        y[:, k:k + n - 1] += x * f
+    # y[s] sits at lag s + q0; the kernel at m - s, stored circularly, spans
+    # -(n - 3 + _NODES) .. n - 1 within size >= 2n - 2 + _NODES
+    lag = np.arange(3 - n - _NODES, n)
+    t = q0 - lag
+    kernel = np.zeros(size)
+    with np.errstate(invalid="ignore"):
+        kernel[lag] = np.where(t == 0, 0.0, -np.expm1(-inv_a2 * t * t) / t)
+    out += np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(kernel), size)[:, :n]
+    return c + (out[0] + 1j * out[1])
 
 
 def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
@@ -953,15 +969,14 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     approximation and no time stepping.  |alpha|^2 is recorded on a uniform
     grid with at least eight samples per period of the fastest mode
     detuning.  Both sums run over all n+1 eigenvalues at every sample or
-    mode, yet cost O(n log n): the trajectory is a chirp-z transform with a
-    Taylor series for the eigenvalues' offsets inside their gaps
-    (``_alpha_trajectory``), the mode amplitudes are Cauchy sums done
-    directly next to each mode and by a far-field expansion of FFT
-    correlations beyond (``_mode_amplitudes``); both match the dense sums to
+    mode, yet cost O(n log n) with one FFT each after a Gaussian split: a
+    gridded non-uniform FFT (``_alpha_trajectory``) and Cauchy sums with a
+    split kernel (``_mode_amplitudes``); both match the dense sums to
     ~1e-14.  The run aborts if the sum rule sum_k w_k = 1 or unitarity
-    |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.  Each
-    run logs one DEBUG record to the ``gravclock.numerics`` logger: the
-    modes and the passes of the root solve.
+    |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.  Each run
+    logs one DEBUG record to the ``gravclock.numerics`` logger: the modes,
+    the passes of the root solve, the trajectory grid's cells and taps a
+    root, the Cauchy FFT's length (0 if none) and the gaps summed directly.
     """
     if _require_finite("zeta", zeta) <= -1.0:
         raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
@@ -977,15 +992,19 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     t_arr = np.linspace(0.0, s_max, n_steps + 1)
 
     _, d, lam, w, passes = _comb_eigen(grid, u, p, q)
-    _log.debug("mode comb: %d modes, %d Newton passes", grid.n_modes, passes)
+    n = grid.n_modes
+    _log.debug("mode comb: %d modes, %d Newton passes; grid %d cells, %d "
+               "taps; Cauchy FFT %d, %d gaps direct", n, passes,
+               _grid_len(len(t_arr)), 2 * _TAPS + 1, _cauchy_len(n), _LOCAL)
     alpha = _alpha_trajectory(d, lam, w, t_arr, grid.nu_min - u, grid.dnu)
     a_arr = alpha.real**2 + alpha.imag**2
     a_arr[0] = 1.0  # the initial condition, exactly
     c = _mode_amplitudes(d, w * np.exp(-1j * s_max * lam))
     g_sq = p + q * (grid.nus - u)
     beta_sq = g_sq / grid.dnu**2 * (c.real**2 + c.imag**2)
-    defect = max(abs(math.fsum(w) - 1.0),
-                 abs(a_arr[-1] + math.fsum(beta_sq) - 1.0))
+    # numpy's pairwise sums round by ~1e-15 here, far below _MAX_DEFECT
+    defect = float(max(abs(np.sum(w) - 1.0),
+                       abs(a_arr[-1] + np.sum(beta_sq) - 1.0)))
     if not defect <= _MAX_DEFECT:
         raise IntegrationError(
             f"sum-rule/unitarity defect {defect:.3e} exceeds {_MAX_DEFECT:g}")

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import gravclock as gc
@@ -472,13 +472,14 @@ def dense_mode_amplitudes(j, d, z, n, block=32):
     return out
 
 
-def comb_solution(zeta, r, s_max, coupling, grid=None):
-    """Eigen-solution and time grid of one ww_simulate run."""
+def comb_solution(zeta, r, s_max, coupling, grid=None, strength=1.0):
+    """Eigen-solution and time grid of one ww_simulate run, with p and q
+    of the squared couplings scaled by ``strength``."""
     from gravclock.numerics import _comb_eigen, _coupling_line
     grid = grid or gc.ModeGrid.for_line(zeta, r)
     u = r * zeta
     p, q = _coupling_line(coupling, grid, u, 1.0 + zeta, r)
-    j, d, lam, w, _ = _comb_eigen(grid, u, p, q)
+    j, d, lam, w, _ = _comb_eigen(grid, u, strength * p, strength * q)
     detuning = max(u - grid.nu_min, grid.nu_max - u)
     times = np.linspace(0.0, s_max, math.ceil(s_max * 4.0 * detuning
                                               / math.pi) + 1)
@@ -500,7 +501,7 @@ def assert_fft_sums_match_dense(grid, u, j, d, lam, w, times):
                                     (0.5, 100.0), (0.5, 1e3)])
 @pytest.mark.parametrize("coupling", ["flat", "tilted"])
 def test_fft_sums_match_dense_reference(zeta, r, coupling):
-    """Far-field Cauchy sums and the chirp-z trajectory against every
+    """Split-kernel Cauchy sums and the gridded trajectory against every
     (mode, root) and (time, root) pair, on default combs of 2401-12001
     modes."""
     assert_fft_sums_match_dense(*comb_solution(zeta, r, 12.0, coupling))
@@ -514,11 +515,58 @@ def test_fft_sums_on_a_comb_narrower_than_the_near_field():
 
 
 def test_fft_trajectory_over_several_chunks():
-    """s_max = 6/dnu: the time axis splits into three Taylor chunks of at
-    most 2/dnu, each with its own folded phase."""
+    """s_max = 6/dnu: 11919 samples on a grid of 48000 cells, where a
+    phase error in any root's cell position grows with the sample."""
     grid = gc.ModeGrid.for_line(0.3, 100.0)
     assert_fft_sums_match_dense(*comb_solution(0.3, 100.0, 6.0 / grid.dnu,
                                                "tilted"))
+
+
+@pytest.mark.parametrize("s_max", [0.001, 0.01, 0.05])
+def test_fft_sums_on_time_grids_of_a_few_samples(s_max):
+    """2-4 samples: the trajectory's grid has fewer cells than a root's
+    taps, which wrap around it more than once."""
+    solution = comb_solution(0.3, 100.0, s_max, "flat")
+    assert 2 <= len(solution[-1]) <= 4
+    assert_fft_sums_match_dense(*solution)
+
+
+@pytest.mark.parametrize("strength", [30.0, 1000.0])
+def test_fft_sums_at_strong_coupling(strength):
+    """p and q 30 and 1000 times the golden rule's: at 1000 the two roots
+    beyond the comb are bound states near +-129, far outside the comb's
+    +-39, and carry most of the weight."""
+    solution = comb_solution(0.3, 100.0, 12.0, "flat", strength=strength)
+    grid, u, _, _, lam, _, _ = solution
+    if strength == 1000.0:
+        assert lam[0] < grid.nu_min - u - 80.0
+        assert lam[-1] > grid.nu_max - u + 80.0
+    assert_fft_sums_match_dense(*solution)
+
+
+@pytest.mark.parametrize("edge", [-1, 0, 1])
+def test_fft_sums_on_combs_at_the_local_radius(edge):
+    """n - 1 gaps at the local radius R and one either side: at R and below
+    every root is summed directly, above it the kernel is split."""
+    from gravclock.numerics import _LOCAL
+    n = _LOCAL + 1 + edge
+    half = 0.0125 * (n - 1)
+    grid = gc.ModeGrid(nu_min=200.0 - half, nu_max=200.0 + half, n_modes=n)
+    assert_fft_sums_match_dense(*comb_solution(0.2, 1e3, 12.0, "flat",
+                                               grid))
+
+
+@settings(max_examples=10)
+@given(zeta=st.floats(0.0, 0.5), r=st.floats(100.0, 300.0),
+       coupling=st.sampled_from(["flat", "tilted"]),
+       s_max=st.floats(0.001, 50.0))
+@example(zeta=0.3, r=100.0, coupling="flat", s_max=40.0)
+def test_fft_sums_match_dense_reference_property(zeta, r, coupling, s_max):
+    """Default combs of 2401-3601 modes over the run lengths up to 50: the
+    phase of the roots' amplitudes then turns by up to 1.25 radians a gap
+    (1 at the explicit example), where a Gaussian split of width 5 with 20
+    nodes would be off by 1e-10."""
+    assert_fft_sums_match_dense(*comb_solution(zeta, r, s_max, coupling))
 
 
 # ---------------------------------------------------------------------------
@@ -770,8 +818,9 @@ def test_weak_coupling_roots_settle_on_the_root(zeta, r, coupling, scale):
 
 
 def test_ww_simulate_logs_the_root_solve(caplog):
-    """One DEBUG record per run: the modes and the solver's passes; the
-    outputs do not depend on the logging level."""
+    """One DEBUG record per run: the modes, the solver's passes and the
+    sizes of the two sums; the outputs do not depend on the logging
+    level."""
     grid = gc.ModeGrid.for_line(0.25, 1e3)
     quiet = gc.ww_simulate(0.25, 1e3, grid, 2.0)
     with caplog.at_level(logging.DEBUG, logger="gravclock.numerics"):
@@ -779,9 +828,13 @@ def test_ww_simulate_logs_the_root_solve(caplog):
     records = [rec for rec in caplog.records
                if rec.name == "gravclock.numerics"]
     assert len(records) == 1
-    modes, passes = records[0].args
+    modes, passes, cells, taps, cauchy, radius = records[0].args
     assert modes == grid.n_modes
     assert 1 <= passes <= 4
+    assert cells >= 4 * len(run.times)
+    assert taps % 2 == 1
+    assert cauchy >= 2 * grid.n_modes
+    assert radius >= 1
     assert np.array_equal(run.alpha_sq, quiet.alpha_sq)
     assert np.array_equal(run.beta_sq_final, quiet.beta_sq_final)
 
@@ -818,6 +871,18 @@ def test_trigamma_estimate_is_close_enough_for_newton():
     x = np.linspace(1.0, 400.0, 4001)
     assert np.max(np.abs(_trigamma_estimate(x) / polygamma(1, x) - 1.0)) \
         < 2e-3
+
+
+def test_ww_simulate_defect_matches_exact_sums():
+    """The sum-rule and unitarity defect comes from numpy's pairwise sums;
+    recomputed from correctly rounded sums (math.fsum) it agrees within
+    1e-14."""
+    zeta, r, s_max = 0.3, 100.0, 6.0
+    run = toy_run(zeta, r, s_max)
+    w = comb_solution(zeta, r, s_max, "flat")[5]
+    exact = max(abs(math.fsum(w) - 1.0),
+                abs(math.fsum([run.alpha_sq[-1], *run.beta_sq_final]) - 1.0))
+    assert abs(run.max_unitarity_defect - exact) <= 1e-14
 
 
 def test_ww_simulate_refuses_defect_past_bound(monkeypatch):

@@ -13,9 +13,9 @@ Each run of ``RUNS`` writes its command's files into ``OUT/<run>/``, plus
 defaults (all seven commands on an empty config), the README examples, a
 ``spectrum`` with ``"method": "quadrature"`` at desk scale (r = 1e3) and at
 Earth scale (the defaults), and ``oracle`` runs with flat and tilted
-couplings.  Every CLI density is analytic, so the library runs of
-``SAMPLED`` cover the sampled-density paths: each pdf callable is built
-with ``HeightDensity.from_callable`` and writes a line at r = 1e3
+couplings and at r = 1e4.  Every CLI density is analytic, so the library
+runs of ``SAMPLED`` cover the sampled-density paths: each pdf callable is
+built with ``HeightDensity.from_callable`` and writes a line at r = 1e3
 (``spectrum.csv``), a survival curve (``survival.csv``) and its
 ``total_rate`` (``rate.json``) into ``OUT/sampled_<name>/`` through
 ``gravclock.serialize``.  No command runs ``optimal_state_scan`` either, so
@@ -65,6 +65,8 @@ RUNS = (
     ("spectrum_quadrature_desk", "spectrum",
      {**_DESK, "spectrum": {"method": "quadrature"}}),
     ("oracle_tilted", "oracle", {"oracle": {"coupling": "tilted"}}),
+    # 52001 modes and 19864 samples: the longest sums of any run
+    ("oracle_r1e4", "oracle", {"oracle": {"zeta": 0.3, "r": 1e4}}),
 )
 
 
