@@ -914,9 +914,10 @@ def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     inv_a2 = _SPLIT**-2
     # exp(-(i + d)^2/a^2) = exp(-d^2/a^2) exp(-2d/a^2)^i exp(-i^2/a^2)
     ratio = np.exp(-2.0 * inv_a2 * dg)
+    gauss = np.exp(-inv_a2 * dg * dg)
     for offsets, step in ((range(_LOCAL + 1), ratio),
                           (range(-1, -_LOCAL - 1, -1), 1.0 / ratio)):
-        power = np.exp(-inv_a2 * dg * dg)
+        power = gauss.copy()
         for i in offsets:
             if i:
                 power *= step
