@@ -387,9 +387,20 @@ def cmd_survival(env: _Env) -> int:
 def cmd_oracle(env: _Env) -> int:
     sec = env.cfg["oracle"]
     zeta, r = sec["zeta"], sec["r"]
-    grid = numerics.ModeGrid.for_line(
-        zeta, r, halfwidth_linewidths=sec["halfwidth_linewidths"],
-        dnu=sec["dnu"])
+    # the window and the coupling are refused here, before the solve, so
+    # that the message names the key at fault
+    try:
+        grid = numerics.ModeGrid.for_line(
+            zeta, r, halfwidth_linewidths=sec["halfwidth_linewidths"],
+            dnu=sec["dnu"])
+        grid.require_contains(zeta, r)
+    except ConfigurationError as exc:
+        _bad("oracle.halfwidth_linewidths", str(exc))
+    try:
+        numerics._coupling_line(sec["coupling"], grid, r * zeta, 1.0 + zeta,
+                                r)
+    except ConfigurationError as exc:
+        _bad("oracle.coupling", str(exc))
     run = numerics.ww_simulate(zeta, r, grid, sec["s_max"],
                                coupling=sec["coupling"])
     deviation, s_cap, truncated = run.single_pole_deviation(

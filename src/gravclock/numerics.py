@@ -14,11 +14,13 @@ symmetric arrowhead matrix whose eigenvalues solve a secular equation with a
 closed-form sum on the uniform comb.  Inside each gap between modes that
 equation is a fixed point d = arccot(y(d))/pi with a smooth y, and beyond
 each end of the comb the fixed point d = 1/(pi*y), so a few vectorized,
-bracketed Newton passes find all the roots.  The trajectory and
-the final mode amplitudes are sums over all eigenvalues; one FFT each
-evaluates them in O(n log n) after a Gaussian split (a gridded non-uniform
-FFT and a split Cauchy kernel).  The closed-form exponential decay law is
-checked against that solution rather than against itself.
+bracketed Newton passes find all the roots; the secular equation itself
+gives their weights.  The trajectory and the final mode amplitudes are
+sums over all eigenvalues; one FFT each evaluates them in O(n log n): a
+non-uniform FFT with Gaussian gridding, and Cauchy sums by a precorrected
+FFT of the exact kernel whose near field is corrected in closed form.  The
+closed-form exponential decay law is checked against that solution rather
+than against itself.
 """
 from __future__ import annotations
 
@@ -471,25 +473,68 @@ def voigt_profile(x, sigma: float, gamma) -> np.ndarray:
 
 _MAX_DNU = 0.05          # coarsest spacing that still resolves the line
 _MIN_MARGIN_LW = 25.0    # window margin around the shifted line, in linewidths
-_MAX_DEFECT = 1e-6       # largest sum-rule or unitarity defect of a run
+_MAX_DEFECT = 1e-6       # largest defect of a run's checks (ww_simulate)
 # Passes of the root solver before it gives up.  Default combs settle in
 # four, far stronger or weaker couplings in ~16; bisection alone would
 # close a bracket 2^20 gaps wide to adjacent floats around any |d| >= 2^-60
 # within 20 + 60 + 52 passes.
 _MAX_PASSES = 200
-# A Gaussian tail is dropped below this share of its peak: an eighth of the
-# unit roundoff.
-_SERIES_TOL = 2.0**-56
 # Taps on either side of a root's cell in the trajectory's Gaussian gridding
 # at oversampling 2: aliasing leaves ~exp(-2 pi _TAPS/3) of sum|w|, 2.3e-14.
 _TAPS = 15
-# The mode amplitudes' kernel split: its width a in gaps, the gaps summed
-# directly (to exp(-x^2/a^2) = _SERIES_TOL) and the nodes interpolating the
-# rest.  a and _NODES are measured: within 1.5e-14 of the dense sums at any
-# phase step between gaps, where a = 5 and 20 nodes reach 1e-10.
-_SPLIT = 6.0
-_LOCAL = math.ceil(_SPLIT * math.sqrt(-math.log(_SERIES_TOL)))
+# The mode amplitudes' precorrected FFT: _NODES integer nodes q interpolate
+# the kernel 1/(i + d) in d, lags within _BAND of a mode are added directly
+# and the rest by one FFT, and every offset whose Lagrange error bound
+# exceeds _NEAR_TOL (of its root's |z|) is corrected in closed form: the 28
+# offsets at the nodes and 3 beyond them on either side.  Measured against
+# the dense sums, |c|^2 is within 5.0e-14 relative on every dense-reference
+# case of the suite (the worst at 1000 times the golden-rule coupling) and
+# within 1.1e-14 at r = 1e4.  Without the band, 1/t rounded on the FFT next
+# to t = 0 left 1.8e-13 at r = 1e4.  Correcting 6 offsets on either side
+# instead of 3 moved no case measurably: their bound, 7.1e-15 at the
+# first one left out, lies under the FFT's own rounding.
 _NODES = 28
+_BAND = 8
+_NEAR_TOL = 1e-14
+
+
+def _interpolation_tables():
+    """The Cauchy kernel's nodes and their closed-form corrections.
+
+    The nodes are q = q0 .. q0 + _NODES - 1, q0 = 1 - _NODES/2, paired as
+    q and 1 - q about d = 1/2.  With P(d) = prod_q (d - q) and barycentric
+    weights omega_k = 1/P'(q_k), the interpolant of 1/(i + d) is
+    sum_k L_k(d)/(i + q_k), L_k(d) = P(d) omega_k/(d - q_k), taking the
+    node at q_k = -i as 0.  Its error has two closed forms: at an offset
+    where -i = q_k it is L_k(d) (1/(d + i) - gamma_k), gamma_k = L_k'(q_k)
+    = sum_{p != k} 1/(q_k - q_p); beyond the nodes it is
+    (-1)^N P(d)/((i + d) prod_q (i + q)).  Returns q0, omega, gamma and,
+    for the offsets beyond the nodes whose error bound max |P|/(min |i + d|
+    |prod_q (i + q)|) over 0 <= d <= 1 exceeds _NEAR_TOL, the pairs
+    (-i, (-1)^N/prod_q (i + q)) in ascending order.  The products are
+    exact integers, so omega and the pairs' coefficients are correctly
+    rounded.
+    """
+    q0 = 1 - _NODES // 2
+    nodes = range(q0, q0 + _NODES)
+    omega = [1 / math.prod(qk - qp for qp in nodes if qp != qk)
+             for qk in nodes]
+    gamma = [math.fsum(1 / (qk - qp) for qp in nodes if qp != qk)
+             for qk in nodes]
+    # |P| peaks at d = 1/2, where each pair's |d(d - 1) + q(1 - q)| does
+    p_max = math.prod(abs(qp * (1 - qp) - 0.25) for qp in nodes if qp > 0)
+    beyond = []
+    for q, step in ((q0 - 1, -1), (q0 + _NODES, 1)):
+        while True:
+            span = math.prod(qp - q for qp in nodes)
+            if p_max / min(abs(q), abs(q - 1)) / abs(span) <= _NEAR_TOL:
+                break
+            beyond.append((q, (-1)**_NODES / span))
+            q += step
+    return q0, np.array(omega), np.array(gamma), tuple(sorted(beyond))
+
+
+_NODE0, _OMEGA, _GAMMA, _BEYOND = _interpolation_tables()
 
 
 @dataclass(frozen=True)
@@ -783,9 +828,14 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
     it starts, and Weyl's bound.  The coupling [[0, g^T], [g, 0]] has norm
     |g| = sqrt(n*p + q*sum_j D_j), so the lowest eigenvalue lies in
     [min(0, D_0) - |g|, D_0] and the highest in [D_{n-1}, max(0, D_{n-1})
-    + |g|].  Returns the roots as gap index j and offset d (lam = D_0 +
-    dnu*(j + d)), the eigenvalues, the atomic weights w = 1/(1 + sum_j
-    g_j^2/(lam - D_j)^2), which sum to one, and the passes made.
+    + |g|].  Returns the roots as gap index j and offset d, the eigenvalues
+    lam = D_0 + dnu*(j + d), formed with dnu split as in the Newton passes,
+    the atomic weights w = 1/(1 + sum_j g_j^2/(lam - D_j)^2), which sum to
+    one, and the passes made.  With g = p + q*lam that sum is g*T/dnu^2 -
+    q*S/dnu, T = sum_m 1/(x - m)^2.  At a gap root the secular equation
+    gives S = dnu*(lam + n*q)/g, and T = pi^2/sin^2(pi*d) - psi'(j + d + 1)
+    - psi'(n - j - d); the two outer roots take both sums from
+    ``_comb_sums``.
 
     Raises IntegrationError when a root is left unsettled or lies within
     rounding of a mode (d = 0 or 1), where the gap-offset form breaks down.
@@ -804,9 +854,22 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
         raise IntegrationError(
             "coupling too weak for the gap-offset form: a comb eigenvalue "
             "lies within rounding of a mode")
-    lam = lam0 + dnu * (j + d)
-    s, t = _comb_sums(j, d, n)
-    w = 1.0 / (1.0 + (p + q * lam) * t / dnu**2 - q * s / dnu)
+    dnu_hi, dnu_lo = _split(dnu)
+    lam = (lam0 + dnu_hi * j) + (dnu_lo * j + dnu * d)
+    g = p + q * lam
+    # A gap root's S is its secular equation and T = pi^2/sin^2(pi*d) -
+    # psi'(j + d + 1) - psi'(n - j - d), neither needing a digamma; the
+    # outer roots' g may be small or negative, so theirs come whole from
+    # ``_comb_sums``.
+    jg, lg, gg = j[1:-1], lam[1:-1], g[1:-1]
+    cot = np.pi / np.tan(np.pi * (gap - (gap > 0.5)))
+    t = ((cot * cot + np.pi**2) - trigamma((jg + 1.0) + gap)
+         - trigamma((n - jg) - gap))
+    w = np.empty(n + 1)
+    w[1:-1] = 1.0 / (1.0 + gg * t / dnu**2 - q * (lg + n * q) / gg)
+    ends = [0, n]
+    s, t = _comb_sums(j[ends], d[ends], n)
+    w[ends] = 1.0 / (1.0 + g[ends] * t / dnu**2 - q * s / dnu)
     return j, d, lam, w, passes
 
 
@@ -881,72 +944,83 @@ def _alpha_trajectory(d: np.ndarray, lam: np.ndarray, w: np.ndarray,
 
 
 def _cauchy_len(n: int) -> int:
-    """The mode amplitudes' FFT length on n modes; 0 if none is needed."""
-    return 0 if n - 1 <= _LOCAL else _fft_len(2 * n + _NODES)
+    """The mode amplitudes' FFT length on n modes."""
+    return _fft_len(2 * n + _NODES)
 
 
 def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Cauchy sums c_m = sum_k z_k / ((j_k - m) + d_k) over the n modes m.
 
     The roots come as ``_comb_eigen`` returns them: one below the comb, one
-    in each gap j = 0..n-2, one above.  The outer two are summed directly,
-    and so is every root on a comb of at most _LOCAL gaps.  Otherwise the
-    kernel splits at x = (j - m) + d (Lindbo & Tornberg 2011) into
-    exp(-x^2/a^2)/x, summed directly over |j - m| <= _LOCAL with the
-    integer part of each distance formed first so d keeps full precision
-    next to the poles, and a smooth rest.  Interpolated in d on integer
-    nodes q (barycentric Lagrange), the rest puts z_k L_q(d_k) at the
-    lags j_k + q -- one shifted add per node -- and one FFT correlation
-    with S(l) = (1 - exp(-l^2/a^2))/l sums it.
+    in each gap j = 0..n-2, one above.  The outer two are summed directly.
+    The gap roots go through a precorrected FFT (Phillips & White 1997):
+    interpolated in d on integer nodes q (barycentric Lagrange, see
+    ``_interpolation_tables``), root k puts z_k L_q(d_k) at the lag
+    j_k + q -- one shifted add per node -- and the lags are correlated
+    with the exact kernel 1/t, K(0) = 0: those within _BAND of a mode by
+    shifted adds, the rest by one FFT.  Where the interpolant is off, at
+    the offsets i = j - m next to the root, closed forms correct it: at
+    -i = q_k the correction shares 1/(d - q_k) with the node's spreading,
+    so it rides in the same loop, and beyond the nodes it is a multiple
+    of P(d)/(i + d).  The nodes pair as q and 1 - q, so P(d) is a product
+    of d(d - 1) + q(1 - q), which keeps relative precision next to d = 0
+    and 1.
     """
     n = len(d) - 1
-    m = np.arange(n, dtype=float)
-    c = z[0] / (d[0] - m) + z[-1] / ((n - 1.0 - m) + d[-1])
-    zg, dg = z[1:-1], d[1:-1]
-    if n - 1 <= _LOCAL:
-        # gaps j = m + i with 0 <= j <= n-2 and 0 <= m < n
-        for i in range(1 - n, n - 1):
-            lo, hi = max(0, i), min(n - 1, n + i)
-            c[lo - i:hi - i] += zg[lo:hi] / (i + dg[lo:hi])
-        return c
-    x = np.stack((zg.real, zg.imag))
-    out = np.zeros((2, n))
-    inv_a2 = _SPLIT**-2
-    # exp(-(i + d)^2/a^2) = exp(-d^2/a^2) exp(-2d/a^2)^i exp(-i^2/a^2)
-    ratio = np.exp(-2.0 * inv_a2 * dg)
-    gauss = np.exp(-inv_a2 * dg * dg)
-    for offsets, step in ((range(_LOCAL + 1), ratio),
-                          (range(-1, -_LOCAL - 1, -1), 1.0 / ratio)):
-        power = gauss.copy()
-        for i in offsets:
-            if i:
-                power *= step
-            lo, hi = max(0, i), min(n - 1, n + i)
-            f = dg[lo:hi] + i
-            np.divide(math.exp(-i * i * inv_a2), f, out=f)
-            f *= power[lo:hi]
-            out[:, lo - i:hi - i] += x[:, lo:hi] * f
-    # L_q(d) = prod_p (d - p) weight_q/(d - q), weight_q = 1/prod_{p != q}
-    # (q - p) over the nodes p, q = q0 .. q0 + _NODES - 1
-    q0 = 1 - _NODES // 2
-    x *= math.prod(dg - q for q in range(q0, q0 + _NODES))
+    dg = d[1:-1]
+    x = np.stack((z[1:-1].real, z[1:-1].imag))
+    e = dg * (dg - 1.0)
+    pair = e.copy()
+    for q in range(2, 1 - _NODE0 + 1):
+        pair *= e + q * (1 - q)
+    x *= pair                       # z_k P(d_k)
+    # every pass below writes into a buffer: a fresh temporary of 2n
+    # doubles costs more than the arithmetic on it
+    f, u = np.empty(n - 1), np.empty((2, n - 1))
     size = _cauchy_len(n)
-    y = np.zeros((2, size))
+    y = np.zeros((2, size))         # y[:, s] holds lag s + q0
+    # near[:, s] holds the corrections of mode s + lo, out its modes
+    lo = min(_NODE0, _BEYOND[0][0])
+    hi = max(_NODE0 + _NODES - 1, _BEYOND[-1][0])
+    near = np.zeros((2, n - 1 + hi - lo))
+    out = near[:, -lo:n - lo]
     for k in range(_NODES):
-        weight = (-1)**(_NODES - 1 - k) / (math.factorial(k)
-                                             * math.factorial(_NODES - 1 - k))
-        f = dg - (q0 + k)
-        np.divide(weight, f, out=f)
-        y[:, k:k + n - 1] += x * f
-    # y[s] sits at lag s + q0; the kernel at m - s, stored circularly, spans
-    # -(n - 3 + _NODES) .. n - 1 within size >= 2n - 2 + _NODES
-    lag = np.arange(3 - n - _NODES, n)
-    t = q0 - lag
+        np.subtract(dg, _NODE0 + k, out=f)
+        np.divide(1.0, f, out=f)
+        np.multiply(x, _OMEGA[k] * f, out=u)
+        y[:, k:k + n - 1] += u
+        f -= _GAMMA[k]
+        u *= f
+        s = _NODE0 + k - lo
+        near[:, s:s + n - 1] += u
+    for q, coef in _BEYOND:
+        np.subtract(dg, q, out=f)
+        np.divide(coef, f, out=f)
+        np.multiply(x, f, out=u)
+        near[:, q - lo:q - lo + n - 1] += u
+    band = np.empty((2, n))
+    for t in range(1, _BAND + 1):
+        np.subtract(y[:, t - _NODE0:t - _NODE0 + n],
+                    y[:, -t - _NODE0:-t - _NODE0 + n], out=band)
+        band *= 1.0 / t
+        out += band
+    # the kernel 1/t at t = q0 - l, l = m - s, stored circularly at l:
+    # l spans 3 - n - _NODES .. n - 1 within size >= 2n - 2 + _NODES
+    first = 3 - n - _NODES
+    t = np.arange(_NODE0 - first, _NODE0 - n, -1.0)
+    t[_NODE0 - _BAND - first:_NODE0 + _BAND + 1 - first] = np.inf
     kernel = np.zeros(size)
-    with np.errstate(invalid="ignore"):
-        kernel[lag] = np.where(t == 0, 0.0, -np.expm1(-inv_a2 * t * t) / t)
+    kernel[:n] = t[-first:]
+    kernel[first:] = t[:-first]
+    np.divide(1.0, kernel, out=kernel, where=kernel != 0.0)
     out += np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(kernel), size)[:, :n]
-    return c + (out[0] + 1j * out[1])
+    # the two roots beyond the comb, directly
+    m = np.arange(n, dtype=float)
+    c = z[0] / (d[0] - m)
+    c += z[-1] / ((n - 1.0 - m) + d[-1])
+    c.real += out[0]
+    c.imag += out[1]
+    return c
 
 
 def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
@@ -970,14 +1044,19 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     approximation and no time stepping.  |alpha|^2 is recorded on a uniform
     grid with at least eight samples per period of the fastest mode
     detuning.  Both sums run over all n+1 eigenvalues at every sample or
-    mode, yet cost O(n log n) with one FFT each after a Gaussian split: a
-    gridded non-uniform FFT (``_alpha_trajectory``) and Cauchy sums with a
-    split kernel (``_mode_amplitudes``); both match the dense sums to
-    ~1e-14.  The run aborts if the sum rule sum_k w_k = 1 or unitarity
-    |alpha|^2 + sum|b|^2 = 1 at s_max is off by more than 1e-6.  Each run
+    mode, yet cost O(n log n) with one FFT each: a gridded non-uniform FFT
+    (``_alpha_trajectory``) and Cauchy sums by a precorrected FFT
+    (``_mode_amplitudes``); both match the dense sums to ~1e-14.  The run
+    aborts, naming each check that missed, if any of these is off by more
+    than 1e-6: the sum rule sum_k w_k = 1, unitarity |alpha|^2 + sum|b|^2 =
+    1 at s_max, the trajectory's own alpha(0) against sum_k w_k, and the
+    moments sum_k w_k lam_k = 0 (relative to sum_k |w_k lam_k|) and
+    sum_k w_k lam_k^2 = sum_j g_j^2 (relative), which are <0|H|0> and
+    <0|H^2|0>.  ``max_unitarity_defect`` records the first two.  Each run
     logs one DEBUG record to the ``gravclock.numerics`` logger: the modes,
     the passes of the root solve, the trajectory grid's cells and taps a
-    root, the Cauchy FFT's length (0 if none) and the gaps summed directly.
+    root, and the Cauchy kernel's nodes, lags banded, offsets corrected
+    and FFT length.
     """
     if _require_finite("zeta", zeta) <= -1.0:
         raise HorizonError(f"zeta={zeta!r} is at/below the horizon")
@@ -995,8 +1074,10 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     _, d, lam, w, passes = _comb_eigen(grid, u, p, q)
     n = grid.n_modes
     _log.debug("mode comb: %d modes, %d Newton passes; grid %d cells, %d "
-               "taps; Cauchy FFT %d, %d gaps direct", n, passes,
-               _grid_len(len(t_arr)), 2 * _TAPS + 1, _cauchy_len(n), _LOCAL)
+               "taps; Cauchy kernel on %d nodes, %d lags banded, %d offsets "
+               "corrected, FFT %d", n, passes, _grid_len(len(t_arr)),
+               2 * _TAPS + 1, _NODES, 2 * _BAND, _NODES + len(_BEYOND),
+               _cauchy_len(n))
     alpha = _alpha_trajectory(d, lam, w, t_arr, grid.nu_min - u, grid.dnu)
     a_arr = alpha.real**2 + alpha.imag**2
     a_arr[0] = 1.0  # the initial condition, exactly
@@ -1004,11 +1085,26 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     g_sq = p + q * (grid.nus - u)
     beta_sq = g_sq / grid.dnu**2 * (c.real**2 + c.imag**2)
     # numpy's pairwise sums round by ~1e-15 here, far below _MAX_DEFECT
-    defect = float(max(abs(np.sum(w) - 1.0),
-                       abs(a_arr[-1] + np.sum(beta_sq) - 1.0)))
-    if not defect <= _MAX_DEFECT:
-        raise IntegrationError(
-            f"sum-rule/unitarity defect {defect:.3e} exceeds {_MAX_DEFECT:g}")
+    total = np.sum(w)
+    sum_rule = float(abs(total - 1.0))
+    unitarity = float(abs(a_arr[-1] + np.sum(beta_sq) - 1.0))
+    wl = w * lam
+    sum_g_sq = np.sum(g_sq)
+    checks = {
+        "sum rule sum(w) = 1": sum_rule,
+        "unitarity |alpha|^2 + sum|b|^2 = 1": unitarity,
+        # the trajectory's own alpha(0), which a_arr[0] replaces by 1
+        "trajectory alpha(0) = sum(w)": abs(alpha[0] - total),
+        # <0|H|0> and <0|H^2|0> of the generator
+        "first moment sum(w lam) = 0": abs(np.sum(wl)) / np.sum(np.abs(wl)),
+        "second moment sum(w lam^2) = sum(g^2)":
+            abs(np.sum(wl * lam) - sum_g_sq) / sum_g_sq,
+    }
+    missed = [f"{name} defect {value:.3e} exceeds {_MAX_DEFECT:g}"
+              for name, value in checks.items() if not value <= _MAX_DEFECT]
+    if missed:
+        raise IntegrationError("; ".join(missed))
+    defect = max(sum_rule, unitarity)
 
     fit_hi = min(5.0, grid.trusted_s, s_max)
     mask = (t_arr >= 0.5) & (t_arr <= fit_hi)

@@ -519,6 +519,26 @@ def test_oracle_too_short_to_fit_exits_3(tmp_path, capsys, oracle, field):
     assert not (tmp_path / "oracle_summary.json").exists()
 
 
+@pytest.mark.parametrize("oracle, key", [
+    # r + nu_min = 100 - 200 < 0: some mode frequency is negative
+    ({"coupling": "tilted", "r": 100, "zeta": 0,
+      "halfwidth_linewidths": 200}, "oracle.coupling"),
+    # a margin of 20 linewidths, under the 25 the window needs
+    ({"r": 100, "zeta": 0, "halfwidth_linewidths": 20},
+     "oracle.halfwidth_linewidths"),
+], ids=["coupling", "margin"])
+def test_oracle_refusals_name_their_key(tmp_path, capsys, oracle, key):
+    """A window or coupling the comb cannot carry exits 2 before the
+    solve, with a message that names the config key at fault."""
+    cfg = write_cfg(tmp_path, {"oracle": oracle})
+    code, out, err = run(capsys, ["oracle", "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {key}: ")
+    assert not (tmp_path / "oracle_summary.json").exists()
+
+
 def test_oracle_rejects_removed_ode_tol(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"oracle": {"ode_tol": 1e-10}})
     code, _, err = run(capsys, ["oracle", "--config", cfg,

@@ -448,16 +448,30 @@ def test_ww_simulate_trajectory_grid():
 
 
 def dense_alpha_trajectory(lam, w, times, block=32):
-    """Reference for the FFT trajectory: blocks of consecutive times share
-    one phase table exp(-i lam_k m h), one matrix-vector product each."""
+    """Reference for the FFT trajectory at the samples l*h it evaluates,
+    h = times[1] - times[0].  The phase l*h*lam_k is formed without a
+    rounding of its own: h*lam is split into a + b exactly (Dekker's
+    product) with a in 26 bits, so l*a is exact and l*b is tiny, and
+    exp(-i l a) and exp(-i l b) are taken apart.  Blocks of consecutive
+    samples share one phase table for their offsets from the block's
+    start, one matrix-vector product each."""
+    from gravclock.numerics import _split
     h = times[1] - times[0]
-    table = np.exp(np.multiply.outer(
-        -1j * h * np.arange(min(block, len(times))), lam))
+    hl = h * lam
+    h_hi, h_lo = _split(h)
+    l_hi, l_lo = _split(lam)
+    a, b = _split(hl)
+    b += ((h_hi * l_hi - hl) + h_hi * l_lo + h_lo * l_hi) + h_lo * l_lo
+
+    def phase(ell):
+        return (np.exp(-1j * np.multiply.outer(ell, a))
+                * np.exp(-1j * np.multiply.outer(ell, b)))
+
+    table = phase(np.arange(min(block, len(times)), dtype=float))
     alpha = np.empty(len(times), dtype=complex)
     for start in range(0, len(times), block):
         rows = table[:len(times) - start]
-        alpha[start:start + len(rows)] = rows @ (
-            w * np.exp(-1j * times[start] * lam))
+        alpha[start:start + len(rows)] = rows @ (w * phase(float(start)))
     return alpha
 
 
@@ -546,10 +560,11 @@ def test_fft_sums_at_strong_coupling(strength):
 
 @pytest.mark.parametrize("edge", [-1, 0, 1])
 def test_fft_sums_on_combs_at_the_local_radius(edge):
-    """n - 1 gaps at the local radius R and one either side: at R and below
-    every root is summed directly, above it the kernel is split."""
-    from gravclock.numerics import _LOCAL
-    n = _LOCAL + 1 + edge
+    """n - 1 gaps at the reach R of the corrected offsets (the largest
+    |j - m| corrected in closed form) and one either side: at R and below
+    the corrections of some roots run off the comb's ends."""
+    from gravclock.numerics import _BEYOND
+    n = max(abs(q) for q, _ in _BEYOND) + 1 + edge
     half = 0.0125 * (n - 1)
     grid = gc.ModeGrid(nu_min=200.0 - half, nu_max=200.0 + half, n_modes=n)
     assert_fft_sums_match_dense(*comb_solution(0.2, 1e3, 12.0, "flat",
@@ -567,6 +582,92 @@ def test_fft_sums_match_dense_reference_property(zeta, r, coupling, s_max):
     (1 at the explicit example), where a Gaussian split of width 5 with 20
     nodes would be off by 1e-10."""
     assert_fft_sums_match_dense(*comb_solution(zeta, r, s_max, coupling))
+
+
+@pytest.mark.parametrize("zeta,coupling", [(0.0, "flat"), (0.3, "tilted")])
+def test_fft_sums_at_r_1e4_on_subsampled_modes(zeta, coupling):
+    """r = 1e4, 40001 and 52001 modes, where the Cauchy FFT is longest:
+    |c|^2 against the dense sums on every 37th mode and on the 300 modes
+    either side of the line."""
+    from gravclock.numerics import _mode_amplitudes
+    grid, u, j, d, lam, w, times = comb_solution(zeta, 1e4, 12.0, coupling)
+    n = grid.n_modes
+    line = round((u - grid.nu_min) / grid.dnu)
+    modes = np.unique(np.r_[np.arange(0, n, 37),
+                            np.arange(line - 300, line + 301)])
+    z = w * np.exp(-1j * times[-1] * lam)
+    ref = np.empty(len(modes), dtype=complex)
+    for start in range(0, len(modes), 32):
+        m = modes[start:start + 32].astype(float)
+        ref[start:start + len(m)] = (
+            1.0 / (np.subtract.outer(-m, -j) + d)) @ z
+    c = np.abs(_mode_amplitudes(d, z)[modes]) ** 2
+    ref = np.abs(ref) ** 2
+    assert np.max(np.abs(c - ref) / ref) <= 1e-12
+
+
+def cauchy_tables_exact():
+    """The kernel's nodes, P(d) and the barycentric weights, exact."""
+    from fractions import Fraction
+    from gravclock.numerics import _NODE0, _NODES
+    nodes = range(_NODE0, _NODE0 + _NODES)
+    omega = [1 / Fraction(math.prod(qk - qp for qp in nodes if qp != qk))
+             for qk in nodes]
+    return nodes, omega
+
+
+@pytest.mark.parametrize("d_num", [1, 256, 512, 768, 1023])
+def test_cauchy_corrections_are_the_lagrange_error(d_num):
+    """At dyadic d = d_num/1024, in exact rational arithmetic, both closed
+    forms of the near correction equal the explicit Lagrange difference
+    1/(i + d) - sum_q L_q(d) K(i + q), K(0) = 0, at every offset
+    corrected: L_k(d) (1/(d + i) - gamma_k) where -i is the node q_k, and
+    (-1)^N P(d)/((i + d) prod_q (i + q)) beyond the nodes.  The rounded
+    tables are within an ulp of the exact ones, and the first offset left
+    out on either side has a difference below _NEAR_TOL."""
+    from fractions import Fraction
+    from gravclock.numerics import _BEYOND, _GAMMA, _NEAR_TOL, _OMEGA
+    d = Fraction(d_num, 1024)
+    nodes, omega = cauchy_tables_exact()
+    big_p = math.prod(d - q for q in nodes)
+    lagrange = [big_p * om / (d - q) for q, om in zip(nodes, omega)]
+
+    def difference(i):
+        return 1 / (i + d) - sum(lq / (i + q) for lq, q in
+                                 zip(lagrange, nodes) if i + q != 0)
+
+    for k, qk in enumerate(nodes):
+        gamma = sum(Fraction(1, qk - qp) for qp in nodes if qp != qk)
+        assert lagrange[k] * (1 / (d - qk) - gamma) == difference(-qk)
+        assert _OMEGA[k] == float(omega[k])
+        assert abs(_GAMMA[k] - gamma) <= np.spacing(abs(_GAMMA[k]))
+    for q, coef in _BEYOND:
+        span = math.prod(p - q for p in nodes)
+        assert (-1)**len(nodes) * big_p / ((d - q) * span) == difference(-q)
+        assert coef == float(Fraction((-1)**len(nodes), span))
+    reach = [q for q, _ in _BEYOND]
+    for q in (min(reach) - 1, max(reach) + 1):
+        assert abs(difference(-q)) <= _NEAR_TOL
+
+
+@pytest.mark.parametrize("d_num", [1, 256, 512, 768, 1023])
+def test_cauchy_sums_of_one_root_at_every_offset(d_num):
+    """One gap root on a comb of 80 modes: the precorrected FFT gives
+    z/((j - m) + d) at every mode m, near (corrected), in the band and on
+    the FFT, within 4 eps of itself plus _NEAR_TOL of |z|, the share that
+    the first offset left uncorrected may carry (7.1e-15 at d = 1/2)."""
+    from gravclock.numerics import _NEAR_TOL, _mode_amplitudes
+    n, root = 80, 40
+    d = np.full(n + 1, 0.5)
+    d[0], d[-1] = -0.5, 0.5
+    d[root] = d_num / 1024
+    z = np.zeros(n + 1, dtype=complex)
+    z[root] = 1.0 - 2.0j
+    c = _mode_amplitudes(d, z)
+    m = np.arange(n)
+    exact = z[root] / ((root - 1 - m) + d[root])
+    assert np.all(np.abs(c - exact) <= 4.0 * np.finfo(float).eps
+                  * np.abs(exact) + _NEAR_TOL * abs(z[root]))
 
 
 # ---------------------------------------------------------------------------
@@ -828,13 +929,16 @@ def test_ww_simulate_logs_the_root_solve(caplog):
     records = [rec for rec in caplog.records
                if rec.name == "gravclock.numerics"]
     assert len(records) == 1
-    modes, passes, cells, taps, cauchy, radius = records[0].args
+    (modes, passes, cells, taps, nodes, banded, corrected,
+     cauchy) = records[0].args
     assert modes == grid.n_modes
     assert 1 <= passes <= 4
     assert cells >= 4 * len(run.times)
     assert taps % 2 == 1
+    assert nodes >= 2
+    assert banded % 2 == 0
+    assert corrected > nodes
     assert cauchy >= 2 * grid.n_modes
-    assert radius >= 1
     assert np.array_equal(run.alpha_sq, quiet.alpha_sq)
     assert np.array_equal(run.beta_sq_final, quiet.beta_sq_final)
 
@@ -889,6 +993,67 @@ def test_ww_simulate_refuses_defect_past_bound(monkeypatch):
     monkeypatch.setattr(gc.numerics, "_MAX_DEFECT", -1.0)
     with pytest.raises(gc.IntegrationError, match="defect"):
         toy_run(s_max=1.0)
+
+
+def perturb_comb_eigen(monkeypatch, change):
+    """Patch ``_comb_eigen`` so that ``change(w, lam)`` edits its weights
+    and eigenvalues in place."""
+    solve = gc.numerics._comb_eigen
+
+    def patched(*args):
+        j, d, lam, w, passes = solve(*args)
+        change(w, lam)
+        return j, d, lam, w, passes
+
+    monkeypatch.setattr(gc.numerics, "_comb_eigen", patched)
+
+
+@pytest.mark.parametrize("root", [0, 1, 1200, -2, -1])
+def test_ww_simulate_refuses_a_perturbed_weight(monkeypatch, root):
+    """One weight 1e-5 off, at either end of the comb, next to it or in
+    it (root 1200 of 3122, at lam = -9), fails the run."""
+    def change(w, lam):
+        w[root] += 1e-5
+
+    perturb_comb_eigen(monkeypatch, change)
+    with pytest.raises(gc.IntegrationError, match="defect"):
+        toy_run()
+
+
+def test_ww_simulate_names_the_check_that_missed(monkeypatch):
+    """The weight of the root at lam = -20 1e-6 up, with every weight
+    rescaled to the sum rule: the sum rule and unitarity pass (the latter
+    off by ~1e-7), both moments miss (by ~1e-5) and the error names them
+    alone."""
+    def change(w, lam):
+        w[np.argmin(np.abs(lam + 20.0))] += 1e-6
+        w /= math.fsum(w)
+
+    perturb_comb_eigen(monkeypatch, change)
+    with pytest.raises(gc.IntegrationError) as caught:
+        toy_run()
+    names = [part.split(" defect ")[0] for part in
+             str(caught.value).split("; ")]
+    assert names == ["first moment sum(w lam) = 0",
+                     "second moment sum(w lam^2) = sum(g^2)"]
+
+
+def test_ww_simulate_checks_the_trajectory_at_zero(monkeypatch):
+    """The trajectory's own alpha(0), which the recorded |alpha|^2 replaces
+    by 1, is held against sum(w): an error of 1e-5 there fails the run and
+    only that check is named."""
+    trajectory = gc.numerics._alpha_trajectory
+
+    def patched(*args):
+        alpha = trajectory(*args)
+        alpha[0] += 1e-5
+        return alpha
+
+    monkeypatch.setattr(gc.numerics, "_alpha_trajectory", patched)
+    with pytest.raises(gc.IntegrationError,
+                       match=r"^trajectory alpha\(0\) = sum\(w\) defect "
+                             r"1\.000e-05 exceeds 1e-06$"):
+        toy_run()
 
 
 def test_ww_simulate_is_deterministic():
