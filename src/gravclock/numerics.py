@@ -517,10 +517,13 @@ def _interpolation_tables():
     """
     q0 = 1 - _NODES // 2
     nodes = range(q0, q0 + _NODES)
-    omega = [1 / math.prod(qk - qp for qp in nodes if qp != qk)
-             for qk in nodes]
-    gamma = [math.fsum(1 / (qk - qp) for qp in nodes if qp != qk)
-             for qk in nodes]
+    # node k has k nodes below it and N - 1 - k above, at unit steps
+    omega = [(-1)**(_NODES - 1 - k) / (math.factorial(k)
+                                        * math.factorial(_NODES - 1 - k))
+             for k in range(_NODES)]
+    gamma = [math.fsum([1 / i for i in range(1, k + 1)]
+                       + [-1 / i for i in range(1, _NODES - k)])
+             for k in range(_NODES)]
     # |P| peaks at d = 1/2, where each pair's |d(d - 1) + q(1 - q)| does
     p_max = math.prod(abs(qp * (1 - qp) - 0.25) for qp in nodes if qp > 0)
     beyond = []
@@ -1013,7 +1016,9 @@ def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     kernel[:n] = t[-first:]
     kernel[first:] = t[:-first]
     np.divide(1.0, kernel, out=kernel, where=kernel != 0.0)
-    out += np.fft.irfft(np.fft.rfft(y) * np.fft.rfft(kernel), size)[:, :n]
+    spectrum = np.fft.rfft(y)
+    spectrum *= np.fft.rfft(kernel)
+    out += np.fft.irfft(spectrum, size, out=y)[:, :n]
     # the two roots beyond the comb, directly
     m = np.arange(n, dtype=float)
     c = z[0] / (d[0] - m)
