@@ -979,7 +979,8 @@ def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     x *= pair                       # z_k P(d_k)
     # every pass below writes into a buffer: a fresh temporary of 2n
     # doubles costs more than the arithmetic on it
-    f, u = np.empty(n - 1), np.empty((2, n - 1))
+    f, buf = np.empty(n - 1), np.empty((2, n))
+    u = buf[:, 1:]
     size = _cauchy_len(n)
     y = np.zeros((2, size))         # y[:, s] holds lag s + q0
     # near[:, s] holds the corrections of mode s + lo, out its modes
@@ -1001,20 +1002,19 @@ def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
         np.divide(coef, f, out=f)
         np.multiply(x, f, out=u)
         near[:, q - lo:q - lo + n - 1] += u
-    band = np.empty((2, n))
     for t in range(1, _BAND + 1):
         np.subtract(y[:, t - _NODE0:t - _NODE0 + n],
-                    y[:, -t - _NODE0:-t - _NODE0 + n], out=band)
-        band *= 1.0 / t
-        out += band
+                    y[:, -t - _NODE0:-t - _NODE0 + n], out=buf)
+        buf *= 1.0 / t
+        out += buf
     # the kernel 1/t at t = q0 - l, l = m - s, stored circularly at l:
-    # l spans 3 - n - _NODES .. n - 1 within size >= 2n - 2 + _NODES
+    # l spans 3 - n - _NODES .. n - 1 within size >= 2n - 2 + _NODES, and
+    # the band's l = q0 - _BAND .. q0 + _BAND are all negative
     first = 3 - n - _NODES
-    t = np.arange(_NODE0 - first, _NODE0 - n, -1.0)
-    t[_NODE0 - _BAND - first:_NODE0 + _BAND + 1 - first] = np.inf
     kernel = np.zeros(size)
-    kernel[:n] = t[-first:]
-    kernel[first:] = t[:-first]
+    kernel[:n] = np.arange(_NODE0, _NODE0 - n, -1.0)
+    kernel[first:] = np.arange(_NODE0 - first, _NODE0, -1.0)
+    kernel[_NODE0 - _BAND:_NODE0 + _BAND + 1] = 0.0
     np.divide(1.0, kernel, out=kernel, where=kernel != 0.0)
     spectrum = np.fft.rfft(y)
     spectrum *= np.fft.rfft(kernel)
