@@ -860,10 +860,9 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
     dnu_hi, dnu_lo = _split(dnu)
     lam = (lam0 + dnu_hi * j) + (dnu_lo * j + dnu * d)
     g = p + q * lam
-    # A gap root's S is its secular equation and T = pi^2/sin^2(pi*d) -
-    # psi'(j + d + 1) - psi'(n - j - d), neither needing a digamma; the
-    # outer roots' g may be small or negative, so theirs come whole from
-    # ``_comb_sums``.
+    # The outer roots' g may be small or negative, so only the gap roots
+    # take S from the secular equation.  pi^2/sin^2 is pi^2 + (pi cot)^2:
+    # numpy's tan is several times faster than its sin.
     jg, lg, gg = j[1:-1], lam[1:-1], g[1:-1]
     cot = np.pi / np.tan(np.pi * (gap - (gap > 0.5)))
     t = ((cot * cot + np.pi**2) - trigamma((jg + 1.0) + gap)
