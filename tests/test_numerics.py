@@ -475,12 +475,12 @@ def dense_alpha_trajectory(lam, w, times, block=32):
     return alpha
 
 
-def dense_mode_amplitudes(j, d, z, n, block=32):
-    """Reference for the FFT Cauchy sums: every (mode, root) pair, with the
-    integer part of each distance formed first."""
-    out = np.empty(n, dtype=complex)
-    for start in range(0, n, block):
-        m = np.arange(start, min(start + block, n), dtype=float)
+def dense_mode_amplitudes(j, d, z, modes, block=32):
+    """Reference for the FFT Cauchy sums at the given modes: every (mode,
+    root) pair, with the integer part of each distance formed first."""
+    out = np.empty(len(modes), dtype=complex)
+    for start in range(0, len(modes), block):
+        m = np.asarray(modes[start:start + block], dtype=float)
         out[start:start + len(m)] = (
             1.0 / (np.subtract.outer(-m, -j) + d)) @ z
     return out
@@ -504,7 +504,7 @@ def assert_fft_sums_match_dense(grid, u, j, d, lam, w, times):
     from gravclock.numerics import _alpha_trajectory, _mode_amplitudes
     z = w * np.exp(-1j * times[-1] * lam)
     c = np.abs(_mode_amplitudes(d, z)) ** 2
-    ref = np.abs(dense_mode_amplitudes(j, d, z, grid.n_modes)) ** 2
+    ref = np.abs(dense_mode_amplitudes(j, d, z, range(grid.n_modes))) ** 2
     assert np.max(np.abs(c - ref) / ref) <= 1e-12
     alpha = _alpha_trajectory(d, lam, w, times, grid.nu_min - u, grid.dnu)
     assert np.max(np.abs(alpha - dense_alpha_trajectory(lam, w, times))) \
@@ -596,24 +596,9 @@ def test_fft_sums_at_r_1e4_on_subsampled_modes(zeta, coupling):
     modes = np.unique(np.r_[np.arange(0, n, 37),
                             np.arange(line - 300, line + 301)])
     z = w * np.exp(-1j * times[-1] * lam)
-    ref = np.empty(len(modes), dtype=complex)
-    for start in range(0, len(modes), 32):
-        m = modes[start:start + 32].astype(float)
-        ref[start:start + len(m)] = (
-            1.0 / (np.subtract.outer(-m, -j) + d)) @ z
     c = np.abs(_mode_amplitudes(d, z)[modes]) ** 2
-    ref = np.abs(ref) ** 2
+    ref = np.abs(dense_mode_amplitudes(j, d, z, modes)) ** 2
     assert np.max(np.abs(c - ref) / ref) <= 1e-12
-
-
-def cauchy_tables_exact():
-    """The kernel's nodes, P(d) and the barycentric weights, exact."""
-    from fractions import Fraction
-    from gravclock.numerics import _NODE0, _NODES
-    nodes = range(_NODE0, _NODE0 + _NODES)
-    omega = [1 / Fraction(math.prod(qk - qp for qp in nodes if qp != qk))
-             for qk in nodes]
-    return nodes, omega
 
 
 @pytest.mark.parametrize("d_num", [1, 256, 512, 768, 1023])
@@ -626,9 +611,12 @@ def test_cauchy_corrections_are_the_lagrange_error(d_num):
     tables are within an ulp of the exact ones, and the first offset left
     out on either side has a difference below _NEAR_TOL."""
     from fractions import Fraction
-    from gravclock.numerics import _BEYOND, _GAMMA, _NEAR_TOL, _OMEGA
+    from gravclock.numerics import (_BEYOND, _GAMMA, _NEAR_TOL, _NODE0,
+                                    _NODES, _OMEGA)
     d = Fraction(d_num, 1024)
-    nodes, omega = cauchy_tables_exact()
+    nodes = range(_NODE0, _NODE0 + _NODES)
+    omega = [1 / Fraction(math.prod(qk - qp for qp in nodes if qp != qk))
+             for qk in nodes]
     big_p = math.prod(d - q for q in nodes)
     lagrange = [big_p * om / (d - q) for q, om in zip(nodes, omega)]
 
