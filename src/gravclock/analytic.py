@@ -18,9 +18,9 @@ import numpy as np
 
 from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
-                    HorizonError, SuperpositionSpec,
-                    _SUPPORT_PANELS, _c_squared, _require_finite,
-                    _require_positive, _square)
+                    SuperpositionSpec, _SUPPORT_PANELS, _c_squared,
+                    _interference, _require_finite, _require_positive,
+                    _square, _zeta_packets)
 from .numerics import (AccuracyError, _kronrod, _panel_nodes, block_rows,
                        panel_quadrature, voigt_profile)
 
@@ -43,17 +43,17 @@ def gammaq_closed_grid(theta, phi, dz, delta_zeta):
     """Closed-form rate excess, vectorized; heights in zeta units.
 
     The interference component's share of the mean height,
-    (A/B) * dz * cos(2 theta) / 2, with A = cos(phi) sin(2 theta) * overlap,
-    overlap = exp(-dz^2 / 4 delta_zeta^2) and B = 1 + A.  Zero-norm corners
-    (complete destructive overlap, B -> 0) carry no probability and are
-    reported as exactly 0.0 rather than 0/0.
+    (A/B) * dz * cos(2 theta) / 2, with the interference weight
+    A = cos(phi) sin(2 theta) exp(-dz^2 / 4 delta_zeta^2) and the norm
+    bracket B = 1 + A from :func:`~gravclock.model._interference`, the
+    values the densities carry.  Any finite width works: at widths of
+    1e+-200 the excess is the unit-width value times the width.  Zero-norm
+    corners (complete destructive overlap, B -> 0) carry no probability and
+    are reported as exactly 0.0 rather than 0/0.
     """
     theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
     dz = np.asarray(dz, dtype=float)
-    e = np.exp(-(dz**2) / (4.0 * delta_zeta**2))
-    a = np.cos(phi) * np.sin(2.0 * theta) * e
-    b = 1.0 + a
+    a, b = _interference(theta, phi, dz, delta_zeta)
     degenerate = b < _NORM_FLOOR
     val = 0.5 * dz * np.cos(2.0 * theta) * a / np.where(degenerate, 1.0, b)
     return np.where(degenerate, 0.0, val)
@@ -68,21 +68,21 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     densities' first moments component by component, from the three
     absolute centers: (A/B) * (zeta_mid - cos^2 theta zeta1
     - sin^2 theta zeta2).  It is the same algebra in another rounding, not
-    an independent check.  The moments are of zeta, not 1 + zeta: adding 1
-    would round Earth-scale heights (zeta ~ 1e-16) away.
+    an independent check.  Both read A and B at the separation and width
+    in zeta units, as the superposition's density does.  The moments are of
+    zeta, not 1 + zeta: adding 1 would round Earth-scale heights
+    (zeta ~ 1e-16) away.
     """
-    if method == "closed-form":
-        dz = float(scales.zeta(sup.z2 - sup.z1))
-        width = float(scales.zeta(sup.delta))
-        return float(gammaq_closed_grid(sup.theta, sup.phi, dz, width))
-    if method != "quadrature":
+    if method not in ("closed-form", "quadrature"):
         raise ConfigurationError(
             f"method must be closed-form|quadrature, got {method!r}")
-    z1 = float(scales.zeta(sup.z1))
-    z2 = float(scales.zeta(sup.z2))
+    z1, z2, dz, width = _zeta_packets(sup, scales)
+    if method == "closed-form":
+        return float(gammaq_closed_grid(sup.theta, sup.phi, dz, width))
+    a, b = _interference(sup.theta, sup.phi, dz, width)
     moment = (0.5 * (z1 + z2) - math.cos(sup.theta) ** 2 * z1
               - math.sin(sup.theta) ** 2 * z2)
-    return sup.interference_weight / sup.norm_bracket * moment
+    return float(a / b * moment)
 
 
 def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
@@ -141,18 +141,6 @@ def survival_probability(density: HeightDensity, s):
             lambda z: np.exp(-(1.0 + z)[..., None] * times))
     out = out.reshape(s_arr.shape)
     return out if np.ndim(s) else float(out)
-
-
-def lorentzian_line(nu, zeta: float, r: float):
-    """Unit-area natural line of one height strip: centered at r*zeta,
-    HWHM (1+zeta)/2."""
-    z = float(zeta)
-    if z <= -1.0:
-        raise HorizonError("zeta at/below the horizon")
-    gam = 1.0 + z
-    detune = np.asarray(nu, dtype=float) - r * z
-    out = gam / (2.0 * math.pi) / (0.25 * gam**2 + detune**2)
-    return out if np.ndim(nu) else float(out)
 
 
 @dataclass(frozen=True)

@@ -541,8 +541,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, HorizonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (numerics.AccuracyError, numerics.IntegrationError,
-            numerics.ValidityError, serialize.NonFiniteError) as exc:
+    except (numerics.AccuracyError, serialize.NonFiniteError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

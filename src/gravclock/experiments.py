@@ -46,16 +46,6 @@ def figure1_grid(spec: SweepSpec) -> tuple[np.ndarray, ...]:
     return (*mesh, gammaq_closed_grid(*mesh, spec.delta_zeta))
 
 
-def figure1_sweep(spec: SweepSpec) -> np.ndarray:
-    """Closed-form rate-excess table over the sweep grid.
-
-    Returns an (n_rows, 4) array with columns (theta, phi, dz, gammaQ_inv),
-    rows in C order over (theta, phi, dz).
-    """
-    return np.column_stack([c.ravel() for c in
-                            np.broadcast_arrays(*figure1_grid(spec))])
-
-
 def figure1_default_panels(*, n_grid: int = 201,
                            delta_zeta: float = 0.01) -> dict[str, SweepSpec]:
     """The three standard rate-excess maps.
@@ -186,7 +176,7 @@ def optimal_state_scan(delta_zeta: float) -> dict:
     """
     _require_positive("delta_zeta", delta_zeta)
     theta = _ridge_theta(_RHO_STAR)
-    # evaluated at unit width, so that no width over- or underflows dz^2
+    # the excess is delta_zeta times its value at unit width
     max_gamma = delta_zeta * abs(float(
         gammaq_closed_grid(theta, math.pi, _RHO_STAR, 1.0)))
     return {

@@ -11,6 +11,10 @@ Heights, times and frequencies in SI units appear only at this construction
 boundary.  The split matters numerically: on Earth a centimetre of height is
 zeta ~ 1e-19 while r ~ 1e17, so the shifted line position u = r*zeta must be
 formed as that product and never as a difference of absolute frequencies.
+
+The two-packet state's interference weight A and norm bracket B = 1 + A are
+formed in one function, ``_interference``: the densities and both routes of
+the rate excess read it in zeta units, the spec's norm check in meters.
 """
 from __future__ import annotations
 
@@ -134,6 +138,19 @@ def _validate_angles(theta: float, phi: float | None) -> None:
             raise ConfigurationError(f"phi must lie in [0, 2*pi), got {phi!r}")
 
 
+def _interference(theta, phi, dz, width):
+    """The two-packet state's interference weight
+    A = cos(phi) sin(2 theta) exp(-dz^2 / 4 width^2) and norm bracket
+    B = 1 + A, vectorized; dz and width in one unit.  Both are first scaled
+    by the power of two that brings the width into [0.5, 1), exactly, so
+    the exponent keeps the bits of dz**2 / (4 width**2) at any finite width."""
+    width, k = np.frexp(width)
+    dz = np.ldexp(dz, -k)
+    a = np.cos(phi) * np.sin(2.0 * theta) * np.exp(
+        -(dz * dz) / (4.0 * (width * width)))
+    return a, 1.0 + a
+
+
 @dataclass(frozen=True)
 class SuperpositionSpec:
     """Two-packet coherent state cos(theta)|z1> + e^{i phi} sin(theta)|z2>.
@@ -152,6 +169,11 @@ class SuperpositionSpec:
         _require_finite("z2", self.z2)
         _require_positive("delta", self.delta)
         _validate_angles(self.theta, self.phi)
+        if not (_square(self.z2 - self.z1) < math.inf
+                and 0.0 < 4.0 * _square(self.delta) < math.inf):
+            raise ConfigurationError(
+                f"packet separation {self.z2 - self.z1!r} or spread "
+                f"{self.delta!r} leaves float range when squared")
         if self.norm_bracket < _NORM_FLOOR:
             raise ConfigurationError(
                 "norm vanishes: destructive interference of overlapping "
@@ -159,24 +181,10 @@ class SuperpositionSpec:
                 f" = {self.norm_bracket:.3e}")
 
     @property
-    def overlap(self) -> float:
-        """Packet overlap exp(-(z1-z2)^2 / 4 delta^2)."""
-        try:
-            return math.exp(-((self.z1 - self.z2) ** 2)
-                            / (4.0 * self.delta**2))
-        except (OverflowError, ZeroDivisionError):
-            raise ConfigurationError(
-                f"packet separation {self.z2 - self.z1!r} or spread "
-                f"{self.delta!r} leaves float range when squared") from None
-
-    @property
-    def interference_weight(self) -> float:
-        """Weight of the interference term, cos(phi) sin(2 theta) * overlap."""
-        return math.cos(self.phi) * math.sin(2.0 * self.theta) * self.overlap
-
-    @property
     def norm_bracket(self) -> float:
-        return 1.0 + self.interference_weight
+        """B = 1 + A of :func:`_interference`, on the spec's own units."""
+        return float(_interference(self.theta, self.phi, self.z2 - self.z1,
+                                   self.delta)[1])
 
     def mixture(self) -> "MixtureSpec":
         """The decohered counterpart: same packets and weights, no phase."""
@@ -204,6 +212,14 @@ class MixtureSpec:
 # the Gaussian mass beyond is ~exp(-144), far under the 1e-20 contract.
 _SUPPORT_WIDTHS = 12.0
 _SUPPORT_PANELS = 32   # equal panels across a density's support
+
+
+def _zeta_packets(spec: SuperpositionSpec | MixtureSpec,
+                  scales: DimensionlessScales) -> list[float]:
+    """[z1, z2, dz, width] of a meter-unit spec in zeta units; dz is the
+    converted z2 - z1, which keeps its precision far from zeta = 0."""
+    return scales.zeta((spec.z1, spec.z2, spec.z2 - spec.z1,
+                        spec.delta)).tolist()
 
 
 class _Panels(NamedTuple):
@@ -303,10 +319,11 @@ class HeightDensity:
     @classmethod
     def superposition(cls, spec: SuperpositionSpec,
                       scales: DimensionlessScales) -> "HeightDensity":
-        z1, z2 = float(scales.zeta(spec.z1)), float(scales.zeta(spec.z2))
-        width = float(scales.zeta(spec.delta))
-        a = spec.interference_weight
-        b = spec.norm_bracket
+        """Packets at z1 and z2 weighted cos^2 theta / B and sin^2 theta / B
+        and the interference component A / B at their midpoint, with A and B
+        from :func:`_interference` in zeta units, as the closed forms."""
+        z1, z2, dz, width = _zeta_packets(spec, scales)
+        a, b = map(float, _interference(spec.theta, spec.phi, dz, width))
         centers = (z1, z2, 0.5 * (z1 + z2))
         weights = (math.cos(spec.theta) ** 2 / b,
                    math.sin(spec.theta) ** 2 / b,
@@ -317,8 +334,7 @@ class HeightDensity:
     @classmethod
     def mixture(cls, spec: MixtureSpec | SuperpositionSpec,
                 scales: DimensionlessScales) -> "HeightDensity":
-        z1, z2 = float(scales.zeta(spec.z1)), float(scales.zeta(spec.z2))
-        width = float(scales.zeta(spec.delta))
+        z1, z2, _, width = _zeta_packets(spec, scales)
         centers = (z1, z2)
         weights = (math.cos(spec.theta) ** 2, math.sin(spec.theta) ** 2)
         return cls(support=_hint(centers, width),

@@ -41,21 +41,14 @@ _log = logging.getLogger(__name__)
 
 
 class AccuracyError(RuntimeError):
-    """Quadrature did not converge; carries the best estimate and its bound."""
+    """A numerical path missed its own check; carries the estimate that
+    missed and its bound, where the check has them."""
 
     def __init__(self, message: str, estimate: float = math.nan,
                  bound: float = math.inf):
         super().__init__(message)
         self.estimate = estimate
         self.bound = bound
-
-
-class IntegrationError(RuntimeError):
-    """A mode-comb solution failed or broke its sum rule or unitarity."""
-
-
-class ValidityError(RuntimeError):
-    """A result was requested outside the regime where it means anything."""
 
 
 # 15-point Kronrod extension of the 7-point Gauss-Legendre rule on [-1, 1]
@@ -740,7 +733,7 @@ def _newton_roots(j, d, lo, hi, n, lam0, dnu, p, q):
     rounding floor, with one last Newton step on the secular equation
     itself, whose rounding matches bisection, or once its bracket closes to
     adjacent floats, at their midpoint.  Returns the passes made; raises
-    IntegrationError past _MAX_PASSES.
+    AccuracyError past _MAX_PASSES.
     """
     # lam = lam0 + dnu*(j + d) cancels near the line; with dnu split,
     # lam0 + dnu_hi*j is one rounding of nearly equal terms and keeps lam
@@ -751,7 +744,7 @@ def _newton_roots(j, d, lo, hi, n, lam0, dnu, p, q):
     passes = 0
     while live.size:
         if passes == _MAX_PASSES:
-            raise IntegrationError(
+            raise AccuracyError(
                 f"{live.size} comb eigenvalues unsettled after {_MAX_PASSES} "
                 "passes")
         passes += 1
@@ -840,7 +833,7 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
     - psi'(n - j - d); the two outer roots take both sums from
     ``_comb_sums``.
 
-    Raises IntegrationError when a root is left unsettled or lies within
+    Raises AccuracyError when a root is left unsettled or lies within
     rounding of a mode (d = 0 or 1), where the gap-offset form breaks down.
     """
     n, dnu = grid.n_modes, grid.dnu
@@ -854,7 +847,7 @@ def _comb_eigen(grid: ModeGrid, u: float, p: float, q: float):
     passes = _newton_roots(j, d, lo, hi, n, lam0, dnu, p, q)
     gap = d[1:-1]
     if not np.all((gap > 0.0) & (gap < 1.0)):
-        raise IntegrationError(
+        raise AccuracyError(
             "coupling too weak for the gap-offset form: a comb eigenvalue "
             "lies within rounding of a mode")
     dnu_hi, dnu_lo = _split(dnu)
@@ -1104,10 +1097,13 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
         "second moment sum(w lam^2) = sum(g^2)":
             abs(np.sum(wl * lam) - sum_g_sq) / sum_g_sq,
     }
-    missed = [f"{name} defect {value:.3e} exceeds {_MAX_DEFECT:g}"
-              for name, value in checks.items() if not value <= _MAX_DEFECT]
+    missed = {name: value for name, value in checks.items()
+              if not value <= _MAX_DEFECT}
     if missed:
-        raise IntegrationError("; ".join(missed))
+        raise AccuracyError(
+            "; ".join(f"{name} defect {value:.3e} exceeds {_MAX_DEFECT:g}"
+                      for name, value in missed.items()),
+            float(np.max(list(missed.values()))), _MAX_DEFECT)
     defect = max(sum_rule, unitarity)
 
     fit_hi = min(5.0, grid.trusted_s, s_max)
@@ -1137,9 +1133,9 @@ def oracle_spectrum(run: OracleRun):
     """
     lifetimes = run.times[-1] * (1.0 + run.zeta)
     if lifetimes < 5.0 - 1e-9:
-        raise ValidityError(
+        raise AccuracyError(
             f"run covers {lifetimes:.2f} local lifetimes; the emitted "
-            "spectrum needs >= 5")
+            "spectrum needs >= 5", float(lifetimes), 5.0)
     from .analytic import SpectrumResult  # deferred: avoids an import cycle
     p = run.beta_sq_final / run.grid.dnu
     mass = float(np.sum(run.beta_sq_final))
@@ -1170,12 +1166,12 @@ def line_fwhm(nu: np.ndarray, p: np.ndarray) -> float:
     above = p >= half
     idx = np.nonzero(above)[0]
     if len(idx) < 2:
-        raise ValidityError("line too narrow for the grid: no half-max span")
+        raise AccuracyError("line too narrow for the grid: no half-max span")
     lo_i, hi_i = int(idx[0]), int(idx[-1])
 
     def crossing(i_out: int, i_in: int) -> float:
         if i_out < 0 or i_out >= len(p):
-            raise ValidityError("half-max crossing falls outside the grid")
+            raise AccuracyError("half-max crossing falls outside the grid")
         f = (half - p[i_out]) / (p[i_in] - p[i_out])
         return float(nu[i_out] + f * (nu[i_in] - nu[i_out]))
 

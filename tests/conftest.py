@@ -65,3 +65,15 @@ def oracle_trio():
 def oracle_r1e4():
     """Finer-comb run (r = 1e4): the single-pole error should shrink."""
     return gc.ww_simulate(0.0, 1e4, gc.ModeGrid.for_line(0.0, 1e4), 12.0)
+
+
+def lorentzian_line(nu, zeta: float, r: float):
+    """Unit-area natural line of one height strip: centered at r*zeta,
+    HWHM (1+zeta)/2.  The reference the line tests integrate against."""
+    z = float(zeta)
+    if z <= -1.0:
+        raise gc.HorizonError("zeta at/below the horizon")
+    gam = 1.0 + z
+    detune = np.asarray(nu, dtype=float) - r * z
+    out = gam / (2.0 * np.pi) / (0.25 * gam**2 + detune**2)
+    return out if np.ndim(nu) else float(out)

@@ -17,9 +17,11 @@ import numpy as np
 import pytest
 
 import gravclock as gc
+from gravclock.experiments import figure1_grid
+from gravclock.model import _interference
 from gravclock.numerics import panel_quadrature
 
-from conftest import UNIT_SCALES, SEED, random_specs
+from conftest import UNIT_SCALES, SEED, lorentzian_line, random_specs
 
 
 def test_c01_rate_excess_zero_structure():
@@ -55,7 +57,8 @@ def difference_density_moment(spec: gc.SuperpositionSpec) -> float:
     z1, z2, w = spec.z1, spec.z2, spec.delta
     mid = 0.5 * (z1 + z2)
     c2, s2 = math.cos(spec.theta) ** 2, math.sin(spec.theta) ** 2
-    scale = spec.interference_weight / spec.norm_bracket
+    a, b = _interference(spec.theta, spec.phi, spec.z2 - spec.z1, spec.delta)
+    scale = a / b
 
     def gauss(z, mu):
         return np.exp(-(((z - mu) / w) ** 2)) / (math.sqrt(math.pi) * w)
@@ -87,8 +90,8 @@ def test_c03_rate_excess_sweep_surfaces():
     t0 = time.perf_counter()
     n = 201
     panels = gc.figure1_default_panels(n_grid=n, delta_zeta=0.01)
-    surf_0 = gc.figure1_sweep(panels["b"])[:, 3].reshape(n, n)
-    surf_pi = gc.figure1_sweep(panels["c"])[:, 3].reshape(n, n)
+    surf_0 = figure1_grid(panels["b"])[-1].reshape(n, n)
+    surf_pi = figure1_grid(panels["c"])[-1].reshape(n, n)
     # rows: theta = linspace(0, pi/2, n); columns: dz = linspace(0, 5*width, n)
     below = slice(1, n // 2)        # 0 < theta < pi/4
     above = slice(n // 2 + 1, n - 1)  # pi/4 < theta < pi/2
@@ -138,7 +141,7 @@ def test_c05_spectrum_normalization():
     r = 1e3
     for zeta in (0.0, 0.25):
         u = r * zeta
-        area, err = quad(lambda x: gc.lorentzian_line(x + u, zeta, r),
+        area, err = quad(lambda x: lorentzian_line(x + u, zeta, r),
                          -np.inf, np.inf)
         assert area == pytest.approx(1.0, abs=max(1e-10, 10.0 * err))
     scales = gc.DimensionlessScales(g=1.0, c=1.0, omega=r, gamma0=1.0)

@@ -10,8 +10,9 @@ from scipy.integrate import quad
 import gravclock as gc
 from gravclock.cli import _EARTH
 from gravclock import numerics
+from gravclock.model import _interference
 from gravclock.numerics import block_rows, panel_quadrature
-from conftest import UNIT_SCALES, random_specs, relabelled
+from conftest import UNIT_SCALES, lorentzian_line, random_specs, relabelled
 
 
 def make_spec(z1=0.0, z2=0.02, delta=0.01, theta=math.pi / 8, phi=0.0):
@@ -76,7 +77,8 @@ def test_quantum_correction_moments_and_adaptive_agree():
                     / (math.sqrt(math.pi) * w), mu - 12.0 * w, mu + 12.0 * w,
                     epsabs=1e-14, epsrel=1e-12, limit=200)[0]
 
-    ad = spec.interference_weight / spec.norm_bracket * (
+    a, b = _interference(spec.theta, spec.phi, spec.z2 - spec.z1, spec.delta)
+    ad = a / b * (
         moment(0.5 * (spec.z1 + spec.z2))
         - math.cos(spec.theta) ** 2 * moment(spec.z1)
         - math.sin(spec.theta) ** 2 * moment(spec.z2))
@@ -230,7 +232,7 @@ def test_survival_sampled_matches_analytic():
 def test_lorentzian_line_unit_area():
     for zeta in (0.0, 0.25, 0.5):
         u = 1e3 * zeta  # integrate centered so quadpack sees the peak
-        mass, _ = quad(lambda x: gc.lorentzian_line(x + u, zeta, 1e3),
+        mass, _ = quad(lambda x: lorentzian_line(x + u, zeta, 1e3),
                        -np.inf, np.inf)
         assert mass == pytest.approx(1.0, abs=1e-10)
 
@@ -239,7 +241,7 @@ def test_lorentzian_line_finite_window_mass():
     """Window mass must match the arctan closed form exactly."""
     zeta, r, w = 0.25, 1e3, 80.0
     u, gam = r * zeta, 1.0 + zeta
-    mass, _ = quad(gc.lorentzian_line, u - w, u + w, args=(zeta, r),
+    mass, _ = quad(lorentzian_line, u - w, u + w, args=(zeta, r),
                    points=[u], limit=200)
     want = (math.atan(2.0 * w / gam) - math.atan(-2.0 * w / gam)) / math.pi
     assert mass == pytest.approx(want, rel=1e-12)
@@ -249,11 +251,11 @@ def test_lorentzian_line_peak_and_width():
     zeta, r = 0.3, 1e3
     u, gam = r * zeta, 1.0 + zeta
     nu = np.linspace(u - 10.0, u + 10.0, 4001)
-    p = gc.lorentzian_line(nu, zeta, r)
+    p = lorentzian_line(nu, zeta, r)
     assert gc.line_peak(nu, p) == pytest.approx(u, abs=1e-9)
     assert gc.line_fwhm(nu, p) == pytest.approx(gam, rel=1e-4)
     with pytest.raises(gc.HorizonError):
-        gc.lorentzian_line(0.0, -1.0, r)
+        lorentzian_line(0.0, -1.0, r)
 
 
 def test_spectrum_voigt_equals_quadrature_at_narrow_width():

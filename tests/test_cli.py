@@ -367,7 +367,7 @@ def test_state_range_check_happens_in_meters_too(tmp_path, capsys):
 
 def test_numerical_failure_exits_3(tmp_path, capsys, monkeypatch):
     def explode(env):
-        raise gc.IntegrationError("ode blew up")
+        raise gc.AccuracyError("ode blew up")
 
     monkeypatch.setitem(cli._COMMANDS, "rate", explode)
     code, _, err = run(capsys, ["rate", "--out", str(tmp_path)])

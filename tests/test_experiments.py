@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 import gravclock as gc
 from conftest import UNIT_SCALES, random_specs
-from gravclock.experiments import _ridge_theta
+from gravclock.experiments import _ridge_theta, figure1_grid
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +36,19 @@ def test_gammaq_closed_grid_degenerate_corner_is_zero():
                               0.0, 0.01)))
 
 
+@pytest.mark.parametrize("width", [1e200, 1e-200])
+def test_gammaq_closed_grid_scales_with_any_finite_width(width):
+    """The excess is the width times its unit-width value, with no
+    overflow or underflow on the way, at widths whose square leaves float
+    range."""
+    unit = float(gc.gammaq_closed_grid(0.7, math.pi, 0.05, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = float(gc.gammaq_closed_grid(0.7, math.pi, 0.05 * width, width))
+    assert got == pytest.approx(width * unit, rel=1e-15)
+    assert unit != 0.0
+
+
 def test_gammaq_closed_grid_swap_symmetry():
     """Relabeling packets: (theta, dz) -> (pi/2 - theta, -dz) is the same
     physical state, so the excess is identical."""
@@ -57,28 +71,31 @@ def test_sweep_spec_validation():
                      dz_values=(0.01,))
     spec = gc.SweepSpec(delta_zeta=0.01, theta_values=(0.1, 0.2),
                         phi_values=(0.0,), dz_values=(0.01, 0.02, 0.03))
-    assert len(gc.figure1_sweep(spec)) == 6
+    assert figure1_grid(spec)[-1].size == 6
 
 
-def test_figure1_sweep_rows_and_methods_agree():
+def test_figure1_grid_axes_and_values_agree():
     spec = gc.SweepSpec(delta_zeta=0.01,
                         theta_values=tuple(np.linspace(0.0, math.pi / 2, 9)),
                         phi_values=(0.0, 2.2),
                         dz_values=tuple(np.linspace(0.0, 0.05, 7)))
-    rows = gc.figure1_sweep(spec)
-    assert rows.shape == (9 * 2 * 7, 4)
+    theta, phi, dz, gammaq = figure1_grid(spec)
+    assert gammaq.shape == (9, 2, 7)
     # first axis is theta, last is dz (C order)
-    assert rows[0, 0] == rows[1, 0] == 0.0
-    assert rows[0, 2] == 0.0 and rows[1, 2] == pytest.approx(0.05 / 6)
-    # column 3 is the closed-form kernel, bit for bit, on every default panel
+    assert theta[:, 0, 0].tolist() == list(spec.theta_values)
+    assert phi[0, :, 0].tolist() == list(spec.phi_values)
+    assert dz[0, 0, 0] == 0.0 and dz[0, 0, 1] == pytest.approx(0.05 / 6)
+    # the values are the closed-form kernel on the flattened mesh, bit for
+    # bit, on every default panel
     panels = gc.figure1_default_panels()
     for spec in panels.values():
-        rows = gc.figure1_sweep(spec)
-        assert np.array_equal(rows[:, 3], gc.gammaq_closed_grid(
-            rows[:, 0], rows[:, 1], rows[:, 2], spec.delta_zeta))
+        rows = np.broadcast_arrays(*figure1_grid(spec))
+        assert np.array_equal(rows[3].ravel(), gc.gammaq_closed_grid(
+            rows[0].ravel(), rows[1].ravel(), rows[2].ravel(),
+            spec.delta_zeta))
     # including the zero-norm corner of panel c: theta = pi/4, phi = pi, dz = 0
-    rows = gc.figure1_sweep(panels["c"])
-    corner = rows[100 * 201]
+    rows = [c.ravel() for c in np.broadcast_arrays(*figure1_grid(panels["c"]))]
+    corner = [c[100 * 201] for c in rows]
     assert corner[:3] == pytest.approx([math.pi / 4, math.pi, 0.0],
                                       rel=1e-6, abs=0.0)
     assert corner[3] == 0.0
@@ -92,7 +109,7 @@ def test_figure1_default_panels_layout():
     assert panels["c"].phi_values == (math.pi,)
     for spec in panels.values():
         assert spec.dz_values[-1] == pytest.approx(0.05)
-        assert len(gc.figure1_sweep(spec)) == 41 * 41
+        assert figure1_grid(spec)[-1].size == 41 * 41
 
 
 # ---------------------------------------------------------------------------

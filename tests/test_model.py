@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from scipy.integrate import quad
 
 import gravclock as gc
+from gravclock.cli import _EARTH
+from gravclock.model import _interference, _zeta_packets
 from conftest import UNIT_SCALES, random_specs, relabelled
 
 
@@ -68,9 +70,10 @@ def test_scales_reject_c_whose_square_overflows():
 def test_norm_constant_closed_form():
     """Unit packets two widths apart, equal weights, no phase."""
     spec = make_spec()
-    assert spec.overlap == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert spec.norm_bracket == pytest.approx(1.0 + math.exp(-1.0),
-                                              rel=1e-15)
+    a, b = _interference(spec.theta, spec.phi, spec.z2 - spec.z1, spec.delta)
+    assert a == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert b == spec.norm_bracket == pytest.approx(1.0 + math.exp(-1.0),
+                                                   rel=1e-15)
 
 
 @pytest.mark.parametrize("z2,delta", [(1e200, 1.0), (0.0, 1e-200)])
@@ -157,6 +160,46 @@ def test_zero_norm_state_rejected():
         make_spec(z2=0.0, theta=math.pi / 4, phi=math.pi)
 
 
+# the state at Earth scale (zeta ~ 1e-18) and at desk scale (zeta ~ 1e-3),
+# drawn in zeta units: (zeta1, width, dz / width)
+EARTH_PACKETS = (st.floats(-1e-17, 1e-17), st.floats(1e-19, 1e-17),
+                 st.floats(0.05, 5.0))
+DESK_PACKETS = (st.floats(-0.01, 0.01), st.floats(1e-4, 1e-2),
+                st.floats(0.05, 5.0))
+ANGLES = (st.floats(0.0, math.pi / 2), st.floats(0.0, 2.0 * math.pi,
+                                                 exclude_max=True),
+          st.sampled_from((-1.0, 1.0)))
+
+
+@pytest.mark.parametrize("packets", [EARTH_PACKETS, DESK_PACKETS],
+                         ids=["earth", "desk"])
+def test_density_and_rate_excess_read_one_interference_term(packets):
+    """The superposition density's weights and both routes of the rate
+    excess are the kernel's A and B at the spec's separation and width in
+    zeta units, bit for bit."""
+    scales = _EARTH
+
+    @given(*packets, *ANGLES)
+    def check(zeta1, width, ratio, theta, phi, sign):
+        zetas = (zeta1, zeta1 + sign * ratio * width, width)
+        try:
+            spec = gc.SuperpositionSpec(
+                *(float(scales.height_m(z)) for z in zetas), theta, phi)
+        except gc.ConfigurationError:
+            assume(False)
+        z1, z2, dz, width = _zeta_packets(spec, scales)
+        a, b = _interference(theta, phi, dz, width)
+        c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+        dens = gc.HeightDensity.superposition(spec, scales)
+        assert dens.weights == (c2 / b, s2 / b, a / b)
+        assert gc.quantum_correction(spec, scales) == float(
+            0.5 * np.asarray(dz) * np.cos(2.0 * np.asarray(theta)) * a / b)
+        assert gc.quantum_correction(spec, scales, method="quadrature") \
+            == a / b * (0.5 * (z1 + z2) - c2 * z1 - s2 * z2)
+
+    check()
+
+
 # ---------------------------------------------------------------------------
 # height densities
 # ---------------------------------------------------------------------------
@@ -168,7 +211,7 @@ def test_height_density_superposition_components():
     assert dens.is_analytic
     assert dens.centers == (0.0, 0.02, 0.01)
     assert sum(dens.weights) == pytest.approx(1.0, abs=1e-15)
-    a, b = spec.interference_weight, spec.norm_bracket
+    a, b = _interference(spec.theta, spec.phi, 0.02, 0.01)
     assert dens.weights[2] == pytest.approx(a / b, rel=1e-15)
     lo, hi = dens.support
     assert lo == pytest.approx(0.0 - 12.0 * 0.01)

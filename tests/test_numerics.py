@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 import gravclock as gc
-from conftest import UNIT_SCALES, random_specs
+from conftest import UNIT_SCALES, lorentzian_line, random_specs
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +941,7 @@ def test_too_weak_coupling_fails_loudly():
     p, q = _coupling_line("flat", grid, u, 1.1, 100.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(gc.IntegrationError, match="too weak"):
+        with pytest.raises(gc.AccuracyError, match="too weak"):
             _comb_eigen(grid, u, 1e-16 * p, 1e-16 * q)
 
 
@@ -950,7 +950,7 @@ def test_unsettled_roots_fail_loudly(monkeypatch):
     counts them, not a silent midpoint."""
     monkeypatch.setattr(gc.numerics, "_MAX_PASSES", 1)
     grid = gc.ModeGrid.for_line(0.3, 100.0)
-    with pytest.raises(gc.IntegrationError,
+    with pytest.raises(gc.AccuracyError,
                        match=f"^{grid.n_modes + 1} comb eigenvalues "
                              "unsettled"):
         gc.ww_simulate(0.3, 100.0, grid, 1.0)
@@ -979,7 +979,7 @@ def test_ww_simulate_defect_matches_exact_sums():
 
 def test_ww_simulate_refuses_defect_past_bound(monkeypatch):
     monkeypatch.setattr(gc.numerics, "_MAX_DEFECT", -1.0)
-    with pytest.raises(gc.IntegrationError, match="defect"):
+    with pytest.raises(gc.AccuracyError, match="defect"):
         toy_run(s_max=1.0)
 
 
@@ -1004,7 +1004,7 @@ def test_ww_simulate_refuses_a_perturbed_weight(monkeypatch, root):
         w[root] += 1e-5
 
     perturb_comb_eigen(monkeypatch, change)
-    with pytest.raises(gc.IntegrationError, match="defect"):
+    with pytest.raises(gc.AccuracyError, match="defect"):
         toy_run()
 
 
@@ -1018,7 +1018,7 @@ def test_ww_simulate_names_the_check_that_missed(monkeypatch):
         w /= math.fsum(w)
 
     perturb_comb_eigen(monkeypatch, change)
-    with pytest.raises(gc.IntegrationError) as caught:
+    with pytest.raises(gc.AccuracyError) as caught:
         toy_run()
     names = [part.split(" defect ")[0] for part in
              str(caught.value).split("; ")]
@@ -1038,10 +1038,12 @@ def test_ww_simulate_checks_the_trajectory_at_zero(monkeypatch):
         return alpha
 
     monkeypatch.setattr(gc.numerics, "_alpha_trajectory", patched)
-    with pytest.raises(gc.IntegrationError,
+    with pytest.raises(gc.AccuracyError,
                        match=r"^trajectory alpha\(0\) = sum\(w\) defect "
-                             r"1\.000e-05 exceeds 1e-06$"):
+                             r"1\.000e-05 exceeds 1e-06$") as caught:
         toy_run()
+    assert caught.value.estimate == pytest.approx(1e-5, rel=1e-6)
+    assert caught.value.bound == 1e-6
 
 
 def test_ww_simulate_is_deterministic():
@@ -1120,14 +1122,16 @@ def test_oracle_spectrum_toy_line():
 
 def test_oracle_spectrum_needs_five_lifetimes():
     run = toy_run(s_max=3.0)
-    with pytest.raises(gc.ValidityError, match="lifetimes"):
+    with pytest.raises(gc.AccuracyError, match="lifetimes") as caught:
         gc.oracle_spectrum(run)
+    assert caught.value.estimate == run.times[-1] * (1.0 + run.zeta)
+    assert caught.value.bound == 5.0
 
 
 def test_line_peak_parabolic_refinement():
     u = 0.013  # falls between nodes of the coarse grid
     nu = np.linspace(-10.0, 10.0, 41)
-    p = gc.lorentzian_line(nu, 0.0, 1.0) * 0.0 + 1.0 / (
+    p = lorentzian_line(nu, 0.0, 1.0) * 0.0 + 1.0 / (
         0.25 + (nu - u) ** 2)
     assert gc.line_peak(nu, p) == pytest.approx(u, abs=0.01)
 
@@ -1142,11 +1146,11 @@ def test_line_fwhm_guards():
     nu = np.linspace(-1.0, 1.0, 21)
     spike = np.zeros(21)
     spike[10] = 1.0
-    with pytest.raises(gc.ValidityError):
+    with pytest.raises(gc.AccuracyError):
         gc.line_fwhm(nu, spike)
     # whole window above half max: crossings outside the grid
     wide = 1.0 / (1.0 + 0.1 * nu**2)
-    with pytest.raises(gc.ValidityError):
+    with pytest.raises(gc.AccuracyError):
         gc.line_fwhm(nu, wide)
 
 

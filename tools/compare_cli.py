@@ -3,6 +3,7 @@ files written with those of another checkout.
 
     python tools/compare_cli.py OUT
     python tools/compare_cli.py OUT --against REF [--expect PATTERN ...]
+    python tools/compare_cli.py OUT --write-manifest
 
 Run it from anywhere: it imports gravclock from the ``src/`` of the
 checkout it sits in.  To get the files of a checkout that predates this
@@ -29,14 +30,21 @@ relative difference of two numbers is |a - b| / max(|a|, |b|).  The exit
 status is 1 if any file differs, or is on one side only, unless its path
 below OUT matches one of the ``--expect`` glob patterns (for example
 ``'spectrum_quadrature_*/spectrum.csv'``), and 0 otherwise.
+
+``--write-manifest`` rewrites ``tests/cli_manifest.json``: the SHA-256 of
+every file written, with the Python and numpy versions they were written
+under.  ``tests/test_byte_identity.py`` writes the same runs and holds
+their digests to it.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import fnmatch
+import hashlib
 import io
 import json
+import platform
 import re
 import sys
 import tempfile
@@ -48,6 +56,8 @@ import numpy as np  # noqa: E402
 
 import gravclock as gc  # noqa: E402
 from gravclock import cli, serialize  # noqa: E402
+
+MANIFEST = Path(__file__).resolve().parents[1] / "tests" / "cli_manifest.json"
 
 COMMANDS = ("rate", "spectrum", "survival", "oracle", "sweep", "figures",
             "tcoh")
@@ -136,6 +146,25 @@ def run_all(out: Path) -> None:
             print(f"{name}: exit {status}", flush=True)
 
 
+def write_runs(out: Path) -> None:
+    """Write the files of every run, sampled run and the scan into out."""
+    run_all(out)
+    run_sampled(out)
+    run_scan(out)
+
+
+def digests(out: Path) -> dict[str, str]:
+    """The SHA-256 of every file below out, by its path below out."""
+    return {p.relative_to(out).as_posix():
+            hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def versions() -> dict[str, str]:
+    """The Python and numpy versions whose arithmetic the digests pin."""
+    return {"python": platform.python_version(), "numpy": np.__version__}
+
+
 def difference(got: bytes, want: bytes) -> str | None:
     """None for identical bytes, else a one-line account of the change."""
     if got == want:
@@ -182,10 +211,14 @@ def main(argv=None) -> int:
     parser.add_argument("--expect", action="append", default=[],
                         metavar="PATTERN",
                         help="glob of files below OUT allowed to differ")
+    parser.add_argument("--write-manifest", action="store_true",
+                        help=f"rewrite {MANIFEST.name} from this run")
     args = parser.parse_args(argv)
-    run_all(args.out)
-    run_sampled(args.out)
-    run_scan(args.out)
+    write_runs(args.out)
+    if args.write_manifest:
+        MANIFEST.write_text(json.dumps({**versions(),
+                                        "files": digests(args.out)},
+                                       indent=1) + "\n")
     if args.against is None:
         return 0
     return compare(args.out, args.against, args.expect)
