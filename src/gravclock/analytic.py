@@ -40,7 +40,8 @@ class RateResult:
 
 
 def gammaq_closed_grid(theta, phi, dz, delta_zeta):
-    """Closed-form rate excess, vectorized; heights in zeta units.
+    """Closed-form rate excess, vectorized over theta, phi and dz at one
+    width; heights in zeta units.
 
     The interference component's share of the mean height,
     (A/B) * dz * cos(2 theta) / 2, with the interference weight

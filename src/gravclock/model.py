@@ -13,8 +13,9 @@ zeta ~ 1e-19 while r ~ 1e17, so the shifted line position u = r*zeta must be
 formed as that product and never as a difference of absolute frequencies.
 
 The two-packet state's interference weight A and norm bracket B = 1 + A are
-formed in one function, ``_interference``: the densities and both routes of
-the rate excess read it in zeta units, the spec's norm check in meters.
+formed in one function, ``_interference``: the superposition's density and
+both routes of the rate excess read it in zeta units, the spec's norm check
+in meters.
 """
 from __future__ import annotations
 
@@ -141,10 +142,11 @@ def _validate_angles(theta: float, phi: float | None) -> None:
 def _interference(theta, phi, dz, width):
     """The two-packet state's interference weight
     A = cos(phi) sin(2 theta) exp(-dz^2 / 4 width^2) and norm bracket
-    B = 1 + A, vectorized; dz and width in one unit.  Both are first scaled
-    by the power of two that brings the width into [0.5, 1), exactly, so
-    the exponent keeps the bits of dz**2 / (4 width**2) at any finite width."""
-    width, k = np.frexp(width)
+    B = 1 + A, vectorized over the angles and dz; dz and the one width in
+    one unit.  Both are first scaled by the power of two that brings the
+    width into [0.5, 1), exactly, so the exponent keeps the bits of
+    dz**2 / (4 width**2) at any finite width."""
+    width, k = math.frexp(width)
     dz = np.ldexp(dz, -k)
     a = np.cos(phi) * np.sin(2.0 * theta) * np.exp(
         -(dz * dz) / (4.0 * (width * width)))
