@@ -147,9 +147,11 @@ def _interference(theta, phi, dz, width):
     width into [0.5, 1), exactly, so the exponent keeps the bits of
     dz**2 / (4 width**2) at any finite width."""
     width, k = math.frexp(width)
-    dz = np.ldexp(dz, -k)
-    a = np.cos(phi) * np.sin(2.0 * theta) * np.exp(
-        -(dz * dz) / (4.0 * (width * width)))
+    # past ~1e154 widths apart dz * dz overflows to inf, where A is 0
+    with np.errstate(over="ignore"):
+        dz = np.ldexp(dz, -k)
+        e = np.exp(-(dz * dz) / (4.0 * (width * width)))
+    a = np.cos(phi) * np.sin(2.0 * theta) * e
     return a, 1.0 + a
 
 
