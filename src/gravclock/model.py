@@ -146,12 +146,12 @@ def _interference(theta, phi, dz, width):
     one unit.  Both are first scaled by the power of two that brings the
     width into [0.5, 1), exactly, so the exponent keeps the bits of
     dz**2 / (4 width**2) at any finite width."""
-    width, k = math.frexp(width)
-    # past ~1e154 widths apart dz * dz overflows to inf, where A is 0
-    with np.errstate(over="ignore"):
-        dz = np.ldexp(dz, -k)
-        e = np.exp(-(dz * dz) / (4.0 * (width * width)))
-    a = np.cos(phi) * np.sin(2.0 * theta) * e
+    # the cap at 2**1023 still lifts a subnormal width's square clear of
+    # underflow
+    scale = math.ldexp(1.0, min(-math.frexp(width)[1], 1023))
+    dz, width = dz * scale, width * scale
+    a = np.cos(phi) * np.sin(2.0 * theta) * np.exp(
+        -(dz * dz) / (4.0 * (width * width)))
     return a, 1.0 + a
 
 

@@ -49,16 +49,6 @@ def test_gammaq_closed_grid_scales_with_any_finite_width(width):
     assert unit != 0.0
 
 
-def test_gammaq_closed_grid_packets_beyond_float_range_apart():
-    """Packets so far apart, in widths, that dz^2 overflows have no overlap:
-    the excess is exactly 0, with no overflow warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert float(gc.gammaq_closed_grid(0.7, math.pi, 1e200, 1.0)) == 0.0
-        assert float(gc.gammaq_closed_grid(0.7, math.pi, 1e10, 1e-300)) \
-            == 0.0
-
-
 def test_gammaq_closed_grid_swap_symmetry():
     """Relabeling packets: (theta, dz) -> (pi/2 - theta, -dz) is the same
     physical state, so the excess is identical."""
