@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (_NORM_FLOOR, C_LIGHT, HBAR, STANDARD_GRAVITY,
+from .model import (_NORM_FLOOR, _NUMBER, C_LIGHT, HBAR, STANDARD_GRAVITY,
                     ConfigurationError, DimensionlessScales, HeightDensity,
                     SuperpositionSpec, _SUPPORT_PANELS, _c_squared,
                     _interference, _require_finite, _require_positive,
@@ -56,8 +56,33 @@ def gammaq_closed_grid(theta, phi, dz, delta_zeta):
     dz = np.asarray(dz, dtype=float)
     a, b = _interference(theta, phi, dz, delta_zeta)
     degenerate = b < _NORM_FLOOR
-    val = 0.5 * dz * np.cos(2.0 * theta) * a / np.where(degenerate, 1.0, b)
-    return np.where(degenerate, 0.0, val)
+    return np.where(degenerate, 0.0,
+                    _closed_form(theta, dz, a, np.where(degenerate, 1.0, b)))
+
+
+def _closed_form(theta, dz, a, b):
+    """(A/B) * dz * cos(2 theta) / 2 from the kernel's A and B; on Python
+    floats where theta is a number, as in :func:`_interference`."""
+    trig = math if isinstance(theta, _NUMBER) else np
+    return 0.5 * dz * trig.cos(2.0 * theta) * a / b
+
+
+def _check_method(method: str) -> None:
+    if method not in ("closed-form", "quadrature"):
+        raise ConfigurationError(
+            f"method must be closed-form|quadrature, got {method!r}")
+
+
+def _excess(theta: float, z1: float, z2: float, dz: float, a: float,
+            b: float, method: str) -> float:
+    """gammaQ_inv of a superposition from its packets z1, z2 and their
+    separation dz in zeta units and the kernel's A and B there, by
+    ``method`` (see :func:`quantum_correction`)."""
+    if method == "closed-form":
+        return 0.0 if b < _NORM_FLOOR else float(_closed_form(theta, dz, a, b))
+    moment = (0.5 * (z1 + z2) - math.cos(theta) ** 2 * z1
+              - math.sin(theta) ** 2 * z2)
+    return float(a / b * moment)
 
 
 def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
@@ -69,35 +94,39 @@ def quantum_correction(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     densities' first moments component by component, from the three
     absolute centers: (A/B) * (zeta_mid - cos^2 theta zeta1
     - sin^2 theta zeta2).  It is the same algebra in another rounding, not
-    an independent check.  Both read A and B at the separation and width
-    in zeta units, as the superposition's density does.  The moments are of
+    an independent check.  Both read A and B at the separation and width in
+    zeta units, as the superposition's density does.  The moments are of
     zeta, not 1 + zeta: adding 1 would round Earth-scale heights
-    (zeta ~ 1e-16) away.
+    (zeta ~ 1e-16) away.  Both take one state on scalars, not numpy's 0-d
+    arrays: a separation whose square passes float range gives 0.0 without
+    a warning.
     """
-    if method not in ("closed-form", "quadrature"):
-        raise ConfigurationError(
-            f"method must be closed-form|quadrature, got {method!r}")
+    _check_method(method)
     z1, z2, dz, width = _zeta_packets(sup, scales)
-    if method == "closed-form":
-        return float(gammaq_closed_grid(sup.theta, sup.phi, dz, width))
     a, b = _interference(sup.theta, sup.phi, dz, width)
-    moment = (0.5 * (z1 + z2) - math.cos(sup.theta) ** 2 * z1
-              - math.sin(sup.theta) ** 2 * z2)
-    return float(a / b * moment)
+    return _excess(sup.theta, z1, z2, dz, a, b, method)
 
 
 def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
-                method: str = "closed-form") -> RateResult:
+                method: str = "closed-form",
+                density: HeightDensity | None = None) -> RateResult:
     """Both states' mean rates <1 + zeta> plus their difference.
 
-    Only gammaQ_inv follows ``method``, through :func:`quantum_correction`
-    rather than by subtracting the two rates -- at Earth gravity the
-    difference sits ~18 digits below the rates themselves.
+    Only gammaQ_inv follows ``method``, as :func:`quantum_correction` gives
+    it, rather than by subtracting the two rates -- at Earth gravity the
+    difference sits ~18 digits below the rates themselves.  ``density`` is
+    ``HeightDensity.superposition(sup, scales)`` where the caller has built
+    it already; its interference term serves gammaQ_inv too.
     """
+    _check_method(method)
+    if density is None:
+        density = HeightDensity.superposition(sup, scales)
+    dz, a, b = density._kernel
+    z1, z2 = density.centers[:2]
     return RateResult(
-        gamma_sup=1.0 + HeightDensity.superposition(sup, scales).mean(),
-        gamma_cl=1.0 + HeightDensity.mixture(sup.mixture(), scales).mean(),
-        gammaQ_inv=quantum_correction(sup, scales, method=method),
+        gamma_sup=1.0 + density.mean(),
+        gamma_cl=1.0 + HeightDensity.mixture(sup, scales).mean(),
+        gammaQ_inv=_excess(sup.theta, z1, z2, dz, a, b, method),
         method=method)
 
 
@@ -384,6 +413,11 @@ def khandelwal_tcoh_reduced(kp: KhandelwalParams, z1: float, z2: float, *,
     With alpha_w = cos^2(theta) and sigma_z = Delta this is identically the
     closed-form quantum_correction.
     """
-    full = khandelwal_tcoh_full(kp, z1, z2, g=g, c=c)
+    return _reduced_excess(khandelwal_tcoh_full(kp, z1, z2, g=g, c=c))
+
+
+def _reduced_excess(full: TcohResult) -> float:
+    """:func:`khandelwal_tcoh_reduced` from the full bracket at the same
+    inputs."""
     n = full.n_factor
     return (n - 1.0) / (2.0 * n) * full.term2

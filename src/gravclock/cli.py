@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -36,6 +37,7 @@ _DEFAULT_STATE = {"zeta1": 0.0, "zeta2": 0.02, "delta_zeta": 0.01,
                   "kind": "superposition"}
 
 _REQUIRED = object()
+_FLOAT_MAX = sys.float_info.max
 
 
 def _bad(path: str, message: str):
@@ -59,30 +61,30 @@ class _Key:
     options: tuple[str, ...] = ()
     nullable: bool = False
 
-    def check(self, path: str, value):
-        """``value`` if this key accepts it; else ConfigurationError."""
+    def refusal(self, value) -> str | None:
+        """Why this key refuses ``value``, or None if it accepts it."""
         lo, hi = self.lo, self.hi
         if value is None and (self.default is None or self.nullable):
             return None
         if self.options:
             if value not in self.options:
-                _bad(path, f"must be one of {'|'.join(self.options)}, "
-                           f"got {value!r}")
+                return (f"must be one of {'|'.join(self.options)}, "
+                        f"got {value!r}")
         elif isinstance(self.default, str):
             if not isinstance(value, str):
-                _bad(path, "must be a string")
+                return "must be a string"
         elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            _bad(path, "must be a number")
+            return "must be a number"
         elif isinstance(self.default, int) and not isinstance(value, int):
-            _bad(path, "must be an integer")
-        elif not -sys.float_info.max <= value <= sys.float_info.max:
+            return "must be an integer"
+        elif not -_FLOAT_MAX <= value <= _FLOAT_MAX:
             # exact for any int, false for nan
-            _bad(path, "must be finite and within float range")
+            return "must be finite and within float range"
         elif lo is not None and (value <= lo if self.lo_open else value < lo):
-            _bad(path, f"must be {'>' if self.lo_open else '>='} {lo}")
+            return f"must be {'>' if self.lo_open else '>='} {lo}"
         elif hi is not None and value > hi:
-            _bad(path, f"must be <= {hi}")
-        return value
+            return f"must be <= {hi}"
+        return None
 
 
 _POSITIVE = dict(lo=0.0, lo_open=True)
@@ -140,6 +142,12 @@ CONFIG_SCHEMA = {
     },
 }
 
+# What a config that leaves out a CONFIG_SCHEMA entry gets, built once: a
+# section's defaults (each config gets a copy), or a key's default.
+_DEFAULTS = {name: {key: entry.default for key, entry in spec.items()}
+             if isinstance(spec, dict) else spec.default
+             for name, spec in CONFIG_SCHEMA.items()}
+
 _PARAMS = {
     "g": _Key(STANDARD_GRAVITY, **_POSITIVE),
     "c": _Key(C_LIGHT, **_POSITIVE),
@@ -186,7 +194,10 @@ def _merge(path: str, sec, table: dict) -> dict:
     out = {}
     for key, spec in table.items():
         if key in sec:
-            out[key] = spec.check(f"{path}.{key}", sec[key])
+            value = out[key] = sec[key]
+            error = spec.refusal(value)
+            if error is not None:
+                _bad(f"{path}.{key}", error)
         elif spec.default is _REQUIRED:
             _bad(f"{path}.{key}", "is required")
         else:
@@ -204,8 +215,8 @@ def _merge_state(sec) -> dict:
     mixture drops ``phi_rad``."""
     if not isinstance(sec, dict):
         _bad("state", "must be an object")
-    has_m = any(k in sec for k in _METER_PACKET)
-    has_z = any(k in sec for k in _ZETA_PACKET)
+    has_m = not sec.keys().isdisjoint(_METER_PACKET)
+    has_z = not sec.keys().isdisjoint(_ZETA_PACKET)
     if has_m and has_z:
         _bad("state", "mixes meter and zeta coordinate keys")
     if not has_m and not has_z:
@@ -257,13 +268,20 @@ def validate_config(cfg: dict) -> dict:
     merged = {}
     if "params" in cfg:
         merged["params"] = _merge("params", cfg["params"], _PARAMS)
-    merged["state"] = _merge_state(cfg.get("state", _DEFAULT_STATE))
+    merged["state"] = _merge_state(cfg["state"]) if "state" in cfg \
+        else dict(_DEFAULT_STATE)
     for name, spec in CONFIG_SCHEMA.items():
-        if isinstance(spec, _Key):
-            merged[name] = spec.check(name, cfg[name]) if name in cfg \
-                else spec.default
+        if name not in cfg:
+            default = _DEFAULTS[name]
+            merged[name] = dict(default) if isinstance(spec, dict) \
+                else default
+        elif isinstance(spec, _Key):
+            error = spec.refusal(cfg[name])
+            if error is not None:
+                _bad(name, error)
+            merged[name] = cfg[name]
         else:
-            merged[name] = _merge(name, cfg.get(name, {}), spec)
+            merged[name] = _merge(name, cfg[name], spec)
     window = merged["spectrum"]["nu_min"], merged["spectrum"]["nu_max"]
     if None not in window:
         _check_window(*window)
@@ -286,7 +304,8 @@ def _check_zeta_range(scales: DimensionlessScales, packet: list) -> None:
 
 
 class _Env:
-    """Everything a command needs, resolved from config + flags."""
+    """Everything a command needs, resolved from config + flags: the scales,
+    the state's spec and its density, each built once."""
 
     def __init__(self, cfg: dict, args: argparse.Namespace):
         self.cfg = cfg
@@ -296,7 +315,8 @@ class _Env:
             packet = [self.scales.height_m(sec[k]) for k in _ZETA_PACKET]
         else:
             packet = [sec[k] for k in _METER_PACKET]
-        z1, z2, delta, theta = (float(x) for x in (*packet, sec["theta_rad"]))
+        z1, z2, delta = map(float, packet)
+        theta = float(sec["theta_rad"])
         try:
             if sec["kind"] == "mixture":
                 self.spec = MixtureSpec(z1=z1, z2=z2, delta=delta,
@@ -318,18 +338,27 @@ class _Env:
             self.density = build(self.spec, self.scales)
         except (ConfigurationError, HorizonError) as exc:
             _bad("state", str(exc))
-        self.out = self._resolve_out(cfg, args)
+        self.out = _output_dir(args.out or cfg["out"])
 
-    @staticmethod
-    def _resolve_out(cfg: dict, args) -> Path:
-        out = Path(args.out or cfg["out"])
-        if not out.is_dir():
+    def path(self, name: str) -> str:
+        """The path of the output file ``name``."""
+        return os.path.join(self.out, name)
+
+
+def _output_dir(name: str) -> str:
+    """``name`` if it is a writable directory, as ``Path(name)`` reads it;
+    else ConfigurationError."""
+    if not os.path.isdir(name):
+        # Path reads '' as '.'; the messages name the path as it reads it
+        path = Path(name)
+        if not path.is_dir():
             raise ConfigurationError(
-                f"out: output directory {str(out)!r} does not exist")
-        if not os.access(out, os.W_OK):
-            raise ConfigurationError(
-                f"out: output directory {str(out)!r} is not writable")
-        return out
+                f"out: output directory {str(path)!r} does not exist")
+        name = str(path)
+    if not os.access(name, os.W_OK):
+        raise ConfigurationError(
+            f"out: output directory {str(Path(name))!r} is not writable")
+    return name
 
 
 def cmd_rate(env: _Env) -> int:
@@ -339,8 +368,9 @@ def cmd_rate(env: _Env) -> int:
             "state.kind: rate needs a superposition state (the mixture is "
             "derived from it)")
     result = analytic.decay_rates(spec, env.scales,
-                                  method=env.cfg["rate"]["method"])
-    serialize.dump_json(env.out / "rate.json", result.to_dict())
+                                  method=env.cfg["rate"]["method"],
+                                  density=env.density)
+    serialize.dump_json(env.path("rate.json"), result.to_dict())
     print(format(result.gammaQ_inv, ".11e"))
     return 0
 
@@ -367,7 +397,7 @@ def cmd_spectrum(env: _Env) -> int:
     grid = np.linspace(nu_min, nu_max, sec["n_points"])
     result = analytic.spectrum(density, grid, env.scales.r,
                                method=sec["method"])
-    serialize.write_csv(env.out / "spectrum.csv", "nu,p",
+    serialize.write_csv(env.path("spectrum.csv"), "nu,p",
                         [result.nu_grid, result.p_values])
     if result.low_mass:
         print(f"warning: frequency window captures only "
@@ -380,7 +410,7 @@ def cmd_survival(env: _Env) -> int:
     sec = env.cfg["survival"]
     s = np.linspace(0.0, sec["s_max"], sec["n_points"])
     p = analytic.survival_probability(env.density, s)
-    serialize.write_csv(env.out / "survival.csv", "s,p", [s, p])
+    serialize.write_csv(env.path("survival.csv"), "s,p", [s, p])
     return 0
 
 
@@ -406,13 +436,13 @@ def cmd_oracle(env: _Env) -> int:
     deviation, s_cap, truncated = run.single_pole_deviation(
         sec["compare_up_to"])
     # the summary goes first: it is the file a run too short to fit fails on
-    serialize.dump_json(env.out / "oracle_summary.json", {
+    serialize.dump_json(env.path("oracle_summary.json"), {
         "zeta": zeta, "r": r, "fitted_rate": run.fitted_rate,
         "fit_residual": run.fit_residual,
         "max_deviation_single_pole": deviation})
-    serialize.write_csv(env.out / "oracle_trajectory.csv", "s,alpha_sq",
+    serialize.write_csv(env.path("oracle_trajectory.csv"), "s,alpha_sq",
                         [run.times, run.alpha_sq])
-    serialize.write_csv(env.out / "oracle_modes.csv", "nu,beta_sq",
+    serialize.write_csv(env.path("oracle_modes.csv"), "nu,beta_sq",
                         [grid.nus, run.beta_sq_final])
     note = " (comparison truncated at the comb recurrence)" \
         if truncated else ""
@@ -422,7 +452,7 @@ def cmd_oracle(env: _Env) -> int:
     return 0
 
 
-def _write_sweep(path: Path, spec: experiments.SweepSpec) -> None:
+def _write_sweep(path: str, spec: experiments.SweepSpec) -> None:
     gammaq = experiments.figure1_grid(spec)[-1]
     serialize.write_csv(path, "theta,phi,dz,gammaQ_inv", [gammaq.ravel()],
                         axes=(spec.theta_values, spec.phi_values,
@@ -433,7 +463,7 @@ def cmd_sweep(env: _Env) -> int:
     sec = env.cfg["sweep"]
     panels = experiments.figure1_default_panels(
         n_grid=sec["n_grid"], delta_zeta=sec["delta_zeta"])
-    _write_sweep(env.out / "sweep.csv", panels[sec["panel"]])
+    _write_sweep(env.path("sweep.csv"), panels[sec["panel"]])
     return 0
 
 
@@ -441,11 +471,11 @@ def cmd_figures(env: _Env) -> int:
     sec = env.cfg["figures"]
     panels = experiments.figure1_default_panels(n_grid=sec["n_grid"])
     for name, spec in panels.items():
-        _write_sweep(env.out / f"figure1_{name}.csv", spec)
+        _write_sweep(env.path(f"figure1_{name}.csv"), spec)
     cases = experiments.figure2_default_cases(n_points=sec["n_nu"])
     for name, case in cases.items():
         res_sup, res_mix = experiments.figure2_lines(case)
-        serialize.write_csv(env.out / f"figure2_{name}.csv", "nu,p_sup,p_cl",
+        serialize.write_csv(env.path(f"figure2_{name}.csv"), "nu,p_sup,p_cl",
                             [case.nu_grid, res_sup.p_values,
                              res_mix.p_values])
     return 0
@@ -470,11 +500,11 @@ def cmd_tcoh(env: _Env) -> int:
             alpha_w=sec["alpha_w"], phi=sec["phi_rad"], t=sec["t_s"],
             m=mass)
         full = analytic.khandelwal_tcoh_full(kp, z1, z2, g=g, c=c)
-        reduced = analytic.khandelwal_tcoh_reduced(kp, z1, z2, g=g, c=c)
     except ConfigurationError as exc:
         _bad("tcoh", str(exc))
+    reduced = analytic._reduced_excess(full)
     report = experiments.term_magnitude_report(g=g, c=c)
-    serialize.dump_json(env.out / "tcoh.json", {
+    serialize.dump_json(env.path("tcoh.json"), {
         "term1": full.term1, "term2": full.term2, "term3": full.term3,
         "n_factor": full.n_factor, "tcoh_s": full.tcoh,
         "reduced_gammaQ": reduced,
@@ -519,21 +549,100 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _direct_commands() -> dict:
+    """For each command whose options are all flags that store one string,
+    its flags by option string and their defaults by dest, as
+    ``_build_parser()`` declares them: the argv ``_read_argv`` reads."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    commands = {}
+    for name, command in sub.choices.items():
+        stores = [a for a in command._actions
+                  if not isinstance(a, argparse._HelpAction)]
+        if all(type(a) is argparse._StoreAction and a.option_strings
+               and a.nargs is None and a.type is None and a.choices is None
+               and not a.required for a in stores):
+            commands[name] = ({flag: a.dest for a in stores
+                               for flag in a.option_strings},
+                              {sub.dest: name,
+                               **{a.dest: a.default for a in stores}})
+    return commands
+
+
+def _read_argv(argv: list) -> argparse.Namespace | None:
+    """The Namespace ``_build_parser().parse_args(argv)`` returns, when argv
+    is a command followed only by pairs of one of its flags, spelled out,
+    and a value that does not start with '-' (the last value of a flag
+    wins, as in argparse); None for any other argv, which argparse reads.
+    """
+    if not argv or not all(type(a) is str for a in argv):
+        return None
+    command = _direct_commands().get(argv[0])
+    if command is None or len(argv) % 2 == 0:
+        return None
+    flags, values = command
+    values = dict(values)
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        dest = flags.get(flag)
+        if dest is None or value.startswith("-"):
+            return None
+        values[dest] = value
+    return argparse.Namespace(**values)
+
+
+def _config_bytes(name: str) -> bytes:
+    """The bytes of the config file ``name``, which must be a regular file
+    as ``Path(name)`` reads it; else ConfigurationError."""
+    try:
+        regular = stat.S_ISREG(os.stat(name).st_mode)
+    except (OSError, ValueError):
+        regular = False
+    if not regular:
+        # Path drops a trailing '/' or '.' that the file system would not
+        name = Path(name)
+        if not name.is_file():
+            raise ConfigurationError(f"--config: file {str(name)!r} not "
+                                     "found")
+    fd = os.open(name, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _parse_config(data: bytes):
+    """The JSON value of a config file's bytes, which must be UTF-8 text;
+    else ConfigurationError."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"--config: not UTF-8 text ({exc})") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if "\r" in text:
+            # the position as a text-mode read gives it, newlines translated
+            try:
+                json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+            except json.JSONDecodeError as translated:
+                exc = translated
+        raise ConfigurationError(f"--config: not valid JSON ({exc})") from exc
+
+
 def _load_config(args: argparse.Namespace) -> dict:
     if args.config is None:
         return validate_config({})
-    path = Path(args.config)
-    if not path.is_file():
-        raise ConfigurationError(f"--config: file {str(path)!r} not found")
-    try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"--config: not valid JSON ({exc})") from exc
-    return validate_config(cfg)
+    return validate_config(_parse_config(_config_bytes(args.config)))
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv) or _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         env = _Env(cfg, args)

@@ -20,7 +20,7 @@ in meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, NamedTuple
 
@@ -36,6 +36,10 @@ STANDARD_GRAVITY = 9.80665      # m / s^2
 
 # Interference terms below this leave no usable norm in the state.
 _NORM_FLOOR = 1e-12
+
+# The types that scalar paths take on Python floats rather than numpy's
+# 0-d arrays (a numpy float64 is a float).
+_NUMBER = (int, float)
 
 
 class ConfigurationError(ValueError):
@@ -117,10 +121,19 @@ class DimensionlessScales:
         """Line-shift-per-unit-zeta, Omega/Gamma0."""
         return self.omega / self.gamma0
 
+    # A number converts on Python floats: the same bits as the array form,
+    # without its 0-d arrays, and inf without a warning past float range.
+
     def zeta(self, z_m):
-        return self.g * np.asarray(z_m, dtype=float) / self.c**2
+        c2 = self.c**2
+        # a c whose square underflows divides by 0: numpy's inf, not an error
+        if isinstance(z_m, _NUMBER) and c2:
+            return self.g * float(z_m) / c2
+        return self.g * np.asarray(z_m, dtype=float) / c2
 
     def height_m(self, zeta):
+        if isinstance(zeta, _NUMBER):
+            return float(zeta) * self.c**2 / self.g
         return np.asarray(zeta, dtype=float) * self.c**2 / self.g
 
 
@@ -150,7 +163,12 @@ def _interference(theta, phi, dz, width):
     # underflow
     scale = math.ldexp(1.0, min(-math.frexp(width)[1], 1023))
     dz, width = dz * scale, width * scale
-    a = np.cos(phi) * np.sin(2.0 * theta) * np.exp(
+    # Numbers take math's cos and sin, numpy's bits without its 0-d arrays,
+    # but numpy's exp, whose bits math's does not always give.  A number dz
+    # squares on Python floats: inf past float range, without a warning.
+    trig = math if isinstance(theta, _NUMBER) and isinstance(phi, _NUMBER) \
+        else np
+    a = trig.cos(phi) * trig.sin(2.0 * theta) * np.exp(
         -(dz * dz) / (4.0 * (width * width)))
     return a, 1.0 + a
 
@@ -222,8 +240,8 @@ def _zeta_packets(spec: SuperpositionSpec | MixtureSpec,
                   scales: DimensionlessScales) -> list[float]:
     """[z1, z2, dz, width] of a meter-unit spec in zeta units; dz is the
     converted z2 - z1, which keeps its precision far from zeta = 0."""
-    return scales.zeta((spec.z1, spec.z2, spec.z2 - spec.z1,
-                        spec.delta)).tolist()
+    return [float(scales.zeta(x))
+            for x in (spec.z1, spec.z2, spec.z2 - spec.z1, spec.delta)]
 
 
 class _Panels(NamedTuple):
@@ -268,6 +286,11 @@ class HeightDensity:
     centers: tuple[float, ...] = ()
     weights: tuple[float, ...] = ()
     pdf: Callable | None = None
+    # A superposition's (dz, A, B): its packet separation and the kernel's
+    # values there, in zeta units, which the closed form of its rate excess
+    # reads; None for other densities.
+    _kernel: tuple[float, float, float] | None = field(
+        default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         lo, hi = (float(self.support[0]), float(self.support[1]))
@@ -333,7 +356,8 @@ class HeightDensity:
                    math.sin(spec.theta) ** 2 / b,
                    a / b)
         return cls(support=_hint(centers, width),
-                   width=width, centers=centers, weights=weights)
+                   width=width, centers=centers, weights=weights,
+                   _kernel=(dz, a, b))
 
     @classmethod
     def mixture(cls, spec: MixtureSpec | SuperpositionSpec,

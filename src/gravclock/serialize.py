@@ -30,10 +30,11 @@ rows it appears on.  The bytes are those of the expanded table.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
+import os
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -66,24 +67,38 @@ def fmt17(x) -> str:
 
 
 def _render(value, depth: int, path: str) -> str:
+    """The JSON text of ``value``, nested ``depth`` levels deep at ``path``
+    (named in errors).  Strings are quoted by the C function ``json.dumps``
+    itself uses; a float's text is its %.16e.  A finite float or a string,
+    the usual values, is written in its container's loop, without a call."""
     pad = "  " * depth
     inner = "  " * (depth + 1)
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: '
-                 f'{_render(v, depth + 1, f"{path}.{k}" if path else str(k))}'
-                 for k, v in value.items()]
+        items = []
+        for k, v in value.items():
+            k = str(k)
+            if type(v) is float and v - v == 0.0:
+                text = _FMT % v
+            elif type(v) is str:
+                text = _quote(v)
+            else:
+                text = _render(v, depth + 1, f"{path}.{k}" if path else k)
+            items.append(f"{inner}{_quote(k)}: {text}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(value, (list, tuple, np.ndarray)):
         seq = list(value)
         if not seq:
             return "[]"
-        items = [f"{inner}{_render(v, depth + 1, f'{path}[{i}]')}"
+        items = [inner + (_FMT % v if type(v) is float and v - v == 0.0
+                          else _render(v, depth + 1, f"{path}[{i}]"))
                  for i, v in enumerate(seq)]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -91,12 +106,20 @@ def _render(value, depth: int, path: str) -> str:
             raise NonFiniteError(f"{path}: non-finite value {float(value)}")
         return fmt17(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def dump_json(path, obj: dict) -> None:
-    Path(path).write_text(_render(obj, 0, "") + "\n")
+    """Write ``obj`` as indented JSON.  Its text is built whole, so nothing
+    is written when a value is refused, and written in one binary write."""
+    data = memoryview((_render(obj, 0, "") + "\n").encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 @cache

@@ -1,7 +1,8 @@
 """Byte identity of the CLI's files: the runs of ``tools/compare_cli.py``
 (every command on its defaults and on the README examples, the quadrature
-lines, three oracle runs, the sampled densities and the optimal-state scan)
-against the SHA-256 digests of ``cli_manifest.json``.
+lines, three oracle runs, the CLI's refusals and other flag spellings, the
+sampled densities and the optimal-state scan) against the SHA-256 digests
+of ``cli_manifest.json``.
 
 The digests pin the arithmetic of the Python and numpy versions they were
 written under (numpy's FFT and elementwise kernels shape the oracle's

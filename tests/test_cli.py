@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import re
@@ -9,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gravclock as gc
-from gravclock import cli
+from gravclock import analytic, cli, model
 
 UNIT_PARAMS = {"g": 1.0, "c": 1.0, "omega_rad_s": 2.0, "gamma0_s": 1.0}
 METER_STATE = {"z1_m": 0.0, "z2_m": 2.0, "delta_m": 1.0,
@@ -313,6 +315,45 @@ def test_config_file_invalid_json(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("kind", ["not_utf8", "directory", "missing"])
+def test_unreadable_config_exits_2_naming_the_flag(tmp_path, capsys, kind):
+    """A config that is not a file of UTF-8 text is refused with exit 2 and
+    a message naming --config, not a traceback."""
+    path = tmp_path / "cfg.json"
+    if kind == "not_utf8":
+        path.write_bytes(b'\xff\xfe{"a": 1')
+        want = ("error: --config: not UTF-8 text ('utf-8' codec can't "
+                "decode byte 0xff in position 0: invalid start byte)\n")
+    else:
+        if kind == "directory":
+            path.mkdir()
+        want = f"error: --config: file {str(path)!r} not found\n"
+    code, out, err = run(capsys, ["rate", "--config", str(path),
+                                  "--out", str(tmp_path)])
+    assert (code, out, err) == (2, "", want)
+    assert not (tmp_path / "rate.json").exists()
+
+
+@pytest.mark.parametrize("data", [
+    b'{\r\n  "rate": {"method": "quadrature"},\r\n}',
+    b'{"rate":\r{"method": 1',
+    b'\xef\xbb\xbf{}',
+    b'{"out": "caf\xc3\xa9"\n"x"}',
+])
+def test_bad_json_message_reads_as_text(tmp_path, capsys, data):
+    """The config's bytes are decoded as UTF-8; where they are not valid
+    JSON, the message gives the position a text-mode read of the file
+    gives (newlines translated), as it always has."""
+    path = tmp_path / "cfg.json"
+    path.write_bytes(data)
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(path.read_text(encoding="utf-8"))
+    code, _, err = run(capsys, ["rate", "--config", str(path),
+                                "--out", str(tmp_path)])
+    assert (code, err) == (2, f"error: --config: not valid JSON "
+                              f"({exc.value})\n")
+
+
 def test_missing_output_directory(tmp_path, capsys):
     code, _, err = run(capsys, ["rate", "--out", str(tmp_path / "absent")])
     assert code == 2
@@ -339,6 +380,84 @@ def test_parser_is_built_once(tmp_path, capsys):
                                   "--out", str(tmp_path)])
         assert code == 0
         assert cli._build_parser() is parser
+
+
+ARGV_FLAGS = ["--config", "--out", "--conf", "--config=x", "-h", "--", "-x"]
+ARGV_TOKENS = [*sorted(cli._COMMANDS), "nope", *ARGV_FLAGS, "", "cfg.json",
+               "out", "-", "a b"]
+
+
+@settings(max_examples=400)
+@given(st.one_of(
+    st.lists(st.sampled_from(ARGV_TOKENS), max_size=6),
+    st.builds(lambda command, pairs: [command, *sum(pairs, ())],
+              st.sampled_from(sorted(cli._COMMANDS)),
+              st.lists(st.tuples(st.sampled_from(ARGV_FLAGS),
+                                 st.sampled_from(ARGV_TOKENS)),
+                       max_size=3))))
+def test_direct_argv_reader_agrees_with_argparse(argv):
+    """Whenever main reads an argv without argparse, argparse reads it to
+    the same Namespace, without exiting."""
+    args = cli._read_argv(argv)
+    if args is not None:
+        assert cli._build_parser().parse_args(argv) == args
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate"],
+    ["tcoh", "--out", "out", "--config", "cfg.json"],
+    ["rate", "--config", "a.json", "--config", "b.json", "--out", "o"],
+    ["spectrum", "--config", ""],
+])
+def test_plain_argv_is_read_directly(argv):
+    args = cli._read_argv(argv)
+    assert args is not None
+    assert args == cli._build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("method", ["closed-form", "quadrature"])
+def test_rate_request_builds_its_state_once(tmp_path, capsys, monkeypatch,
+                                            method):
+    """One rate request builds the superposition's density once and runs
+    the interference kernel twice: the spec's norm check in meters and the
+    density in zeta units, which the rate excess reuses."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    kernel = counted("kernel", model._interference)
+    monkeypatch.setattr(model, "_interference", kernel)
+    monkeypatch.setattr(analytic, "_interference", kernel)
+    monkeypatch.setattr(model.HeightDensity, "superposition", classmethod(
+        counted("superposition",
+                model.HeightDensity.superposition.__func__)))
+    cfg = write_cfg(tmp_path, {"state": METER_STATE,
+                               "rate": {"method": method}})
+    code, _, err = run(capsys, ["rate", "--config", cfg,
+                                "--out", str(tmp_path)])
+    assert (code, err) == (0, "")
+    assert calls == {"superposition": 1, "kernel": 2}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("method", ["closed-form", "quadrature"])
+def test_rate_is_silent_for_packets_far_apart(tmp_path, capsys, method):
+    """Packets ~1e300 widths apart: the interference term is 0, and no
+    numpy overflow warning reaches the console."""
+    cfg = write_cfg(tmp_path, {
+        "params": UNIT_PARAMS,
+        "state": {"z1_m": 0.0, "z2_m": 1e150, "delta_m": 1e-150,
+                  "theta_rad": 0.5, "phi_rad": 0.0},
+        "rate": {"method": method}})
+    code, out, err = run(capsys, ["rate", "--config", cfg,
+                                  "--out", str(tmp_path)])
+    assert (code, out, err) == (0, "0.00000000000e+00\n", "")
+    assert json.loads((tmp_path / "rate.json").read_text())[
+        "gammaQ_inv"] == 0.0
 
 
 def test_every_subcommand_takes_only_the_common_flags():

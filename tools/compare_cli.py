@@ -10,11 +10,18 @@ checkout it sits in.  To get the files of a checkout that predates this
 script, copy the script into that checkout's ``tools/`` and run it there.
 
 Each run of ``RUNS`` writes its command's files into ``OUT/<run>/``, plus
-``console.txt``: the exit status, stdout and stderr.  The runs are the
+``console.txt``: the exit status (an argparse ``SystemExit`` included),
+stdout and stderr.  The runs are the
 defaults (all seven commands on an empty config), the README examples, a
 ``spectrum`` with ``"method": "quadrature"`` at desk scale (r = 1e3) and at
 Earth scale (the defaults), and ``oracle`` runs with flat and tilted
-couplings and at r = 1e4.  Every CLI density is analytic, so the library
+couplings and at r = 1e4.  The runs of ``ARGV_RUNS`` pin how the CLI
+reads its flags and refuses what it cannot read: flags argparse reads in
+other spellings or refuses, config files that are missing, not files, not
+UTF-8 or not JSON, an unknown key, a missing output directory and a state
+at the horizon.  Their consoles write the run's temporary directory as
+``<TMP>`` and its output directory as ``<OUT>``, so that their bytes do not
+depend on where the runs are made.  Every CLI density is analytic, so the library
 runs of ``SAMPLED`` cover the sampled-density paths: each pdf callable is
 built with ``HeightDensity.from_callable`` and writes a line at r = 1e3
 (``spectrum.csv``), a survival curve (``survival.csv``) and its
@@ -44,11 +51,13 @@ import fnmatch
 import hashlib
 import io
 import json
+import os
 import platform
 import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -77,6 +86,26 @@ RUNS = (
     ("oracle_tilted", "oracle", {"oracle": {"coupling": "tilted"}}),
     # 52001 modes and 19864 samples: the longest sums of any run
     ("oracle_r1e4", "oracle", {"oracle": {"zeta": 0.3, "r": 1e4}}),
+)
+
+
+# name, argv and the bytes of its config file (None: none is written), for
+# runs that are not "COMMAND --config CFG --out OUT" on a valid config.  In
+# argv, {cfg} is the config file's path, {tmp} the temporary directory that
+# holds it and {out} the run's output directory.
+_CFG, _OUT = ["--config", "{cfg}"], ["--out", "{out}"]
+ARGV_RUNS = (
+    ("argv_unknown_flag", ["rate", "--quad-order", "80", *_CFG, *_OUT], b"{}"),
+    ("argv_abbreviated_flag", ["rate", "--conf", "{cfg}", *_OUT], b"{}"),
+    ("argv_config_equals", ["rate", "--config={cfg}", *_OUT], b"{}"),
+    ("config_missing", ["rate", *_CFG, *_OUT], None),
+    ("config_directory", ["rate", "--config", "{tmp}", *_OUT], None),
+    ("config_invalid_json", ["rate", *_CFG, *_OUT], b"{not json"),
+    ("config_not_utf8", ["rate", *_CFG, *_OUT], b'\xff\xfe{"a": 1'),
+    ("config_unknown_key", ["rate", *_CFG, *_OUT], b'{"frobnicate": 1}'),
+    ("out_missing", ["rate", *_CFG, "--out", "{tmp}/absent"], b"{}"),
+    ("state_at_horizon", ["survival", *_CFG, *_OUT],
+     b'{"state": {"zeta1": -0.9, "zeta2": 0.0, "delta_zeta": 0.01}}'),
 )
 
 
@@ -127,22 +156,36 @@ def run_scan(out: Path) -> None:
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 
 
+def _runs():
+    """(name, argv, config bytes) of every run of RUNS and ARGV_RUNS."""
+    for name, command, config in RUNS:
+        yield name, [command, *_CFG, *_OUT], json.dumps(config).encode()
+    yield from ARGV_RUNS
+
+
 def run_all(out: Path) -> None:
     """Write the files of every run into out/<run>/."""
     with tempfile.TemporaryDirectory() as tmp:
-        for name, command, config in RUNS:
+        for name, argv, config in _runs():
             run_dir = out / name
             run_dir.mkdir(parents=True, exist_ok=True)
             cfg = Path(tmp) / f"{name}.json"
-            cfg.write_text(json.dumps(config))
+            if config is not None:
+                cfg.write_bytes(config)
+            argv = [a.format(cfg=cfg, tmp=tmp, out=run_dir) for a in argv]
             stdout, stderr = io.StringIO(), io.StringIO()
+            # argparse wraps its usage text to the terminal's width
             with contextlib.redirect_stdout(stdout), \
-                    contextlib.redirect_stderr(stderr):
-                status = cli.main([command, "--config", str(cfg),
-                                   "--out", str(run_dir)])
+                    contextlib.redirect_stderr(stderr), \
+                    mock.patch.dict(os.environ, COLUMNS="80"):
+                try:
+                    status = cli.main(argv)
+                except SystemExit as exc:
+                    status = exc.code
+            console = (f"exit {status}\n--- stdout\n{stdout.getvalue()}"
+                       f"--- stderr\n{stderr.getvalue()}")
             (run_dir / "console.txt").write_text(
-                f"exit {status}\n--- stdout\n{stdout.getvalue()}"
-                f"--- stderr\n{stderr.getvalue()}")
+                console.replace(str(run_dir), "<OUT>").replace(tmp, "<TMP>"))
             print(f"{name}: exit {status}", flush=True)
 
 
