@@ -11,17 +11,17 @@ script, copy the script into that checkout's ``tools/`` and run it there.
 
 Each run of ``RUNS`` writes its command's files into ``OUT/<run>/``, plus
 ``console.txt``: the exit status (an argparse ``SystemExit`` included),
-stdout and stderr.  The runs are the
-defaults (all seven commands on an empty config), the README examples, a
-``spectrum`` with ``"method": "quadrature"`` at desk scale (r = 1e3) and at
-Earth scale (the defaults), and ``oracle`` runs with flat and tilted
-couplings and at r = 1e4.  The runs of ``ARGV_RUNS`` pin how the CLI
-reads its flags and refuses what it cannot read: flags argparse reads in
-other spellings or refuses, config files that are missing, not files, not
-UTF-8 or not JSON, an unknown key, a missing output directory and a state
-at the horizon.  Their consoles write the run's temporary directory as
-``<TMP>`` and its output directory as ``<OUT>``, so that their bytes do not
-depend on where the runs are made.  Every CLI density is analytic, so the library
+stdout and stderr.  The runs are the defaults (all seven commands on an
+empty config), the README examples, a ``spectrum`` with
+``"method": "quadrature"`` at desk scale (r = 1e3) and at Earth scale (the
+defaults), and ``oracle`` runs with flat and tilted couplings and at
+r = 1e4.  The runs of ``ARGV_RUNS`` pin how the CLI reads its flags and
+refuses what it cannot read: flags argparse reads in other spellings or
+refuses, config files that are missing, not files, not UTF-8 or not JSON,
+an unknown key, a missing output directory and a state at the horizon.
+Consoles write the run's temporary directory as ``<TMP>`` and its output
+directory as ``<OUT>``, so that their bytes do not depend on where the
+runs are made.  Every CLI density is analytic, so the library
 runs of ``SAMPLED`` cover the sampled-density paths: each pdf callable is
 built with ``HeightDensity.from_callable`` and writes a line at r = 1e3
 (``spectrum.csv``), a survival curve (``survival.csv``) and its
