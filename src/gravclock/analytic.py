@@ -116,7 +116,8 @@ def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     it, rather than by subtracting the two rates -- at Earth gravity the
     difference sits ~18 digits below the rates themselves.  ``density`` is
     ``HeightDensity.superposition(sup, scales)`` where the caller has built
-    it already; its interference term serves gammaQ_inv too.
+    it already; its interference term serves gammaQ_inv, and its packets the
+    mixture's mean.
     """
     _check_method(method)
     if density is None:
@@ -125,7 +126,8 @@ def decay_rates(sup: SuperpositionSpec, scales: DimensionlessScales, *,
     z1, z2 = density.centers[:2]
     return RateResult(
         gamma_sup=1.0 + density.mean(),
-        gamma_cl=1.0 + HeightDensity.mixture(sup, scales).mean(),
+        gamma_cl=1.0 + (math.cos(sup.theta) ** 2 * z1
+                        + math.sin(sup.theta) ** 2 * z2),
         gammaQ_inv=_excess(sup.theta, z1, z2, dz, a, b, method),
         method=method)
 

@@ -32,9 +32,9 @@ _EARTH = DimensionlessScales(g=STANDARD_GRAVITY, c=C_LIGHT,
                              omega=_EARTH_OMEGA,
                              gamma0=_EARTH_OMEGA / _EARTH_R)
 
-_DEFAULT_STATE = {"zeta1": 0.0, "zeta2": 0.02, "delta_zeta": 0.01,
-                  "theta_rad": math.pi / 8, "phi_rad": 0.0,
-                  "kind": "superposition"}
+# The reference state's theta, a zeta-form state's default; tcoh's alpha_w
+# defaults to its cos^2.
+_THETA_REF = math.pi / 8
 
 _REQUIRED = object()
 _FLOAT_MAX = sys.float_info.max
@@ -133,7 +133,7 @@ CONFIG_SCHEMA = {
         "sigma_z_m": _Key(None, **_POSITIVE),
         "sigma_v_m_s": _Key(None, **_POSITIVE),
         "p_bar": _Key(0.0),
-        "alpha_w": _Key(math.cos(math.pi / 8) ** 2, lo=0.0, hi=1.0),
+        "alpha_w": _Key(math.cos(_THETA_REF) ** 2, lo=0.0, hi=1.0),
         "phi_rad": _Key(0.0),
         "t_s": _Key(1e-8, lo=0.0),
         "mass_kg": _Key(1e-27, **_POSITIVE),
@@ -169,7 +169,7 @@ _ZETA_STATE = {
     "zeta1": _Key(_REQUIRED),
     "zeta2": _Key(_REQUIRED),
     "delta_zeta": _Key(_REQUIRED, **_POSITIVE),
-    "theta_rad": _Key(0.0, **_THETA),
+    "theta_rad": _Key(_THETA_REF, **_THETA),
     "phi_rad": _Key(0.0, **_PHI),
     "kind": _KIND,
 }
@@ -203,6 +203,11 @@ def _merge(path: str, sec, table: dict) -> dict:
         else:
             out[key] = spec.default
     return out
+
+
+# The reference state, which a config without ``state`` gets.
+_DEFAULT_STATE = _merge("state", {"zeta1": 0.0, "zeta2": 0.02,
+                                  "delta_zeta": 0.01}, _ZETA_STATE)
 
 
 def _check_window(nu_min: float, nu_max: float) -> None:
@@ -315,16 +320,12 @@ class _Env:
             packet = [self.scales.height_m(sec[k]) for k in _ZETA_PACKET]
         else:
             packet = [sec[k] for k in _METER_PACKET]
-        z1, z2, delta = map(float, packet)
-        theta = float(sec["theta_rad"])
+        # a mixture's section has no phi_rad: its spec takes theta alone
+        angles = [sec[k] for k in ("theta_rad", "phi_rad") if k in sec]
+        mixture = sec["kind"] == "mixture"
         try:
-            if sec["kind"] == "mixture":
-                self.spec = MixtureSpec(z1=z1, z2=z2, delta=delta,
-                                        theta=theta)
-            else:
-                self.spec = SuperpositionSpec(z1=z1, z2=z2, delta=delta,
-                                              theta=theta,
-                                              phi=float(sec["phi_rad"]))
+            self.spec = (MixtureSpec if mixture else SuperpositionSpec)(
+                *map(float, packet + angles))
         except ConfigurationError as exc:
             _bad("state", str(exc))
         if "zeta1" not in sec:
@@ -332,7 +333,7 @@ class _Env:
         # The horizon rule lives in HeightDensity.  Building the density
         # here, once the params have set the scales, applies it to both
         # state forms on every command.
-        build = HeightDensity.mixture if sec["kind"] == "mixture" \
+        build = HeightDensity.mixture if mixture \
             else HeightDensity.superposition
         try:
             self.density = build(self.spec, self.scales)
@@ -417,8 +418,8 @@ def cmd_survival(env: _Env) -> int:
 def cmd_oracle(env: _Env) -> int:
     sec = env.cfg["oracle"]
     zeta, r = sec["zeta"], sec["r"]
-    # the window and the coupling are refused here, before the solve, so
-    # that the message names the key at fault
+    # the window, the coupling and a run too short to fit are refused here,
+    # before the solve, so that the message names the key at fault
     try:
         grid = numerics.ModeGrid.for_line(
             zeta, r, halfwidth_linewidths=sec["halfwidth_linewidths"],
@@ -431,7 +432,14 @@ def cmd_oracle(env: _Env) -> int:
                                 r)
     except ConfigurationError as exc:
         _bad("oracle.coupling", str(exc))
-    run = numerics.ww_simulate(zeta, r, grid, sec["s_max"],
+    s_max = sec["s_max"]
+    fit = numerics._fit_mask(numerics._run_times(grid, r * zeta, s_max), grid)
+    if fit.sum() < numerics._FIT_SAMPLES:
+        _bad("oracle.s_max", f"a run to s = {s_max:g} records {fit.sum()} "
+                             f"samples in s = [0.5, "
+                             f"{min(5.0, grid.trusted_s):g}]; the decay-rate "
+                             f"fit needs >= {numerics._FIT_SAMPLES}")
+    run = numerics.ww_simulate(zeta, r, grid, s_max,
                                coupling=sec["coupling"])
     deviation, s_cap, truncated = run.single_pole_deviation(
         sec["compare_up_to"])

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import SpectrumResult, gammaq_closed_grid, spectrum
-from .model import C_LIGHT, HBAR, STANDARD_GRAVITY, ConfigurationError, \
-    HeightDensity, _c_squared, _require_positive, _square
+from .model import (_UNIT_SCALES, C_LIGHT, HBAR, STANDARD_GRAVITY,
+                    ConfigurationError, HeightDensity, SuperpositionSpec,
+                    _c_squared, _require_positive, _square)
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,12 @@ class LineCase:
 
 def figure2_lines(case: LineCase) -> tuple[SpectrumResult, SpectrumResult]:
     """(superposition, mixture) line shapes for one case."""
-    dens_sup = HeightDensity.superposition_zeta(
-        case.zeta1, case.zeta2, case.delta_zeta, math.pi / 4, 0.0)
-    dens_mix = HeightDensity.mixture_zeta(
-        case.zeta1, case.zeta2, case.delta_zeta, math.pi / 4)
-    grid = case.nu_grid
-    return (spectrum(dens_sup, grid, case.r),
-            spectrum(dens_mix, grid, case.r))
+    spec = SuperpositionSpec(z1=case.zeta1, z2=case.zeta2,
+                             delta=case.delta_zeta, theta=math.pi / 4,
+                             phi=0.0)
+    return tuple(spectrum(build(spec, _UNIT_SCALES), case.nu_grid, case.r)
+                 for build in (HeightDensity.superposition,
+                               HeightDensity.mixture))
 
 
 def figure2_default_cases(*, n_points: int = 4001) -> dict[str, LineCase]:

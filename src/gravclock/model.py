@@ -141,17 +141,6 @@ class DimensionlessScales:
 _UNIT_SCALES = DimensionlessScales(g=1.0, c=1.0, omega=2.0, gamma0=1.0)
 
 
-def _validate_angles(theta: float, phi: float | None) -> None:
-    _require_finite("theta", theta)
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ConfigurationError(
-            f"theta must lie in [0, pi/2], got {theta!r} (not wrapped)")
-    if phi is not None:
-        _require_finite("phi", phi)
-        if not 0.0 <= phi < 2.0 * math.pi:
-            raise ConfigurationError(f"phi must lie in [0, 2*pi), got {phi!r}")
-
-
 def _interference(theta, phi, dz, width):
     """The two-packet state's interference weight
     A = cos(phi) sin(2 theta) exp(-dz^2 / 4 width^2) and norm bracket
@@ -174,23 +163,37 @@ def _interference(theta, phi, dz, width):
 
 
 @dataclass(frozen=True)
-class SuperpositionSpec:
-    """Two-packet coherent state cos(theta)|z1> + e^{i phi} sin(theta)|z2>.
-
-    Heights and the packet spread ``delta`` are in meters; angles in radians.
-    """
+class MixtureSpec:
+    """Classical mixture: packets at z1 and z2 weighted cos^2/sin^2 theta;
+    heights and the packet spread ``delta`` in meters, theta in radians."""
 
     z1: float
     z2: float
     delta: float
     theta: float
-    phi: float
 
     def __post_init__(self) -> None:
         _require_finite("z1", self.z1)
         _require_finite("z2", self.z2)
         _require_positive("delta", self.delta)
-        _validate_angles(self.theta, self.phi)
+        if not 0.0 <= _require_finite("theta", self.theta) <= math.pi / 2:
+            raise ConfigurationError(f"theta must lie in [0, pi/2], got "
+                                     f"{self.theta!r} (not wrapped)")
+
+
+@dataclass(frozen=True)
+class SuperpositionSpec(MixtureSpec):
+    """Two-packet coherent state cos(theta)|z1> + e^{i phi} sin(theta)|z2>:
+    the mixture's packets and the relative phase ``phi`` in radians.  Its
+    norm check refuses squares past float range, which a mixture takes."""
+
+    phi: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= _require_finite("phi", self.phi) < 2.0 * math.pi:
+            raise ConfigurationError(
+                f"phi must lie in [0, 2*pi), got {self.phi!r}")
         if not (_square(self.z2 - self.z1) < math.inf
                 and 0.0 < 4.0 * _square(self.delta) < math.inf):
             raise ConfigurationError(
@@ -208,27 +211,6 @@ class SuperpositionSpec:
         return float(_interference(self.theta, self.phi, self.z2 - self.z1,
                                    self.delta)[1])
 
-    def mixture(self) -> "MixtureSpec":
-        """The decohered counterpart: same packets and weights, no phase."""
-        return MixtureSpec(z1=self.z1, z2=self.z2, delta=self.delta,
-                           theta=self.theta)
-
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Classical mixture: the same two packets with weights cos^2/sin^2 theta."""
-
-    z1: float
-    z2: float
-    delta: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        _require_finite("z1", self.z1)
-        _require_finite("z2", self.z2)
-        _require_positive("delta", self.delta)
-        _validate_angles(self.theta, None)
-
 
 # Support hint extends this many packet widths past the outermost centers;
 # the Gaussian mass beyond is ~exp(-144), far under the 1e-20 contract.
@@ -236,7 +218,7 @@ _SUPPORT_WIDTHS = 12.0
 _SUPPORT_PANELS = 32   # equal panels across a density's support
 
 
-def _zeta_packets(spec: SuperpositionSpec | MixtureSpec,
+def _zeta_packets(spec: MixtureSpec,
                   scales: DimensionlessScales) -> list[float]:
     """[z1, z2, dz, width] of a meter-unit spec in zeta units; dz is the
     converted z2 - z1, which keeps its precision far from zeta = 0."""
@@ -351,22 +333,29 @@ class HeightDensity:
         from :func:`_interference` in zeta units, as the closed forms."""
         z1, z2, dz, width = _zeta_packets(spec, scales)
         a, b = map(float, _interference(spec.theta, spec.phi, dz, width))
-        centers = (z1, z2, 0.5 * (z1 + z2))
-        weights = (math.cos(spec.theta) ** 2 / b,
-                   math.sin(spec.theta) ** 2 / b,
-                   a / b)
-        return cls(support=_hint(centers, width),
-                   width=width, centers=centers, weights=weights,
-                   _kernel=(dz, a, b))
+        return cls._two_packets(z1, z2, width, spec.theta, (dz, a, b))
 
     @classmethod
-    def mixture(cls, spec: MixtureSpec | SuperpositionSpec,
+    def mixture(cls, spec: MixtureSpec,
                 scales: DimensionlessScales) -> "HeightDensity":
+        """The mixture of ``spec``, which may be a superposition's."""
         z1, z2, _, width = _zeta_packets(spec, scales)
+        return cls._two_packets(z1, z2, width, spec.theta)
+
+    @classmethod
+    def _two_packets(cls, z1: float, z2: float, width: float, theta: float,
+                     kernel: tuple | None = None) -> "HeightDensity":
+        """A superposition's density from its kernel (dz, A, B); a mixture's,
+        (A, B) = (0, 1), with no kernel and no midpoint component, which a
+        superposition keeps even where A is 0 (quadrature splits there)."""
         centers = (z1, z2)
-        weights = (math.cos(spec.theta) ** 2, math.sin(spec.theta) ** 2)
-        return cls(support=_hint(centers, width),
-                   width=width, centers=centers, weights=weights)
+        weights = (math.cos(theta) ** 2, math.sin(theta) ** 2)
+        if kernel is not None:
+            _, a, b = kernel
+            centers += (0.5 * (z1 + z2),)
+            weights = (weights[0] / b, weights[1] / b, a / b)
+        return cls(support=_hint(centers, width), width=width,
+                   centers=centers, weights=weights, _kernel=kernel)
 
     @classmethod
     def superposition_zeta(cls, zeta1: float, zeta2: float, delta_zeta: float,

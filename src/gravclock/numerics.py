@@ -467,6 +467,7 @@ def voigt_profile(x, sigma: float, gamma) -> np.ndarray:
 _MAX_DNU = 0.05          # coarsest spacing that still resolves the line
 _MIN_MARGIN_LW = 25.0    # window margin around the shifted line, in linewidths
 _MAX_DEFECT = 1e-6       # largest defect of a run's checks (ww_simulate)
+_FIT_SAMPLES = 8         # fewest samples the decay-rate fit takes
 # Passes of the root solver before it gives up.  Default combs settle in
 # four, far stronger or weaker couplings in ~16; bisection alone would
 # close a bracket 2^20 gaps wide to adjacent floats around any |d| >= 2^-60
@@ -1020,6 +1021,21 @@ def _mode_amplitudes(d: np.ndarray, z: np.ndarray) -> np.ndarray:
     return c
 
 
+def _run_times(grid: ModeGrid, u: float, s_max: float) -> np.ndarray:
+    """The times a run on ``grid`` records |alpha|^2 at, from 0 to s_max:
+    ceil(s_max * 4 * detuning / pi) equal steps, with detuning the largest
+    mode detuning from the shifted line u = r*zeta."""
+    detuning = max(u - grid.nu_min, grid.nu_max - u)
+    n_steps = math.ceil(s_max * 4.0 * detuning / math.pi)
+    return np.linspace(0.0, s_max, n_steps + 1)
+
+
+def _fit_mask(times: np.ndarray, grid: ModeGrid) -> np.ndarray:
+    """The samples of a run's ``times`` the decay-rate fit takes: those in
+    [0.5, min(5, trusted_s, s_max)]."""
+    return (times >= 0.5) & (times <= min(5.0, grid.trusted_s, times[-1]))
+
+
 def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
                 coupling: str = "flat") -> OracleRun:
     """Solve the one-excitation amplitude equations on a mode comb exactly.
@@ -1064,9 +1080,7 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
     gam = 1.0 + zeta
     u = r * zeta
     p, q = _coupling_line(coupling, grid, u, gam, r)
-    detuning = max(u - grid.nu_min, grid.nu_max - u)
-    n_steps = math.ceil(s_max * 4.0 * detuning / math.pi)
-    t_arr = np.linspace(0.0, s_max, n_steps + 1)
+    t_arr = _run_times(grid, u, s_max)
 
     _, d, lam, w, passes = _comb_eigen(grid, u, p, q)
     n = grid.n_modes
@@ -1106,9 +1120,8 @@ def ww_simulate(zeta: float, r: float, grid: ModeGrid, s_max: float, *,
             float(np.max(list(missed.values()))), _MAX_DEFECT)
     defect = max(sum_rule, unitarity)
 
-    fit_hi = min(5.0, grid.trusted_s, s_max)
-    mask = (t_arr >= 0.5) & (t_arr <= fit_hi)
-    if int(mask.sum()) >= 8:
+    mask = _fit_mask(t_arr, grid)
+    if int(mask.sum()) >= _FIT_SAMPLES:
         logs = np.log(a_arr[mask])
         slope, intercept = np.polyfit(t_arr[mask], logs, 1)
         resid = logs - (slope * t_arr[mask] + intercept)

@@ -1,10 +1,20 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import gravclock as gc
+
+# Hypothesis imports this module to report a failing example; its imports
+# raise a DeprecationWarning, which the suite's filterwarnings = ["error"]
+# would turn into an internal error that hides the example.  Importing it
+# here, once, keeps every test's warning filter as it is.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: E402, F401
 
 settings.register_profile("suite", derandomize=True, max_examples=50,
                           deadline=None)

@@ -151,7 +151,7 @@ def test_decay_rates_consistency():
     spec = make_spec(theta=0.5, phi=0.3)
     res = gc.decay_rates(spec, UNIT_SCALES)
     dens_sup = gc.HeightDensity.superposition(spec, UNIT_SCALES)
-    dens_mix = gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)
+    dens_mix = gc.HeightDensity.mixture(spec, UNIT_SCALES)
     assert res.gamma_sup == pytest.approx(1.0 + dens_sup.mean(), rel=1e-15)
     assert res.gamma_cl == pytest.approx(1.0 + dens_mix.mean(), rel=1e-15)
     assert res.gammaQ_inv == pytest.approx(

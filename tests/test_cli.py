@@ -51,6 +51,22 @@ def test_rate_default_run(tmp_path, capsys):
     assert payload["gamma_sup"] > payload["gamma_cl"] > 0.0
 
 
+def test_zeta_state_angles_default_to_the_reference_state(tmp_path,
+                                                          capsys):
+    """A zeta-form state without angles takes the reference state's, theta
+    = pi/8 and phi = 0: the reference packets alone are the default state."""
+    cfg = write_cfg(tmp_path, {"state": {"zeta1": 0.0, "zeta2": 0.02,
+                                         "delta_zeta": 0.01}})
+    outs = []
+    for name, argv in (("default", []), ("packets", ["--config", cfg])):
+        out = tmp_path / name
+        out.mkdir()
+        code, _, err = run(capsys, ["rate", *argv, "--out", str(out)])
+        assert (code, err) == (0, "")
+        outs.append((out / "rate.json").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_rate_vanishes_at_balanced_weights(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"state": {"zeta1": 0.0, "zeta2": 0.02,
                                          "delta_zeta": 0.01,
@@ -418,9 +434,10 @@ def test_plain_argv_is_read_directly(argv):
 @pytest.mark.parametrize("method", ["closed-form", "quadrature"])
 def test_rate_request_builds_its_state_once(tmp_path, capsys, monkeypatch,
                                             method):
-    """One rate request builds the superposition's density once and runs
+    """One rate request builds one density, the superposition's, and runs
     the interference kernel twice: the spec's norm check in meters and the
-    density in zeta units, which the rate excess reuses."""
+    density in zeta units, which the rate excess reuses.  The mixture's
+    rate reads the same density's packets."""
     calls = collections.Counter()
 
     def counted(name, fn):
@@ -435,12 +452,14 @@ def test_rate_request_builds_its_state_once(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(model.HeightDensity, "superposition", classmethod(
         counted("superposition",
                 model.HeightDensity.superposition.__func__)))
+    monkeypatch.setattr(model.HeightDensity, "__post_init__", counted(
+        "density", model.HeightDensity.__post_init__))
     cfg = write_cfg(tmp_path, {"state": METER_STATE,
                                "rate": {"method": method}})
     code, _, err = run(capsys, ["rate", "--config", cfg,
                                 "--out", str(tmp_path)])
     assert (code, err) == (0, "")
-    assert calls == {"superposition": 1, "kernel": 2}
+    assert calls == {"superposition": 1, "density": 1, "kernel": 2}
 
 
 @pytest.mark.filterwarnings("error")
@@ -620,12 +639,10 @@ def test_oracle_notes_truncation_at_the_recurrence(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("oracle, field", [
-    # shorter than the fit window: no fitted rate
-    ({"zeta": 0, "r": 100, "s_max": 0.4}, "fitted_rate"),
     # exp(-(1+zeta)s) underflows to 0 inside the comparison
     ({"zeta": 4.0, "r": 100.0, "halfwidth_linewidths": 25.0, "dnu": 0.03,
       "s_max": 160.0, "compare_up_to": None}, "max_deviation_single_pole"),
-], ids=["fit_window", "underflow"])
+], ids=["underflow"])
 def test_oracle_too_short_to_fit_exits_3(tmp_path, capsys, oracle, field):
     """A summary field that comes out non-finite fails the command, naming
     the field, instead of writing NaN or inf into the JSON."""
@@ -645,10 +662,13 @@ def test_oracle_too_short_to_fit_exits_3(tmp_path, capsys, oracle, field):
     # a margin of 20 linewidths, under the 25 the window needs
     ({"r": 100, "zeta": 0, "halfwidth_linewidths": 20},
      "oracle.halfwidth_linewidths"),
-], ids=["coupling", "margin"])
+    # shorter than the fit window [0.5, 5]: no fitted rate
+    ({"zeta": 0, "r": 100, "s_max": 0.4}, "oracle.s_max"),
+], ids=["coupling", "margin", "fit_window"])
 def test_oracle_refusals_name_their_key(tmp_path, capsys, oracle, key):
-    """A window or coupling the comb cannot carry exits 2 before the
-    solve, with a message that names the config key at fault."""
+    """A window or coupling the comb cannot carry, or a run too short for
+    the decay-rate fit, exits 2 before the solve, with a message that names
+    the config key at fault."""
     cfg = write_cfg(tmp_path, {"oracle": oracle})
     code, out, err = run(capsys, ["oracle", "--config", cfg,
                                   "--out", str(tmp_path)])

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import gravclock as gc
 from gravclock.cli import _EARTH
-from gravclock.model import _interference, _zeta_packets
+from gravclock.model import _SUPPORT_WIDTHS, _interference, _zeta_packets
 from conftest import UNIT_SCALES, random_specs, relabelled
 
 
@@ -92,10 +92,33 @@ def test_density_sup_unit_mass_adaptive():
 
 
 def test_density_mix_unit_mass_adaptive():
-    spec = make_zeta_spec(theta=0.9).mixture()
+    spec = make_zeta_spec(theta=0.9)
     dens = gc.HeightDensity.mixture(spec, UNIT_SCALES)
     mass, err = quad(dens, -0.3, 0.3, points=[spec.z1, spec.z2], limit=200)
     assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+@given(zeta1=st.floats(-0.1, 0.1), dz=st.floats(-0.1, 0.1),
+       width=st.floats(1e-4, 0.02), theta=st.floats(0.0, math.pi / 2),
+       phi=st.floats(0.0, math.pi / 2), earth=st.booleans())
+def test_mixture_density_is_the_explicit_packet_pair(zeta1, dz, width, theta,
+                                                     phi, earth):
+    """Either spec kind gives, bit for bit, the density of weights
+    cos^2 theta and sin^2 theta at _zeta_packets' z1 and z2, with no
+    midpoint component and no kernel (phi <= pi/2 keeps the norm >= 1)."""
+    scales = _EARTH if earth else UNIT_SCALES
+    packet = [float(scales.height_m(x)) for x in (zeta1, zeta1 + dz, width)]
+    for spec in (gc.MixtureSpec(*packet, theta=theta),
+                 gc.SuperpositionSpec(*packet, theta=theta, phi=phi)):
+        z1, z2, _, delta = _zeta_packets(spec, scales)
+        want = gc.HeightDensity(
+            support=(min(z1, z2) - _SUPPORT_WIDTHS * delta,
+                     max(z1, z2) + _SUPPORT_WIDTHS * delta),
+            width=delta, centers=(z1, z2),
+            weights=(math.cos(theta) ** 2, math.sin(theta) ** 2))
+        got = gc.HeightDensity.mixture(spec, scales)
+        assert got == want
+        assert got._kernel is None
 
 
 def panel_mass(dens):
@@ -107,7 +130,7 @@ def test_density_normalization_on_support_panels():
     """Unit mass to 1e-12 under the panel engine."""
     for spec in random_specs(20):
         for dens in (gc.HeightDensity.superposition(spec, UNIT_SCALES),
-                     gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)):
+                     gc.HeightDensity.mixture(spec, UNIT_SCALES)):
             assert panel_mass(dens) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -117,7 +140,7 @@ def test_phi_half_pi_superposition_equals_mixture():
                           phi=math.pi / 2)
     z = np.linspace(-0.04, 0.05, 801)
     sup = gc.HeightDensity.superposition(spec, UNIT_SCALES)(z)
-    mix = gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)(z)
+    mix = gc.HeightDensity.mixture(spec, UNIT_SCALES)(z)
     assert np.allclose(sup, mix, rtol=1e-14, atol=1e-300)
 
 
@@ -233,7 +256,7 @@ def test_height_density_matches_pointwise_density():
         1.0 + math.cos(spec.phi) * math.sin(2.0 * spec.theta)
         * math.exp(-(spec.z2 - spec.z1) ** 2 / (4.0 * d**2)))
     assert np.allclose(dens(z), np.abs(psi) ** 2 / norm, rtol=1e-12)
-    mix = gc.HeightDensity.mixture(spec.mixture(), UNIT_SCALES)
+    mix = gc.HeightDensity.mixture(spec, UNIT_SCALES)
     want = (math.cos(spec.theta) ** 2 * g1**2
             + math.sin(spec.theta) ** 2 * g2**2) / (math.sqrt(math.pi) * d)
     assert np.allclose(mix(z), want, rtol=1e-12)

@@ -12,18 +12,20 @@ script, copy the script into that checkout's ``tools/`` and run it there.
 Each run of ``RUNS`` writes its command's files into ``OUT/<run>/``, plus
 ``console.txt``: the exit status (an argparse ``SystemExit`` included),
 stdout and stderr.  The runs are the defaults (all seven commands on an
-empty config), the README examples, a ``spectrum`` with
-``"method": "quadrature"`` at desk scale (r = 1e3) and at Earth scale (the
-defaults), and ``oracle`` runs with flat and tilted couplings and at
-r = 1e4.  The runs of ``ARGV_RUNS`` pin how the CLI reads its flags and
-refuses what it cannot read: flags argparse reads in other spellings or
+empty config), the README examples, a ``spectrum`` with ``"method":
+"quadrature"`` at desk scale (r = 1e3) and at Earth scale (the defaults),
+``oracle`` runs with flat and tilted couplings and at r = 1e4, and two
+mixture states, one in zeta form at Earth scale and one in meter form at
+desk scale, each through ``spectrum`` (Voigt and quadrature), ``survival``
+and ``tcoh``.  The runs of ``ARGV_RUNS`` pin how the CLI reads its flags
+and refuses what it cannot read: flags argparse reads in other spellings or
 refuses, config files that are missing, not files, not UTF-8 or not JSON,
 an unknown key, a missing output directory and a state at the horizon.
 Consoles write the run's temporary directory as ``<TMP>`` and its output
-directory as ``<OUT>``, so that their bytes do not depend on where the
-runs are made.  Every CLI density is analytic, so the library
-runs of ``SAMPLED`` cover the sampled-density paths: each pdf callable is
-built with ``HeightDensity.from_callable`` and writes a line at r = 1e3
+directory as ``<OUT>``, so that their bytes do not depend on where the runs
+are made.  Every CLI density is analytic, so the library runs of
+``SAMPLED`` cover the sampled-density paths: each pdf callable is built
+with ``HeightDensity.from_callable`` and writes a line at r = 1e3
 (``spectrum.csv``), a survival curve (``survival.csv``) and its
 ``total_rate`` (``rate.json``) into ``OUT/sampled_<name>/`` through
 ``gravclock.serialize``.  No command runs ``optimal_state_scan`` either, so
@@ -39,9 +41,9 @@ below OUT matches one of the ``--expect`` glob patterns (for example
 ``'spectrum_quadrature_*/spectrum.csv'``), and 0 otherwise.
 
 ``--write-manifest`` rewrites ``tests/cli_manifest.json``: the SHA-256 of
-every file written, with the Python and numpy versions they were written
-under.  ``tests/test_byte_identity.py`` writes the same runs and holds
-their digests to it.
+every file written, with the Python and numpy versions and numpy's CPU
+dispatch targets they were written under.  ``tests/test_byte_identity.py``
+writes the same runs and holds their digests to it.
 """
 from __future__ import annotations
 
@@ -76,6 +78,17 @@ _DESK = {"params": {"omega_rad_s": 1e9, "gamma0_s": 1e6},
          "state": {"zeta1": 0.0, "zeta2": 2e-3, "delta_zeta": 1e-3,
                    "theta_rad": 0.392699, "phi_rad": 0.0}}
 
+# mixture states: zeta form at Earth scale, and meter form at r = 1e3 with
+# c = 1e3 m/s, where 200 m is zeta ~ 2e-3
+_MIXTURES = {
+    "zeta": {"state": {"zeta1": 0.0, "zeta2": 0.02, "delta_zeta": 0.01,
+                       "theta_rad": 0.3, "kind": "mixture"}},
+    "meter_desk": {"params": {"omega_rad_s": 1e9, "gamma0_s": 1e6,
+                              "c": 1e3},
+                   "state": {"z1_m": 0.0, "z2_m": 200.0, "delta_m": 100.0,
+                             "theta_rad": 0.392699, "kind": "mixture"}},
+}
+
 RUNS = (
     *((f"default_{command}", command, {}) for command in COMMANDS),
     ("readme_oracle", "oracle", {"oracle": {"zeta": 0.5, "r": 1000.0}}),
@@ -86,6 +99,13 @@ RUNS = (
     ("oracle_tilted", "oracle", {"oracle": {"coupling": "tilted"}}),
     # 52001 modes and 19864 samples: the longest sums of any run
     ("oracle_r1e4", "oracle", {"oracle": {"zeta": 0.3, "r": 1e4}}),
+    *((f"mixture_{form}_{name}", command, {**config, **extra})
+      for form, config in _MIXTURES.items()
+      for name, command, extra in (
+          ("spectrum", "spectrum", {}),
+          ("spectrum_quadrature", "spectrum",
+           {"spectrum": {"method": "quadrature"}}),
+          ("survival", "survival", {}), ("tcoh", "tcoh", {}))),
 )
 
 
@@ -203,9 +223,17 @@ def digests(out: Path) -> dict[str, str]:
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def versions() -> dict[str, str]:
-    """The Python and numpy versions whose arithmetic the digests pin."""
-    return {"python": platform.python_version(), "numpy": np.__version__}
+def versions() -> dict:
+    """The Python and numpy versions whose arithmetic the digests pin, and
+    the CPU dispatch targets numpy enabled at import (its elementwise
+    kernels differ in their last bits between them)."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "cpu_dispatch": [target for target in umath.__cpu_dispatch__
+                             if umath.__cpu_features__.get(target)]}
 
 
 def difference(got: bytes, want: bytes) -> str | None:
