@@ -99,7 +99,8 @@ def figure2_lines(case: LineCase) -> tuple[SpectrumResult, SpectrumResult]:
     spec = SuperpositionSpec(z1=case.zeta1, z2=case.zeta2,
                              delta=case.delta_zeta, theta=math.pi / 4,
                              phi=0.0)
-    return tuple(spectrum(build(spec, _UNIT_SCALES), case.nu_grid, case.r)
+    grid = case.nu_grid
+    return tuple(spectrum(build(spec, _UNIT_SCALES), grid, case.r)
                  for build in (HeightDensity.superposition,
                                HeightDensity.mixture))
 
