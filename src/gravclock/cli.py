@@ -433,9 +433,10 @@ def cmd_oracle(env: _Env) -> int:
     except ConfigurationError as exc:
         _bad("oracle.coupling", str(exc))
     s_max = sec["s_max"]
-    fit = numerics._fit_mask(numerics._run_times(grid, r * zeta, s_max), grid)
-    if fit.sum() < numerics._FIT_SAMPLES:
-        _bad("oracle.s_max", f"a run to s = {s_max:g} records {fit.sum()} "
+    times = numerics._run_times(grid, r * zeta, s_max)
+    samples = int(numerics._fit_mask(times, grid).sum())
+    if samples < numerics._FIT_SAMPLES:
+        _bad("oracle.s_max", f"a run to s = {s_max:g} records {samples} "
                              f"samples in s = [0.5, "
                              f"{min(5.0, grid.trusted_s):g}]; the decay-rate "
                              f"fit needs >= {numerics._FIT_SAMPLES}")
